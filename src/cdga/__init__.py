@@ -3,7 +3,9 @@
 Everything computes over the rationals with :class:`fractions.Fraction`;
 no floats appear anywhere.  The main entry points:
 
-- :mod:`cdga.linalg` — exact matrices, rank/nullspace/solve, sparse elimination.
+- :mod:`cdga.linalg` — exact matrices and one sparse row-dict elimination
+  routine behind rank, det, rref, nullspace/solve and the incremental
+  sparse eliminator.
 - :mod:`cdga.graded` — graded sign bookkeeping and label spaces.
 - :mod:`cdga.poly` — free graded-commutative polynomials.
 - :mod:`cdga.complexes` — cochain complexes, cones, cylinders, homology,
@@ -80,7 +82,7 @@ from .cartan import (
     weil_contraction_witness,
     weil_to_ce_projection,
 )
-from .minimal import MinimalModel, certify, homotopy_table, minimal_model, quadratic_part
+from .minimal import MinimalModel, certify, minimal_model, quadratic_part
 from .hodge import (
     FockInnerProduct,
     GradedChainData,
@@ -166,7 +168,6 @@ __all__ = [
     "harmonic_space",
     "hodge_decomposition",
     "homology",
-    "homotopy_table",
     "induced_on_homology",
     "integrate_homotopy",
     "is_contractible",

@@ -218,10 +218,6 @@ class FreeCDGA:
             images[name] = Polynomial(gens2, dict(poly.terms))
         return FreeCDGA(gens2, images, truncation=self.truncation)
 
-    def rebase(self, poly: Polynomial) -> Polynomial:
-        """Reinterpret a polynomial from a prefix generator table in this one."""
-        return Polynomial(self.gens, dict(poly.terms))
-
 
 class CDGAMorphism:
     """Algebra map determined by generator images, compatible with d."""

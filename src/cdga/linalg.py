@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with fractions.Fraction entries; no floating point
-anywhere.  Matrices are small (tens of rows) in typical use, so a dense
-representation is the default.  Ranks are computed fraction-free (Bareiss)
-on cleared-denominator integer copies; reduced row echelon form over
-Fraction backs kernels and solving.  A sparse row-dict eliminator is
-provided for long, mostly-zero vectors (tensor-word coordinates).
+anywhere.  Matrices are small (tens of rows) in typical use, so Mat is
+dense.  All elimination runs through one routine, _reduce, on sparse row
+dicts {column: Fraction} whose pivot is the leftmost column: rank counts
+its pivots, det multiplies its pivot values, rref back-substitutes after it
+(and backs nullspace, solve and inv), and SparseEliminator keeps its rows
+across calls for long, mostly-zero vectors (tensor-word coordinates).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 
 class Mat:
@@ -112,60 +113,52 @@ class Mat:
         return all(not x for r in self.rows for x in r)
 
     def rank(self) -> int:
-        return _bareiss_rank(self)
+        return len(self._echelon()[0])
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free-friendly Gaussian elimination."""
+        """Determinant: the signed product of the elimination's pivot values."""
         if self.m != self.n:
             raise ValueError("determinant of non-square matrix")
-        n = self.n
-        r = [row[:] for row in self.rows]
-        sign = 1
-        out = Fraction(1)
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if r[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                r[col], r[piv] = r[piv], r[col]
-                sign = -sign
-            p = r[col][col]
-            out *= p
-            for i in range(col + 1, n):
-                f = r[i][col] / p
-                if f:
-                    r[i] = [a - f * b for a, b in zip(r[i], r[col])]
-        return out * sign
+        echelon, values = self._echelon()
+        if len(values) < self.n:
+            return Fraction(0)
+        # rows were reduced only by earlier rows, so the reduced rows have the
+        # same determinant; ordering them by pivot makes them triangular
+        pivots = list(echelon)
+        inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
+        return prod(values, start=Fraction(-1 if inversions % 2 else 1))
 
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
-        r = [row[:] for row in self.rows]
-        pivots = []
-        lead = 0
-        for col in range(self.n):
-            if lead >= self.m:
-                break
-            piv = None
-            for i in range(lead, self.m):
-                if r[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            r[lead], r[piv] = r[piv], r[lead]
-            pv = r[lead][col]
-            r[lead] = [x / pv for x in r[lead]]
-            for i in range(self.m):
-                if i != lead and r[i][col]:
-                    c = r[i][col]
-                    r[i] = [x - c * y for x, y in zip(r[i], r[lead])]
-            pivots.append(col)
-            lead += 1
-        return Mat(self.m, self.n, r), pivots
+        echelon, _ = self._echelon()
+        pivots = sorted(echelon)
+        # back-substitution from the last pivot up: the rows below are already
+        # reduced, so clearing one pivot column disturbs no other
+        for p in reversed(pivots):
+            row = echelon[p][0]
+            for q in [q for q in row if q != p and q in echelon]:
+                _axpy(row, -row[q], echelon[q][0])
+        zero = Fraction(0)
+        rows = [[echelon[p][0].get(j, zero) for j in range(self.n)] for p in pivots]
+        rows += [[zero] * self.n for _ in range(self.m - len(pivots))]
+        return Mat(self.m, self.n, rows), pivots
+
+    def _echelon(self):
+        """Forward elimination of the rows in order.
+
+        Returns ({pivot: (unit row dict, None)} in the order the independent
+        rows were met, [their pivot values before scaling, in that order]).
+        """
+        echelon = {}
+        values = []
+        for r in self.rows:
+            v = {j: x for j, x in enumerate(r) if x}
+            p = _reduce(v, echelon)
+            if p is not None:
+                pv = v[p]
+                echelon[p] = ({j: x / pv for j, x in v.items()}, None)
+                values.append(pv)
+        return echelon, values
 
     def nullspace(self):
         """Basis of ker(self) as a list of column vectors (lists of Fraction)."""
@@ -211,9 +204,6 @@ class Mat:
             raise ValueError("matrix is singular")
         return X
 
-    def column_space_rank(self) -> int:
-        return self.rank()
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.m != other.m:
             raise ValueError("hstack row mismatch")
@@ -246,37 +236,36 @@ def block_matrix(blocks, row_dims, col_dims) -> Mat:
     return out
 
 
-def _bareiss_rank(a: Mat) -> int:
-    """Rank by fraction-free elimination on a cleared-denominator integer copy."""
-    rows = []
-    for r in a.rows:
-        den = 1
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in r])
-    m, n = a.m, a.n
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        for i in range(row + 1, m):
-            for j in range(col + 1, n):
-                rows[i][j] = (rows[row][col] * rows[i][j] - rows[i][col] * rows[row][j]) // prev
-            rows[i][col] = 0
-        prev = rows[row][col]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+def _axpy(v, c, row):
+    """v += c * row on row dicts, dropping entries that cancel."""
+    for k, x in row.items():
+        y = v.get(k, 0) + c * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
+def _reduce(v, echelon, combo=None):
+    """Reduce the row dict v in place against echelon; return v's pivot.
+
+    Rows are {column: Fraction} dicts that hold no zeros, and a row's pivot
+    is its leftmost column.  echelon maps pivots to (row scaled to 1 at its
+    pivot, row combination).  While v's pivot is in echelon the matching
+    multiple of that row is subtracted and, when combo is given, the same
+    multiple of its combination is added to combo.  Returns None once v is
+    zero.
+    """
+    while v:
+        p = min(v)
+        if p not in echelon:
+            return p
+        c = v[p]
+        row, rcombo = echelon[p]
+        _axpy(v, -c, row)
+        if combo is not None:
+            _axpy(combo, c, rcombo)
+    return None
 
 
 class SparseEliminator:
@@ -293,51 +282,29 @@ class SparseEliminator:
         self.rows = {}
         self.selected = []
 
-    def _reduce(self, vec):
-        v = {k: Fraction(x) for k, x in vec.items() if x}
-        combo = {}
-        while v:
-            p = min(v)
-            if p not in self.rows:
-                break
-            c = v[p]
-            row, rcombo = self.rows[p]
-            for k, x in row.items():
-                nv = v.get(k, Fraction(0)) - c * x
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-            for k, x in rcombo.items():
-                nc = combo.get(k, Fraction(0)) + c * x
-                if nc:
-                    combo[k] = nc
-                else:
-                    combo.pop(k, None)
-        return v, combo
-
     def add(self, vec, tag=None):
         """Insert vec; returns its tag when independent, else None."""
-        v, combo = self._reduce(vec)
-        if not v:
+        v = {k: Fraction(x) for k, x in vec.items() if x}
+        combo = {}
+        p = _reduce(v, self.rows, combo)
+        if p is None:
             return None
         if tag is None:
             tag = len(self.selected)
-        p = min(v)
         pv = v[p]
         row = {k: x / pv for k, x in v.items()}
         # vec = residual + sum(combo * selected)  =>  row = (vec - sum(...)) / pv
-        rcombo = {tag: Fraction(1) / pv}
-        for k, x in combo.items():
-            rcombo[k] = rcombo.get(k, Fraction(0)) - x / pv
+        rcombo = {tag: 1 / pv}
+        _axpy(rcombo, -1 / pv, combo)
         self.rows[p] = (row, rcombo)
         self.selected.append(tag)
         return tag
 
     def express(self, vec):
         """Combination dict over selected tags with vec = sum c_i * sel_i, or None."""
-        v, combo = self._reduce(vec)
-        if v:
+        v = {k: Fraction(x) for k, x in vec.items() if x}
+        combo = {}
+        if _reduce(v, self.rows, combo) is not None:
             return None
         return combo
 

@@ -11,7 +11,7 @@ where the truncated complexes are trustworthy.
 
 The rank of the degree-k generator space of a minimal model is the rank of
 the k-th rational homotopy group of the geometric realization, which is
-what `homotopy_table` reports.
+what `MinimalModel.homotopy_ranks` reports.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class MinimalModel:
             if 2 <= d <= self.certified_through:
                 counts[d] += 1
         return counts
-
-
-def homotopy_table(mm: MinimalModel):
-    return mm.homotopy_ranks()
 
 
 def _comparison_chain_map(model: FreeCDGA, rho: CDGAMorphism, target: FreeCDGA,

@@ -161,9 +161,6 @@ class Polynomial:
             raise GradedError("polynomial is not homogeneous: degrees %s" % sorted(ds))
         return ds.pop()
 
-    def degree(self):
-        return self.is_homogeneous()
-
     def homogeneous_part(self, k: int) -> "Polynomial":
         return Polynomial(
             self.gens,

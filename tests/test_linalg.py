@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdga import Mat, SparseEliminator, block_matrix
 
@@ -43,6 +45,38 @@ def test_rank_rref_nullspace_solve():
     x = a.solve(b)
     assert x is not None and a.apply(x) == b
     assert a.solve([F(1), F(0), F(0)]) is None
+    # the forward pass leaves a 1 above the second pivot; back-substitution clears it
+    r, pivots = Mat.from_rows([[1, 1, 1], [0, 1, 1]]).rref()
+    assert r == Mat.from_rows([[1, 0, 0], [0, 1, 1]]) and pivots == [0, 1]
+
+
+def test_solve_matrix_rejects_one_inconsistent_column():
+    a = Mat.from_rows([[1, 0], [0, 0]])
+    assert a.solve_matrix(Mat.from_rows([[1, 2], [0, 1]])) is None
+    b = Mat.from_rows([[1, 2], [0, 0]])
+    assert a * a.solve_matrix(b) == b
+
+
+def test_empty_shapes():
+    wide = Mat.zero(0, 3)
+    assert wide.rank() == 0
+    assert wide.nullspace() == [[F(int(i == j)) for i in range(3)] for j in range(3)]
+    assert wide.solve([]) == [F(0)] * 3
+    tall = Mat.zero(2, 0)
+    assert tall.rank() == 0
+    assert tall.nullspace() == []
+    assert tall.solve([F(0), F(0)]) == []
+    assert tall.solve([F(1), F(0)]) is None
+    for a in (wide, tall):
+        with pytest.raises(ValueError):
+            a.det()
+
+
+def test_det_of_permutation_matrices_is_their_sign():
+    for perm in permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        p = Mat.from_rows([[int(perm[i] == j) for j in range(4)] for i in range(4)])
+        assert p.det() == (-1) ** inversions
 
 
 def test_inverse_and_det():
@@ -66,6 +100,31 @@ def test_rank_matches_oracle_on_random_matrices():
             for j in range(n):
                 a[(i, j)] = F(rng.randint(-3, 3), rng.randint(1, 3))
         assert a.rank() == oracle_rank(mat_rows(a))
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    zero_tenths = draw(st.sampled_from([0, 5, 8, 10]))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    rows = [[F(0) if draw(st.integers(0, 9)) < zero_tenths else draw(entry) for _ in range(n)]
+            for _ in range(m)]
+    return Mat(m, n, rows)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sparse_rational_matrices(), st.randoms(use_true_random=False))
+def test_elimination_properties_on_random_sparse_matrices(a, rng):
+    r = a.rank()
+    assert r == oracle_rank(mat_rows(a))
+    kernel = a.nullspace()
+    assert len(kernel) == a.n - r
+    assert all(a.apply(v) == [F(0)] * a.m for v in kernel)
+    u = random_unimodular(rng, a.m)
+    assert (u * a).rref() == a.rref()
+    if a.m == a.n:
+        assert (u * a).det() == a.det()
 
 
 def test_block_matrix():

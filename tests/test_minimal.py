@@ -10,7 +10,6 @@ from cdga import (
     GradedError,
     Polynomial,
     certify,
-    homotopy_table,
     minimal_model,
     quadratic_part,
 )
@@ -126,7 +125,7 @@ def test_certify_and_table():
     mm = minimal_model(even_sphere())
     rep = certify(mm)
     assert rep.is_equivalence
-    table = homotopy_table(mm)
+    table = mm.homotopy_ranks()
     assert table[2] == 1 and table[3] == 1
 
 

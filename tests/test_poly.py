@@ -34,7 +34,7 @@ def test_graded_commutativity():
     z = Polynomial.generator(g, "z")
     assert x * y == (y * x).scale(-1)
     assert x * z == z * x
-    assert (z * z).degree() == 4
+    assert (z * z).is_homogeneous() == 4
 
 
 def test_polynomial_arithmetic_and_str():
@@ -43,7 +43,7 @@ def test_polynomial_arithmetic_and_str():
     y = Polynomial.generator(g, "y")
     p = x * y.scale(F(3, 2)) + Polynomial.one(g) - Polynomial.one(g)
     assert p == x * y.scale(F(3, 2))
-    assert p.degree() == 2
+    assert p.is_homogeneous() == 2
     assert "3/2" in str(p)
     assert str(Polynomial.zero(g)) == "0"
 
