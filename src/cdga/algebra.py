@@ -15,10 +15,13 @@ from .graded import GradedError, GradedSpace
 from .linalg import Mat
 from .complexes import Complex
 from .poly import (
+    Q_ONE,
+    Q_ZERO,
     Generators,
     Polynomial,
     basis_keys,
     key_degree,
+    key_product,
     render_key,
 )
 
@@ -27,13 +30,18 @@ class Derivation:
     """Degree-r derivation of a free graded-commutative algebra.
 
     Determined by generator images (homogeneous of degree |g| + r, or zero)
-    and extended by D(ab) = D(a) b + (-1)^(r |a|) a D(b).
+    and extended by D(ab) = D(a) b + (-1)^(r |a|) a D(b).  apply_key applies
+    that rule to one monomial key, placing e D(g) between the keys before
+    (times g^(e-1)) and after each run g^e with poly.key_product, into a
+    {key: Fraction} dict; apply sums it over a polynomial's terms, and matrix
+    writes its coefficients into matrix rows found by basis index lookup.
     """
 
     def __init__(self, algebra: "FreeCDGA", degree: int, images):
         self.algebra = algebra
         self.degree = int(degree)
         self.images = {}
+        self._terms = {}  # generator index -> image terms
         for name, poly in images.items():
             i = algebra.gens.index(name)
             if not isinstance(poly, Polynomial):
@@ -47,33 +55,34 @@ class Derivation:
                         % (name, got, want)
                     )
                 self.images[algebra.gens.names[i]] = poly
+                self._terms[i] = poly.terms
 
     def image_of(self, name: str) -> Polynomial:
         return self.images.get(name, Polynomial.zero(self.algebra.gens))
 
-    def apply_key(self, key) -> Polynomial:
+    def apply_key(self, key, coeff=Q_ONE, out=None):
+        """Add coeff * D(key) into the dict out ({key: Fraction}); return it."""
         gens = self.algebra.gens
-        out = Polynomial.zero(gens)
+        out = {} if out is None else out
         prefix_degree = 0
         for j, (i, e) in enumerate(key):
-            name = gens.names[i]
-            img = self.images.get(name)
+            img = self._terms.get(i)
             if img is not None:
-                sign = -1 if (self.degree % 2 and prefix_degree % 2) else 1
-                left = list(key[:j])
-                if e > 1:
-                    left.append((i, e - 1))
-                left_p = Polynomial.monomial(gens, left, Fraction(e * sign))
-                right_p = Polynomial.monomial(gens, key[j + 1:])
-                out = out + left_p * img * right_p
+                c0 = -coeff * e if self.degree % 2 and prefix_degree % 2 else coeff * e
+                left = key[:j] + (((i, e - 1),) if e > 1 else ())
+                for ikey, c in img.items():
+                    s1, k1 = key_product(gens, left, ikey)
+                    s2, k2 = key_product(gens, k1, key[j + 1:]) if s1 else (0, ())
+                    if s2:
+                        out[k2] = out.get(k2, Q_ZERO) + (c0 * c if s1 == s2 else -c0 * c)
             prefix_degree += e * gens.degrees[i]
         return out
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.algebra.gens)
+        out = {}
         for key, c in poly.terms.items():
-            out = out + self.apply_key(key).scale(c)
-        return out
+            self.apply_key(key, c, out)
+        return Polynomial(self.algebra.gens, out)
 
     def __call__(self, poly):
         return self.apply(poly)
@@ -83,12 +92,11 @@ class Derivation:
         a = self.algebra
         src = a.basis(k)
         tgt_index = a.basis_index(k + self.degree)
-        mat = Mat.zero(len(tgt_index), len(src))
+        rows = [[Q_ZERO] * len(src) for _ in tgt_index]
         for col, key in enumerate(src):
-            img = self.apply_key(key)
-            for kk, c in img.terms.items():
-                mat[(tgt_index[kk], col)] = c
-        return mat
+            for kk, c in self.apply_key(key).items():
+                rows[tgt_index[kk]][col] = c
+        return Mat(len(rows), len(src), rows)
 
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [self, other] = s o - (-1)^(rs) o s, a derivation."""

@@ -126,6 +126,12 @@ def cmd_homology(args):
     if kind == "cdga":
         algebra = documents.load_cdga(doc)
         t = _truncation(args, doc)
+        # degree t has no outgoing differential in the slice: trust up to t - 1
+        if window and window[1] > t - 1:
+            raise DocumentError(
+                "window top %d is above %d, the highest degree truncation %d trusts"
+                % (window[1], t - 1, t)
+            )
         c = algebra.to_complex((0, t))
         window = window or (0, t - 1)
     elif kind == "complex":

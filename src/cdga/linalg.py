@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with fractions.Fraction entries; no floating point
-anywhere.  Matrices are small (tens of rows) in typical use, so Mat is
-dense.  All elimination runs through one routine, _reduce, on sparse row
-dicts {column: Fraction} whose pivot is the leftmost column: rank counts
-its pivots, det multiplies its pivot values, rref back-substitutes after it
-(and backs nullspace, solve and inv), and SparseEliminator keeps its rows
-across calls for long, mostly-zero vectors (tensor-word coordinates).
+anywhere.  Mat keeps entries that are already exactly Fractions and coerces
+every other entry (int, "p/q" string, Fraction subclass) with Fraction().
+Matrices are small (tens of rows) in typical use, so Mat is dense.  All
+elimination runs through one routine, _reduce, on sparse row dicts
+{column: Fraction} whose pivot is the leftmost column: rank counts its
+pivots, det multiplies its pivot values, rref back-substitutes after it (and
+backs nullspace, solve and inv), and SparseEliminator keeps its rows across
+calls for long, mostly-zero vectors (tensor-word coordinates).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class Mat:
             raise ValueError("row data does not match shape (%d, %d)" % (m, n))
         self.m = m
         self.n = n
-        self.rows = [[Fraction(x) for x in r] for r in rows]
+        self.rows = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
 
     @classmethod
     def zero(cls, m: int, n: int) -> "Mat":

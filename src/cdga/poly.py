@@ -9,6 +9,11 @@ combination of monomial keys.
 Monomial keys of equal degree are ordered lexicographically as tuples; that
 order fixes every basis used downstream, so matrices and reports are
 reproducible.
+
+Every product goes through key_product, which merges two canonical keys run
+by run without expanding exponents and returns the Koszul sign (0 when an
+odd generator meets itself); Polynomial.__mul__ and normalize_factors both
+use it, so products have one sign routine.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ class Generators:
             raise GradedError("duplicate generator names")
         self.names = tuple(names)
         self.degrees = tuple(degrees)
+        self.odd = tuple(d % 2 for d in degrees)
         self._index = {n: i for i, n in enumerate(names)}
 
     def __len__(self):
@@ -75,42 +81,59 @@ def key_degree(gens: Generators, key) -> int:
     return sum(gens.degrees[i] * e for i, e in key)
 
 
+def key_product(gens: Generators, a, b):
+    """Product of the canonical keys a * b as (sign, key); sign 0 means zero.
+
+    Merges the (index, exponent) runs: equal even generators add exponents,
+    an odd generator met twice kills the product, and an odd run of b flips
+    the sign once per odd run of a it passes (odd runs have exponent 1).
+    """
+    if not a or not b:
+        return 1, a or b
+    odd = gens.odd
+    left = sum(odd[i] for i, _ in a)  # odd runs of a not yet merged
+    out, sign, p, q = [], 1, 0, 0
+    while p < len(a) and q < len(b):
+        (i, e), (j, f) = a[p], b[q]
+        if i < j:
+            out.append(a[p])
+            left -= odd[i]
+            p += 1
+        elif j < i:
+            out.append(b[q])
+            if odd[j] and left % 2:
+                sign = -sign
+            q += 1
+        elif odd[i]:
+            return 0, ()
+        else:
+            out.append((i, e + f))
+            p += 1
+            q += 1
+    return sign, tuple(out) + a[p:] + b[q:]
+
+
 def normalize_factors(gens: Generators, factors, coeff=Q_ONE):
     """Sort a factor sequence into a canonical key, tracking the Koszul sign.
 
     `factors` is any iterable of (generator_index, exponent) pairs, in the
-    order they are multiplied.  Returns (coefficient, key); a vanishing
-    product (odd generator squared) returns (0, ()).
+    order they are multiplied; they are folded into the key one run at a
+    time with key_product.  Returns (coefficient, key); a vanishing product
+    (odd generator squared) returns (0, ()).
     """
     coeff = Fraction(coeff)
     if coeff == 0:
         return Q_ZERO, ()
-    flat = []
+    sign, key = 1, ()
     for i, e in factors:
         e = int(e)
         if e < 0:
             raise GradedError("negative exponent on generator %r" % gens.names[i])
-        if gens.degrees[i] % 2 and e >= 2:
+        s, key = key_product(gens, key, ((i, e),)) if e else (1, key)
+        if not s or (gens.odd[i] and e >= 2):
             return Q_ZERO, ()
-        flat.extend([i] * e)
-    # Count inversions between odd-degree factors while stably sorting.
-    sign = 1
-    order = sorted(range(len(flat)), key=lambda p: (flat[p], p))
-    for b in range(len(order)):
-        for a in range(b):
-            if order[a] > order[b]:
-                if gens.degrees[flat[order[a]]] % 2 and gens.degrees[flat[order[b]]] % 2:
-                    sign = -sign
-    flat.sort()
-    key = []
-    for i in flat:
-        if key and key[-1][0] == i:
-            if gens.degrees[i] % 2:
-                return Q_ZERO, ()
-            key[-1] = (i, key[-1][1] + 1)
-        else:
-            key.append((i, 1))
-    return coeff * sign, tuple(key)
+        sign *= s
+    return coeff * sign, key
 
 
 class Polynomial:
@@ -122,8 +145,9 @@ class Polynomial:
         self.gens = gens
         clean = {}
         for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[key] = c
         self.terms = clean
 
@@ -201,9 +225,9 @@ class Polynomial:
         terms = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c, key = normalize_factors(self.gens, list(k1) + list(k2), c1 * c2)
-                if c:
-                    terms[key] = terms.get(key, Q_ZERO) + c
+                s, key = key_product(self.gens, k1, k2)
+                if s:
+                    terms[key] = terms.get(key, Q_ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
         return Polynomial(self.gens, terms)
 
     __rmul__ = __mul__

@@ -84,6 +84,12 @@ def test_weil_algebra_is_acyclic():
         assert all(rep.betti[k] == 0 for k in range(1, hi + 1))
 
 
+def test_weil_differential_matrices_square_to_zero():
+    alg = weil_algebra(LieData.cross3(), truncation=10).algebra
+    for k in range(9):
+        assert (alg.d_matrix(k + 1) * alg.d_matrix(k)).is_zero()
+
+
 def test_weil_contraction_witness_identities():
     for lie in (LieData.abelian(2), LieData.cross3()):
         ops = weil_algebra(lie)

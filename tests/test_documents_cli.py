@@ -208,6 +208,40 @@ def test_cli_window_parsing():
     assert rc2 == 2
 
 
+def test_cli_homology_rejects_a_window_above_the_trusted_slice():
+    # the slice at truncation 3 trusts degrees 0..2; b4 of cp2 would read 0
+    rc, out, err = run_cli(
+        "homology", "--input", "cdga_cp2", "--truncation", "3", "--window", "0..6"
+    )
+    assert rc == 2
+    assert out == ""
+    assert "window top 6" in err and "above 2" in err
+    rc, out, _ = run_cli(
+        "homology", "--input", "cdga_cp2", "--truncation", "3", "--window", "0..2",
+        "--format", "json",
+    )
+    assert rc == 0
+    assert json.loads(out)["betti"] == {"0": 1, "1": 0, "2": 1}
+
+
+def test_cli_check_large_exponent_finishes(tmp_path):
+    doc = {
+        "kind": "cdga",
+        "generators": [["x", 2], ["y", 200001]],
+        "differential": {"y": "x^100001"},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdga.cli", "check", "--input", str(path), "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == '{"kind":"cdga","ok":true}\n'
+
+
 def test_cli_ce_and_weil_json():
     rc, out, _ = run_cli("ce", "--input", "lie_solvable2", "--format", "json")
     assert rc == 0

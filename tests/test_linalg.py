@@ -21,6 +21,29 @@ def test_construction_and_indexing():
     assert r[(1, 0)] == 3
 
 
+def test_entries_are_exactly_fractions_whatever_the_input():
+    m = Mat(2, 3, [[1, "3/4", F(5, 2)], [F(-1), "-7", 0]])
+    assert all(type(x) is F for r in m.rows for x in r)
+    assert m.rows == [[F(1), F(3, 4), F(5, 2)], [F(-1), F(-7), F(0)]]
+
+
+def test_construction_copies_the_input_rows():
+    rows = [[F(1), F(2)], [F(3), F(4)]]
+    m = Mat(2, 2, rows)
+    rows[0][0] = F(9)
+    rows[1].append(F(5))
+    assert m.rows == [[F(1), F(2)], [F(3), F(4)]]
+    assert m.rows[0] is not rows[0]
+
+
+def test_fraction_subclass_entries_are_coerced():
+    class Half(F):
+        pass
+
+    m = Mat(1, 1, [[Half(1, 2)]])
+    assert type(m[(0, 0)]) is F and m[(0, 0)] == F(1, 2)
+
+
 def test_arithmetic():
     a = Mat.from_rows([[1, 2], [3, 4]])
     b = Mat.from_rows([[0, 1], [1, 0]])

@@ -1,9 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdga import Generators, ParseError, Polynomial, basis_keys, parse_polynomial
+from cdga import (
+    Derivation,
+    FreeCDGA,
+    Generators,
+    ParseError,
+    Polynomial,
+    basis_keys,
+    koszul_sign,
+    parse_polynomial,
+)
 from cdga.graded import GradedError
+from cdga.poly import key_product, normalize_factors
 
 
 def gens_xy():
@@ -120,3 +131,72 @@ def test_parser_odd_square_is_zero():
     g = gens_xy()
     assert parse_polynomial(g, "x^2").is_zero()
     assert parse_polynomial(g, "x*x").is_zero()
+
+
+# -- properties of the key product and the Leibniz rule ---------------------------
+
+
+@st.composite
+def generator_tables(draw):
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return Generators([("g%d" % i, d) for i, d in enumerate(degrees)])
+
+
+def canonical_keys(gens):
+    exps = [st.integers(0, 1 if gens.odd[i] else 2) for i in range(len(gens))]
+    return st.tuples(*exps).map(lambda es: tuple((i, e) for i, e in enumerate(es) if e))
+
+
+@st.composite
+def homogeneous_polys(draw, gens, degree=None):
+    """(degree, polynomial) with small integer coefficients on basis_keys."""
+    k = draw(st.integers(0, 5)) if degree is None else degree
+    keys = basis_keys(gens, k)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(keys), max_size=len(keys)))
+    return k, Polynomial(gens, dict(zip(keys, coeffs)))
+
+
+def oracle_product(gens, factors):
+    """(sign, key) of a factor sequence: stable sort signed by koszul_sign."""
+    flat = [i for i, e in factors for _ in range(e)]
+    if any(gens.odd[i] and flat.count(i) > 1 for i in flat):
+        return 0, ()
+    order = sorted(range(len(flat)), key=lambda p: (flat[p], p))
+    sign = koszul_sign([gens.degrees[i] for i in flat], order)
+    return sign, tuple((i, flat.count(i)) for i in sorted(set(flat)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_key_product_sign_is_the_koszul_sign(data):
+    gens = data.draw(generator_tables())
+    a = data.draw(canonical_keys(gens))
+    b = data.draw(canonical_keys(gens))
+    assert key_product(gens, a, b) == oracle_product(gens, a + b)
+    runs = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), st.integers(1, 2)),
+                              max_size=6))
+    sign, key = oracle_product(gens, runs)
+    assert normalize_factors(gens, runs, F(3)) == (F(3 * sign), key)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_products_are_graded_commutative_and_associative(data):
+    gens = data.draw(generator_tables())
+    (da, a), (db, b), (_, c) = [data.draw(homogeneous_polys(gens)) for _ in range(3)]
+    assert a * b == (b * a).scale((-1) ** (da * db))
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_derivations_obey_the_graded_leibniz_rule(data):
+    gens = data.draw(generator_tables())
+    r = data.draw(st.integers(-1, 2))
+    images = {name: data.draw(homogeneous_polys(gens, d + r))[1]
+              for name, d in zip(gens.names, gens.degrees)}
+    algebra = FreeCDGA(gens, {}, truncation=8)
+    D = Derivation(algebra, r, images)
+    (da, a), (_, b) = [data.draw(homogeneous_polys(gens)) for _ in range(2)]
+    assert D(a * b) == D(a) * b + (a * D(b)).scale((-1) ** (r * da))
+    assert D.matrix(da).apply(algebra.vector(a, da)) == algebra.vector(D(a), da + r)
