@@ -281,12 +281,12 @@ class CDGAMorphism:
     def matrix(self, k: int) -> Mat:
         src = self.source.basis(k)
         tgt_index = self.target.basis_index(k)
-        mat = Mat.zero(len(tgt_index), len(src))
+        rows = [[Q_ZERO] * len(src) for _ in tgt_index]
         for col, key in enumerate(src):
-            img = self.apply(Polynomial(self.source.gens, {key: Fraction(1)}))
+            img = self.apply(Polynomial(self.source.gens, {key: Q_ONE}))
             for kk, c in img.terms.items():
-                mat[(tgt_index[kk], col)] = c
-        return mat
+                rows[tgt_index[kk]][col] = c
+        return Mat(len(rows), len(src), rows)
 
     def compose(self, other: "CDGAMorphism") -> "CDGAMorphism":
         """self o other."""

@@ -69,11 +69,21 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _truncation(args, doc, default=8):
+def _truncation(args, doc, minimum, default=8):
+    """The --truncation flag, else the document's, else default.
+
+    Below minimum the command would check nothing, so that is an argument
+    error (exit 2); above MAX_COMFORTABLE_TRUNCATION it needs --force-truncation.
+    """
     t = args.truncation
     if t is None:
         t = doc.get("truncation", default)
     t = int(t)
+    if t < minimum:
+        raise DocumentError(
+            "truncation %d is below %d, the smallest that %s can use"
+            % (t, minimum, args.command)
+        )
     if t > MAX_COMFORTABLE_TRUNCATION:
         if not args.force_truncation:
             raise DocumentError(
@@ -98,6 +108,7 @@ def cmd_check(args):
     doc, kind = _load(args)
     detail = {"kind": kind, "ok": True}
     if kind == "cdga":
+        _truncation(args, doc, minimum=0)
         documents.load_cdga(doc)
     elif kind == "lie":
         documents.load_lie(doc)
@@ -125,7 +136,7 @@ def cmd_homology(args):
     window = _parse_window(args.window) if args.window else None
     if kind == "cdga":
         algebra = documents.load_cdga(doc)
-        t = _truncation(args, doc)
+        t = _truncation(args, doc, minimum=1)
         # degree t has no outgoing differential in the slice: trust up to t - 1
         if window and window[1] > t - 1:
             raise DocumentError(
@@ -154,7 +165,7 @@ def cmd_minimal_model(args):
     if kind != "cdga":
         raise DocumentError("minimal-model expects a cdga document")
     algebra = documents.load_cdga(doc)
-    t = _truncation(args, doc)
+    t = _truncation(args, doc, minimum=2)
     mm = minimal_model(algebra, t)
     gens = list(zip(mm.model.gens.names, mm.model.gens.degrees))
     diff = {
@@ -192,7 +203,7 @@ def cmd_homotopy(args):
     if kind != "cdga":
         raise DocumentError("homotopy expects a cdga document")
     algebra = documents.load_cdga(doc)
-    t = _truncation(args, doc)
+    t = _truncation(args, doc, minimum=2)
     mm = minimal_model(algebra, t)
     ranks = mm.homotopy_ranks()
     payload = {
@@ -346,8 +357,8 @@ def cmd_number_op(args):
     if kind != "glie":
         raise DocumentError("number-op expects a glie document")
     data = documents.load_glie(doc)
-    t = args.truncation if args.truncation is not None else doc.get("truncation", 6)
-    rep = number_operator_check(data, truncation=int(t))
+    t = _truncation(args, doc, minimum=1, default=6)
+    rep = number_operator_check(data, truncation=t)
     payload = {
         "ok": rep.ok,
         "truncation": rep.truncation,

@@ -162,11 +162,10 @@ class GradedMap:
 
     def is_chain_map(self) -> bool:
         """d' o f == (-1)^deg f o d in every degree."""
-        sign = -1 if self.degree % 2 else 1
         for k in set(self.source.support()) | set(self.comps):
             left = self.target.diff(k + self.degree) * self.comp(k)
-            right = (self.comp(k + 1) * self.source.diff(k)).scale(sign)
-            if left != right:
+            right = self.comp(k + 1) * self.source.diff(k)
+            if left != (right.scale(-1) if self.degree % 2 else right):
                 return False
         return True
 

@@ -5,8 +5,10 @@ hitting a basis of coker(H^k(model) -> H^k(input)), then generators whose
 differentials kill ker(H^(k+1)(model) -> H^(k+1)(input)); the comparison
 map extends at every step.  After stage k the induced map on cohomology is
 an isomorphism through degree k and injective at k+1, so generator counts
-in degrees <= n are final once stages 2..n have run.  The finished map is
-re-certified as a weak equivalence by the two-route check on the window
+in degrees <= n are final once stages 2..n have run.  The input's complex
+and cohomology are built once per call, and the comparison chain map only
+when a stage has extended the model.  The finished map is re-certified
+from scratch as a weak equivalence by the two-route check on the window
 where the truncated complexes are trustworthy.
 
 The rank of the degree-k generator space of a minimal model is the rank of
@@ -23,6 +25,7 @@ from .graded import GradedError
 from .linalg import Mat
 from .complexes import (
     ChainMap,
+    Complex,
     HomologySpace,
     InternalCheckError,
     induced_on_homology,
@@ -59,19 +62,23 @@ class MinimalModel:
         return counts
 
 
-def _comparison_chain_map(model: FreeCDGA, rho: CDGAMorphism, target: FreeCDGA,
+def _comparison_chain_map(model: FreeCDGA, rho: CDGAMorphism, target: Complex,
                           hi: int) -> ChainMap:
     cm = model.to_complex((0, hi))
-    ca = target.to_complex((0, hi))
     comps = {k: rho.matrix(k) for k in range(0, hi + 1)}
-    return ChainMap(cm, ca, comps)
+    return ChainMap(cm, target, comps)
 
 
 def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     """Minimal Sullivan model of a simply connected free CDGA.
 
     Stages run for 2 <= k <= n where n is the truncation; homotopy ranks
-    are certified through n - 1 by the final weak-equivalence check.
+    are certified through n - 1 by the final weak-equivalence check.  The
+    input's complex on [0, n + 2] and each of its cohomology spaces are
+    built once per call; the comparison morphism, the model's complex and
+    the chain map between them (with the model's cohomology spaces) are
+    rebuilt only after a stage has adjoined generators.  `certify` shares
+    none of this and recomputes from scratch.
     """
     n = a.truncation if truncation is None else int(truncation)
     if n < 2:
@@ -107,13 +114,26 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     model = FreeCDGA(Generators([]), {}, truncation=n)
     rho_images = {}
     stages = []
+    target = a.to_complex((0, margin))
+    ha = {}  # degree -> HomologySpace of the input, built once
+    # (rho, chain map, degree -> model HomologySpace); None once the model grows
+    comparison = None
+
+    def compare(k):
+        """rho, f, H^k(model), H^k(input) and the induced map H^k(f)."""
+        nonlocal comparison
+        if comparison is None:
+            rho = CDGAMorphism(model, a, dict(rho_images), validate=True)
+            comparison = (rho, _comparison_chain_map(model, rho, target, margin), {})
+        rho, f, hm = comparison
+        if k not in hm:
+            hm[k] = HomologySpace(f.source, k)
+        if k not in ha:
+            ha[k] = HomologySpace(target, k)
+        return rho, f, hm[k], ha[k], induced_on_homology(f, k, hm[k], ha[k])
 
     for k in range(2, n + 1):
-        rho = CDGAMorphism(model, a, dict(rho_images), validate=True)
-        f = _comparison_chain_map(model, rho, a, margin)
-        hm_k = HomologySpace(f.source, k)
-        ha_k = HomologySpace(f.target, k)
-        induced = induced_on_homology(f, k, hm_k, ha_k)
+        _, _, _, ha_k, induced = compare(k)
 
         # close the cokernel at degree k
         closed_names = []
@@ -135,13 +155,10 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
             if new_gens:
                 model = model.extended(new_gens, {})
                 rho_images.update(new_images)
+                comparison = None
 
         # kill the kernel at degree k + 1
-        rho = CDGAMorphism(model, a, dict(rho_images), validate=True)
-        f = _comparison_chain_map(model, rho, a, margin)
-        hm_k1 = HomologySpace(f.source, k + 1)
-        ha_k1 = HomologySpace(f.target, k + 1)
-        induced = induced_on_homology(f, k + 1, hm_k1, ha_k1)
+        rho, f, hm_k1, _, induced = compare(k + 1)
         kernel = induced.nullspace()
         closing_names = []
         if kernel:
@@ -172,6 +189,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
                 closing_names.append(name)
             model = model.extended(new_gens, new_d)
             rho_images.update(new_images)
+            comparison = None
         stages.append(
             StageRecord(
                 degree=k,
@@ -208,7 +226,8 @@ def certify(mm: MinimalModel):
     that certifies homotopy ranks through n - 1.
     """
     n = mm.truncation
-    f = _comparison_chain_map(mm.model, mm.morphism, mm.input_algebra, n + 2)
+    target = mm.input_algebra.to_complex((0, n + 2))
+    f = _comparison_chain_map(mm.model, mm.morphism, target, n + 2)
     return is_weak_equivalence(f, window=(0, n))
 
 

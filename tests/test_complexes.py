@@ -70,6 +70,16 @@ def test_check_report_on_manual_violation():
     assert not rep.ok and rep.violations
 
 
+def test_odd_degree_map_anticommutes_with_the_differentials():
+    # degree-1 maps two_step -> shift(two_step, 1): d o M = M o d would be wrong
+    source, target = two_step(), shift(two_step(), 1)
+    anti = GradedMap(source, target, 1, {0: [[F(1)]], 1: [[F(-1)]]})
+    assert anti.comp(1) * source.diff(0) != Mat.zero(1, 1)
+    assert anti.is_chain_map()
+    commuting = GradedMap(source, target, 1, {0: [[F(1)]], 1: [[F(1)]]})
+    assert not commuting.is_chain_map()
+
+
 def test_homology_two_step():
     c = two_step()
     assert betti_numbers(c) == {0: 0, 1: 0}

@@ -224,6 +224,59 @@ def test_cli_homology_rejects_a_window_above_the_trusted_slice():
     assert json.loads(out)["betti"] == {"0": 1, "1": 0, "2": 1}
 
 
+GLIE_SMALL = {
+    "kind": "glie",
+    "basis": [["p", 1], ["q", 2]],
+    "boundary": {"p": {"q": "3"}},
+}
+
+
+@pytest.mark.parametrize("argv, minimum", [
+    (["homology", "--input", "cdga_cp2", "--truncation", "0"], 1),
+    (["check", "--input", "cdga_cp2", "--truncation", "-5"], 0),
+    (["number-op", "--input", "GLIE", "--truncation", "-1"], 1),
+    (["number-op", "--input", "GLIE", "--truncation", "0"], 1),
+    (["minimal-model", "--input", "cdga_cp2", "--truncation", "1"], 2),
+    (["homotopy", "--input", "cdga_cp2", "--truncation", "1"], 2),
+], ids=["homology-0", "check-minus5", "number-op-minus1", "number-op-0",
+        "minimal-model-1", "homotopy-1"])
+def test_cli_rejects_a_truncation_that_checks_nothing(tmp_path, capsys, argv, minimum):
+    glie = tmp_path / "glie.json"
+    glie.write_text(json.dumps(GLIE_SMALL))
+    argv = [str(glie) if a == "GLIE" else a for a in argv]
+    rc = main(argv + ["--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "below %d" % minimum in err
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["check", "--input", "cdga_cp2", "--truncation", "0"], {"kind": "cdga", "ok": True}),
+    (["homology", "--input", "cdga_cp2", "--truncation", "1"],
+     {"betti": {"0": 1}, "window": [0, 0]}),
+    (["homotopy", "--input", "cdga_cp2", "--truncation", "2"],
+     {"certified_through": 1, "pi": {}}),
+    (["homotopy", "--input", "cdga_cp2"], {"certified_through": 8, "pi": {"2": 1, "5": 1}}),
+], ids=["check-0", "homology-1", "homotopy-2", "homotopy-default"])
+def test_cli_accepts_the_smallest_useful_truncation(capsys, argv, payload):
+    rc = main(argv + ["--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == payload
+
+
+def test_cli_number_op_keeps_its_default_truncation_and_guard(tmp_path, capsys):
+    glie = tmp_path / "glie.json"
+    glie.write_text(json.dumps(GLIE_SMALL))
+    assert main(["number-op", "--input", str(glie), "--truncation", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["truncation"] == 1
+    assert main(["number-op", "--input", str(glie), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["truncation"] == 6
+    assert main(["number-op", "--input", str(glie), "--truncation", "17"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "force-truncation" in err
+
+
 def test_cli_check_large_exponent_finishes(tmp_path):
     doc = {
         "kind": "cdga",

@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cdga.minimal as minimal_module
 from cdga import (
     CDGAMorphism,
+    ChainMap,
     Derivation,
     FreeCDGA,
     Generators,
@@ -158,3 +162,138 @@ def test_wedge_like_interaction():
     ranks = mm.homotopy_ranks()
     assert ranks[4] == 1 and ranks[7] == 1
     assert all(v == 0 for k, v in ranks.items() if k not in (4, 7))
+
+
+def s2xs2_contractible(c=F(3, 7), truncation=12):
+    """S^2 x S^2 plus the contractible pair (u, v + c ab): not minimal."""
+    gens = Generators([("a", 2), ("b", 2), ("p", 3), ("q", 3), ("u", 3), ("v", 4)])
+    g = {n: Polynomial.generator(gens, n) for n in gens.names}
+    return FreeCDGA(
+        gens,
+        {"p": g["a"] * g["a"], "q": g["b"] * g["b"],
+         "u": g["v"] + (g["a"] * g["b"]).scale(c)},
+        truncation=truncation,
+    )
+
+
+def test_staged_model_of_s2xs2_with_a_contractible_pair():
+    alg = s2xs2_contractible()
+    mm = minimal_model(alg)
+    assert not mm.already_minimal
+    assert list(zip(mm.model.gens.names, mm.model.gens.degrees)) == [
+        ("v2_0", 2), ("v2_1", 2), ("v3_0", 3), ("v3_1", 3)
+    ]
+    assert {n: str(mm.model.differential.image_of(n)) for n in mm.model.gens.names} == {
+        "v2_0": "0", "v2_1": "0", "v3_0": "v2_0^2", "v3_1": "v2_1^2"
+    }
+    assert [(s.degree, s.closed_generators, s.closing_generators) for s in mm.stages] == (
+        [(2, ["v2_0", "v2_1"], []), (3, [], ["v3_0", "v3_1"])]
+        + [(k, [], []) for k in range(4, 13)]
+    )
+    assert {n: str(mm.morphism.image_of(n)) for n in mm.model.gens.names} == {
+        "v2_0": "a", "v2_1": "b", "v3_0": "p", "v3_1": "q"
+    }
+    assert mm.certified_through == 11
+    assert mm.certificate.is_equivalence
+    assert mm.certificate.window == (0, 12)
+    assert mm.homotopy_ranks() == {k: (2 if k in (2, 3) else 0) for k in range(2, 12)}
+
+
+def test_staged_model_builds_the_input_complex_once(monkeypatch):
+    alg = s2xs2_contractible()
+    input_calls = []
+    model_sizes = []
+    chain_maps = []
+    to_complex = FreeCDGA.to_complex
+    chain_map_init = ChainMap.__init__
+
+    def counting_to_complex(self, window=None):
+        if self is alg:
+            input_calls.append(window)
+        else:
+            model_sizes.append(len(self.gens.names))
+        return to_complex(self, window)
+
+    def counting_chain_map_init(self, *args, **kwargs):
+        chain_maps.append(self)
+        chain_map_init(self, *args, **kwargs)
+
+    homology_degrees = {}  # complex -> degrees of the spaces built on it
+    homology_space = minimal_module.HomologySpace
+
+    def counting_homology_space(c, k):
+        homology_degrees.setdefault(id(c), []).append(k)
+        return homology_space(c, k)
+
+    monkeypatch.setattr(FreeCDGA, "to_complex", counting_to_complex)
+    monkeypatch.setattr(ChainMap, "__init__", counting_chain_map_init)
+    monkeypatch.setattr(minimal_module, "HomologySpace", counting_homology_space)
+    mm = minimal_model(alg)
+    # the connectivity probe, the construction's target and the certificate
+    assert input_calls == [(0, 3), (0, 14), (0, 14)]
+    # one comparison per distinct model (0, 2 and 4 generators), then certify
+    assert model_sizes == [0, 2, 4, 4]
+    assert len(chain_maps) == 4
+    # each space once: the probe, the input per degree, each model from its first stage
+    assert sorted(homology_degrees.values()) == [
+        [0, 1], [2], list(range(2, 14)), [3, 4], list(range(4, 14))
+    ]
+    assert mm.certificate.is_equivalence
+
+
+def test_certify_recomputes_from_the_stored_morphism():
+    mm = minimal_model(s2xs2_contractible())
+    src, tgt = mm.model, mm.input_algebra
+    # forget the second sphere: still a chain map, no longer a quasi-isomorphism
+    bad = CDGAMorphism(src, tgt, {"v2_0": tgt.gen("a"), "v3_0": tgt.gen("p")})
+    assert certify(mm).is_equivalence
+    assert not certify(dataclasses.replace(mm, morphism=bad)).is_equivalence
+
+
+@st.composite
+def minimal_with_contractible_pair(draw):
+    """A random minimal algebra and its tensor with a twisted contractible pair.
+
+    Closed generators of degree 2..4, then generators killing random
+    combinations of products of two closed ones (cocycles, so d o d = 0);
+    the pair is du = v + c w with w such a product or zero.
+    """
+    closed = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    names = [("x%d" % i, d) for i, d in enumerate(closed)]
+    products = [(i, j, closed[i] + closed[j]) for i in range(len(closed))
+                for j in range(i, len(closed))
+                if closed[i] % 2 == 0 or i != j]
+    killers = draw(st.lists(st.sampled_from(products), max_size=2)) if products else []
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    m = draw(st.integers(3, 5))
+    pair_twists = [p for p in products if p[2] == m + 1]
+    twist = draw(st.sampled_from(pair_twists)) if pair_twists and draw(st.booleans()) else None
+    c = draw(coeff.filter(bool))
+    truncation = draw(st.integers(4, 8))
+    killer_names = [("z%d" % i, deg - 1) for i, (_, _, deg) in enumerate(killers)]
+    gens = Generators(names + killer_names)
+    g = [Polynomial.generator(gens, n) for n, _ in names]
+    d = {}
+    for (name, _), (i, j, deg) in zip(killer_names, killers):
+        same_degree = [(p, q) for p, q, e in products if e == deg]
+        d[name] = sum(
+            ((g[p] * g[q]).scale(draw(coeff)) for p, q in same_degree),
+            g[i] * g[j],
+        )
+    d = {name: poly for name, poly in d.items() if not poly.is_zero()}
+    minimal_part = FreeCDGA(gens, d, truncation=truncation)
+    pair = [("u", m), ("v", m + 1)]
+    w = g[twist[0]] * g[twist[1]] if twist else Polynomial.zero(gens)
+    pair_gens = gens.extended(pair)
+    du = Polynomial.generator(pair_gens, "v") + Polynomial(pair_gens, w.scale(c).terms)
+    return minimal_part, minimal_part.extended(pair, {"u": du})
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(minimal_with_contractible_pair())
+def test_contractible_pair_leaves_homotopy_ranks_unchanged(pair):
+    minimal_part, with_pair = pair
+    mm = minimal_model(with_pair)
+    assert not mm.already_minimal
+    assert mm.model.is_minimal()
+    assert mm.homotopy_ranks() == minimal_model(minimal_part).homotopy_ranks()
