@@ -34,6 +34,7 @@ from .cartan import (
 )
 from .minimal import minimal_model
 from .hodge import InnerProduct, adjoint, harmonic_space, number_operator_check
+from .hodge import _require_positive_definite
 from .complexes import HomologySpace
 from . import documents
 from .documents import DocumentError
@@ -55,10 +56,9 @@ def _parse_window(text):
 
 
 def _load(args):
-    path = documents.resolve_input(args.input)
-    doc = documents.load_json(path)
-    kind = documents.validate_document(doc)
-    return doc, kind
+    """The input document and its kind; the documents.load_* schema-check it."""
+    doc = documents.load_json(documents.resolve_input(args.input))
+    return doc, documents.document_kind(doc)
 
 
 def _emit(args, payload, text_lines):
@@ -108,8 +108,8 @@ def cmd_check(args):
     doc, kind = _load(args)
     detail = {"kind": kind, "ok": True}
     if kind == "cdga":
-        _truncation(args, doc, minimum=0)
         documents.load_cdga(doc)
+        _truncation(args, doc, minimum=0)
     elif kind == "lie":
         documents.load_lie(doc)
     elif kind == "glie":
@@ -117,8 +117,6 @@ def cmd_check(args):
     elif kind == "gram":
         ip = documents.load_gram(doc)
         for k, g in ip.grams.items():
-            from .hodge import _require_positive_definite
-
             _require_positive_definite(g, k)
     else:
         c, f = documents.load_complex(doc)
@@ -322,9 +320,7 @@ def cmd_hodge(args):
     c, _ = documents.load_complex(doc)
     ip = InnerProduct.identity()
     if args.gram:
-        gdoc = documents.load_json(documents.resolve_input(args.gram))
-        documents.validate_document(gdoc)
-        ip = documents.load_gram(gdoc)
+        ip = documents.load_gram(documents.load_json(documents.resolve_input(args.gram)))
     ip.validate_for(c)
     sup = c.support()
     window = _parse_window(args.window) if args.window else (

@@ -38,16 +38,18 @@ class DocumentError(ValueError):
     """Malformed input document: bad JSON, bad schema, or bad expression."""
 
 
-_SCHEMA_CACHE = {}
+_VALIDATORS = {}
 
 
-def _schema(name: str):
-    if name not in _SCHEMA_CACHE:
-        text = (
-            resources.files("cdga").joinpath("schemas/%s.v1.json" % name).read_text()
-        )
-        _SCHEMA_CACHE[name] = json.loads(text)
-    return _SCHEMA_CACHE[name]
+def _validator(kind: str):
+    """The jsonschema validator of one document kind, schema checked once."""
+    if kind not in _VALIDATORS:
+        path = "schemas/%s.v1.json" % kind
+        schema = json.loads(resources.files("cdga").joinpath(path).read_text())
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[kind] = cls(schema)
+    return _VALIDATORS[kind]
 
 
 def parse_rational(value) -> Fraction:
@@ -102,18 +104,23 @@ def load_json(path: str):
         raise DocumentError("invalid JSON in %s: %s" % (path, exc))
 
 
-def validate_document(doc) -> str:
-    """Schema-check a document dict; returns its kind."""
+def document_kind(doc) -> str:
+    """The kind of a document dict, the one field read before its schema check."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
     if kind not in ("cdga", "lie", "glie", "complex", "gram"):
         raise DocumentError("unknown document kind %r" % kind)
-    try:
-        jsonschema.validate(doc, _schema(kind))
-    except jsonschema.ValidationError as exc:
+    return kind
+
+
+def validate_document(doc) -> str:
+    """Schema-check a document dict; returns its kind."""
+    kind = document_kind(doc)
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
+    if error is not None:
         raise DocumentError(
-            "document does not match the %s schema: %s" % (kind, exc.message)
+            "document does not match the %s schema: %s" % (kind, error.message)
         )
     return kind
 

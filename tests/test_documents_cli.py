@@ -5,8 +5,10 @@ import sys
 
 from fractions import Fraction as F
 
+import jsonschema
 import pytest
 
+import cdga.documents as documents
 from cdga import (
     DocumentError,
     canonical_json,
@@ -387,3 +389,77 @@ def test_cli_main_callable_directly(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["betti"]["3"] == 1
+
+
+def test_cli_check_refuses_a_document_truncation_that_is_not_an_integer(tmp_path, capsys):
+    # the schema check comes before the truncation is read
+    path = tmp_path / "abc.json"
+    path.write_text(json.dumps({"kind": "cdga", "generators": [["x", 2]], "truncation": "abc"}))
+    assert main(["check", "--input", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'abc' is not of type 'integer'" in err
+
+
+def test_cli_schema_error_message_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "degree_string.json"
+    path.write_text(json.dumps({
+        "schema": "cdga.cdga/1",
+        "kind": "cdga",
+        "generators": [["x", "4"]],
+        "differential": {},
+    }))
+    assert main(["check", "--input", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "document error: document does not match the cdga schema: "
+        "'4' is not of type 'integer'\n"
+    )
+
+
+def test_cli_schema_checks_each_document_once(tmp_path, capsys, monkeypatch):
+    glie = tmp_path / "glie.json"
+    glie.write_text(json.dumps(GLIE_SMALL))
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({
+        "kind": "complex",
+        "complex": {"degrees": {"0": ["a"], "1": ["b"]}, "differential": {"0": [["1"]]}},
+    }))
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"kind": "gram", "grams": {"0": [["2"]], "1": [["3"]]}}))
+    calls = []
+    validate = documents.validate_document
+    monkeypatch.setattr(
+        documents, "validate_document", lambda doc: calls.append(doc["kind"]) or validate(doc)
+    )
+    assert main(["number-op", "--input", str(glie), "--truncation", "2", "--format", "json"]) == 0
+    assert main(["hodge", "--input", str(cx), "--gram", str(gram), "--format", "json"]) == 0
+    assert calls == ["glie", "complex", "gram"]
+    # validators are built, and their schemas checked, once per process
+    built = []
+    monkeypatch.setattr(
+        jsonschema.Draft202012Validator, "check_schema",
+        classmethod(lambda cls, schema, **kw: built.append(1)),
+    )
+    assert main(["number-op", "--input", str(glie), "--truncation", "2", "--format", "json"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_cli_number_op_with_a_cobracket_fails_with_exit_1(tmp_path, capsys):
+    path = tmp_path / "cobracket.json"
+    path.write_text(json.dumps({
+        "kind": "glie",
+        "basis": [["p", 1], ["q", 2], ["v", 2]],
+        "cobracket": {"v": [["p", "q", "1"]]},
+    }))
+    assert main(["number-op", "--input", str(path), "--truncation", "5", "--format", "json"]) == 1
+    assert capsys.readouterr().out == (
+        '{"ccr":true,"cross_terms_zero":false,"failures":['
+        '"generator identity fails at degree 2",'
+        '"generator identity fails at degree 3",'
+        '"linear/split cross terms survive at degree 3"],'
+        '"generator_identity":{"1":true,"2":false,"3":false},'
+        '"laplacian_commutes":true,"ok":false,"truncation":5}\n'
+    )

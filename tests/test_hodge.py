@@ -21,7 +21,8 @@ from cdga import (
     number_operator_check,
     LieData,
 )
-from cdga.hodge import FockInnerProduct
+from cdga.hodge import FockInnerProduct, _require_positive_definite
+from cdga.poly import Polynomial
 
 from helpers import random_complex, random_posdef_gram
 
@@ -186,3 +187,86 @@ def test_number_operator_ccr():
     assert rep.ccr_ok
     assert rep.cross_terms_zero
     assert rep.laplacian_commutes
+
+
+def test_positive_definite_check_agrees_with_leading_minors():
+    rng = random.Random(47)
+    cases = [Mat.eye(2).scale(-1), Mat.from_rows([[0, 1], [1, 0]]), Mat.eye(0)]
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        sym = Mat.from_rows([[a[i][j] + a[j][i] for j in range(n)] for i in range(n)])
+        cases.append(sym + Mat.eye(n).scale(rng.randint(0, 6)))
+    seen = set()
+    for g in cases:
+        minors = [Mat(s, s, [row[:s] for row in g.rows[:s]]).det() for s in range(1, g.n + 1)]
+        posdef = all(m > 0 for m in minors)
+        seen.add(posdef)
+        if posdef:
+            _require_positive_definite(g, 0)
+        else:
+            with pytest.raises(GradedError, match="not positive definite"):
+                _require_positive_definite(g, 0)
+    assert seen == {True, False}
+    # -I_2 has a positive determinant and is still refused
+    assert Mat.eye(2).scale(-1).det() > 0
+
+
+def test_number_operator_report_with_a_cobracket():
+    # today's answers with a nonzero cobracket; this records behaviour, it
+    # does not claim a cobracket should break the generator identity
+    data = GradedChainData(
+        elements=[("p", 1), ("q", 2), ("v", 2)],
+        cobracket={"v": [("p", "q", F(1))]},
+    )
+    rep = number_operator_check(data, truncation=5)
+    assert rep.ok is False
+    assert rep.truncation == 5
+    assert rep.generator_identity == {1: True, 2: False, 3: False}
+    assert rep.ccr_ok is True
+    assert rep.cross_terms_zero is False
+    assert rep.laplacian_commutes is True
+    assert rep.failures == [
+        "generator identity fails at degree 2",
+        "generator identity fails at degree 3",
+        "linear/split cross terms survive at degree 3",
+    ]
+    odd = GradedChainData(
+        elements=[("p", 1), ("q", 1), ("r", 1)],
+        cobracket={"p": [("q", "r", F(2))]},
+    )
+    rep = number_operator_check(odd, truncation=5)
+    assert rep.ok is False
+    assert rep.generator_identity == {1: False, 2: False}
+    assert (rep.ccr_ok, rep.cross_terms_zero, rep.laplacian_commutes) == (True, False, True)
+    assert rep.failures == [
+        "generator identity fails at degree 1",
+        "generator identity fails at degree 2",
+        "linear/split cross terms survive at degree 2",
+        "linear/split cross terms survive at degree 3",
+        "linear/split cross terms survive at degree 4",
+    ]
+
+
+def test_number_operator_inverts_each_gram_once_and_multiplies_no_polynomials(monkeypatch):
+    data = GradedChainData(
+        elements=[("p", 1), ("q", 2), ("r", 2), ("s", 3)],
+        boundary={
+            "p": {"q": F(2, 3), "r": F(-2, 3)},
+            "q": {"s": F(3, 4)},
+            "r": {"s": F(3, 4)},
+        },
+        grams={1: [[F(3, 2)]], 2: [[F(5, 2), F(1, 3)], [F(1, 3), F(7, 2)]], 3: [[F(9, 2)]]},
+    )
+    inverted = []
+    products = []
+    inv, mul = Mat.inv, Polynomial.__mul__
+    monkeypatch.setattr(Mat, "inv", lambda self: inverted.append(self) or inv(self))
+    monkeypatch.setattr(
+        Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b)
+    )
+    rep = number_operator_check(data, truncation=5)
+    assert rep.ok, rep.failures
+    assert products == []
+    # every inverted matrix is a distinct Gram (Fock degrees -1..6, underlying 0..4)
+    assert len({id(g) for g in inverted}) == len(inverted) <= 8 + 5
