@@ -3,9 +3,9 @@
 Everything computes over the rationals with :class:`fractions.Fraction`;
 no floats appear anywhere.  The main entry points:
 
-- :mod:`cdga.linalg` — exact matrices and one sparse row-dict elimination
-  routine behind rank, det, rref, nullspace/solve and the incremental
-  sparse eliminator.
+- :mod:`cdga.linalg` — exact sparse matrices with one product kernel, and
+  one row-dict elimination routine behind rank, det, rref, nullspace/solve
+  and the incremental sparse eliminator.
 - :mod:`cdga.graded` — graded sign bookkeeping and label spaces.
 - :mod:`cdga.poly` — free graded-commutative polynomials.
 - :mod:`cdga.complexes` — cochain complexes, cones, cylinders, homology,

@@ -26,6 +26,18 @@ from .poly import (
 )
 
 
+def key_matrix(src, tgt_index, image) -> Mat:
+    """Matrix whose column j holds image(src[j]), a {key: Fraction} dict.
+
+    src lists the source basis keys; tgt_index maps target keys to rows.
+    """
+    rows = [{} for _ in tgt_index]
+    for col, key in enumerate(src):
+        for kk, c in image(key).items():
+            rows[tgt_index[kk]][col] = c
+    return Mat.from_dicts(len(rows), len(src), rows)
+
+
 class Derivation:
     """Degree-r derivation of a free graded-commutative algebra.
 
@@ -34,7 +46,7 @@ class Derivation:
     that rule to one monomial key, placing e D(g) between the keys before
     (times g^(e-1)) and after each run g^e with poly.key_product, into a
     {key: Fraction} dict; apply sums it over a polynomial's terms, and matrix
-    writes its coefficients into matrix rows found by basis index lookup.
+    writes its coefficients into sparse rows found by basis index lookup.
     """
 
     def __init__(self, algebra: "FreeCDGA", degree: int, images):
@@ -90,13 +102,7 @@ class Derivation:
     def matrix(self, k: int) -> Mat:
         """Matrix of the derivation from degree k to degree k + r."""
         a = self.algebra
-        src = a.basis(k)
-        tgt_index = a.basis_index(k + self.degree)
-        rows = [[Q_ZERO] * len(src) for _ in tgt_index]
-        for col, key in enumerate(src):
-            for kk, c in self.apply_key(key).items():
-                rows[tgt_index[kk]][col] = c
-        return Mat(len(rows), len(src), rows)
+        return key_matrix(a.basis(k), a.basis_index(k + self.degree), self.apply_key)
 
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [self, other] = s o - (-1)^(rs) o s, a derivation."""
@@ -228,13 +234,19 @@ class FreeCDGA:
 
 
 class CDGAMorphism:
-    """Algebra map determined by generator images, compatible with d."""
+    """Algebra map determined by generator images, compatible with d.
+
+    apply_key multiplies out the images of a monomial key's generators with
+    poly.key_product into a {key: Fraction} dict; apply, matrix, compose and
+    is_chain_map all go through it, so none multiplies Polynomials.
+    """
 
     def __init__(self, source: FreeCDGA, target: FreeCDGA, images,
                  validate: bool = True):
         self.source = source
         self.target = target
         self.images = {}
+        self._terms = {}  # generator index -> image terms, nonzero images only
         for name, poly in images.items():
             i = source.gens.index(name)
             if not poly.is_zero():
@@ -245,6 +257,9 @@ class CDGAMorphism:
                         "morphism image of %r has degree %s, expected %d"
                         % (name, got, want)
                     )
+                if poly.gens != target.gens:
+                    raise GradedError("morphism image of %r is not over the target" % name)
+                self._terms[i] = poly.terms
             self.images[source.gens.names[i]] = poly
         if validate and not self.is_chain_map():
             raise GradedError("generator images do not commute with d")
@@ -256,16 +271,32 @@ class CDGAMorphism:
     def image_of(self, name: str) -> Polynomial:
         return self.images.get(name, Polynomial.zero(self.target.gens))
 
-    def apply(self, poly: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.target.gens)
-        for key, c in poly.terms.items():
-            term = Polynomial.one(self.target.gens).scale(c)
-            for i, e in key:
-                img = self.image_of(self.source.gens.names[i])
-                for _ in range(e):
-                    term = term * img
-            out = out + term
+    def apply_key(self, key, coeff=Q_ONE, out=None):
+        """Add coeff * f(key) into the dict out ({key: Fraction}); return it."""
+        gens = self.target.gens
+        out = {} if out is None else out
+        terms = {(): coeff}
+        for i, e in key:
+            img = self._terms.get(i)
+            if img is None:
+                return out
+            for _ in range(e):
+                prod = {}
+                for k1, c1 in terms.items():
+                    for k2, c2 in img.items():
+                        s, k = key_product(gens, k1, k2)
+                        if s:
+                            prod[k] = prod.get(k, Q_ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
+                terms = {k: c for k, c in prod.items() if c}
+        for k, c in terms.items():
+            out[k] = out.get(k, Q_ZERO) + c
         return out
+
+    def apply(self, poly: Polynomial) -> Polynomial:
+        out = {}
+        for key, c in poly.terms.items():
+            self.apply_key(key, c, out)
+        return Polynomial(self.target.gens, out)
 
     def __call__(self, poly):
         return self.apply(poly)
@@ -279,14 +310,7 @@ class CDGAMorphism:
         return True
 
     def matrix(self, k: int) -> Mat:
-        src = self.source.basis(k)
-        tgt_index = self.target.basis_index(k)
-        rows = [[Q_ZERO] * len(src) for _ in tgt_index]
-        for col, key in enumerate(src):
-            img = self.apply(Polynomial(self.source.gens, {key: Q_ONE}))
-            for kk, c in img.terms.items():
-                rows[tgt_index[kk]][col] = c
-        return Mat(len(rows), len(src), rows)
+        return key_matrix(self.source.basis(k), self.target.basis_index(k), self.apply_key)
 
     def compose(self, other: "CDGAMorphism") -> "CDGAMorphism":
         """self o other."""

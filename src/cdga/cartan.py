@@ -356,34 +356,14 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
     bases = {}
     for k in range(lo, hi + 2):
         dim = alg.dim(k)
-        if dim == 0:
-            bases[k] = []
-            continue
-        rows = []
-        for a in range(n):
-            mat = ops.iota[a].matrix(k)
-            rows.extend(mat.rows)
-            mat = ops.theta[a].matrix(k)
-            rows.extend(mat.rows)
-        if rows:
-            stacked = Mat(len(rows), dim, rows)
-            bases[k] = stacked.nullspace()
-        else:
-            bases[k] = [
-                [Fraction(1 if i == j else 0) for j in range(dim)]
-                for i in range(dim)
-            ]
+        blocks = [op[a].matrix(k) for a in range(n) for op in (ops.iota, ops.theta)] if dim else []
+        bases[k] = Mat.zero(0, dim).vstack(*blocks).nullspace()
     labels = {}
     mats = {}
     for k in range(lo, hi + 2):
         if bases[k]:
             labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(bases[k])))
-            dim = alg.dim(k)
-            mats[k] = Mat(
-                dim,
-                len(bases[k]),
-                [[bases[k][j][i] for j in range(len(bases[k]))] for i in range(dim)],
-            )
+            mats[k] = Mat(len(bases[k]), alg.dim(k), bases[k]).transpose()
     diffs = {}
     for k in range(lo, hi + 1):
         if not bases[k] or not bases.get(k + 1):

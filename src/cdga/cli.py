@@ -321,6 +321,10 @@ def cmd_hodge(args):
     ip = InnerProduct.identity()
     if args.gram:
         ip = documents.load_gram(documents.load_json(documents.resolve_input(args.gram)))
+        for k, g in sorted(ip.grams.items()):
+            if g.n != c.dim(k):
+                raise DocumentError("gram at degree %d is %dx%d, but the complex has "
+                                    "dimension %d in degree %d" % (k, g.m, g.n, c.dim(k), k))
     ip.validate_for(c)
     sup = c.support()
     window = _parse_window(args.window) if args.window else (

@@ -229,39 +229,20 @@ class HomologySpace:
         d_in = c.diff(k - 1)
         cycles = d_out.nullspace() if n else []
         self.cycle_rank = len(cycles)
-        rr_in, piv_in = d_in.rref()
-        bcols = [[d_in[(i, j)] for i in range(n)] for j in piv_in]
-        self.boundary_rank = len(bcols)
+        _, piv_in = d_in.rref()
+        bounds = d_in.transpose().select_rows(piv_in)  # boundary basis, as rows
+        self.boundary_rank = bounds.m
         self.betti = self.cycle_rank - self.boundary_rank
-        cols = bcols + cycles
-        mat = Mat(
-            n,
-            len(cols),
-            [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-        ) if n else Mat.zero(0, 0)
-        _, piv = mat.rref()
-        rep_idx = [j - len(bcols) for j in piv if j >= len(bcols)]
+        stacked = bounds.vstack(Mat(len(cycles), n, cycles))
+        _, piv = stacked.transpose().rref()
+        rep_idx = [j - bounds.m for j in piv if j >= bounds.m]
         self.representatives = [cycles[j] for j in rep_idx]
         if len(self.representatives) != self.betti:
             raise InternalCheckError(
                 "homology basis completion failed at degree %d" % k
             )
-        self._decomp = (
-            Mat(
-                n,
-                self.boundary_rank + self.betti,
-                [
-                    [
-                        (bcols[j][i] if j < self.boundary_rank
-                         else self.representatives[j - self.boundary_rank][i])
-                        for j in range(self.boundary_rank + self.betti)
-                    ]
-                    for i in range(n)
-                ],
-            )
-            if n
-            else Mat.zero(0, 0)
-        )
+        # columns: the boundary basis, then the representatives
+        self._decomp = stacked.select_rows(piv).transpose()
 
     def is_cycle(self, vec) -> bool:
         return all(x == 0 for x in self.complex.diff(self.k).apply(vec))
@@ -318,11 +299,7 @@ def induced_on_homology(f: ChainMap, k: int, hs=None, ht=None) -> Mat:
     cols = []
     for rep in hs.representatives:
         cols.append(ht.coords(f.comp(k).apply(rep)))
-    return Mat(
-        ht.betti,
-        hs.betti,
-        [[cols[j][i] for j in range(hs.betti)] for i in range(ht.betti)],
-    )
+    return Mat(hs.betti, ht.betti, cols).transpose()
 
 
 # -- shift / dual ---------------------------------------------------------------
@@ -590,20 +567,18 @@ def tensor_complex(a: Complex, b: Complex) -> Complex:
     for m in degrees:
         if m + 1 not in basis or not basis[m]:
             continue
-        mat = Mat.zero(len(basis[m + 1]), len(basis[m]))
-        for col, (p, i, j) in enumerate(basis[m]):
-            q = m - p
-            da = a.diff(p)
-            for r in range(da.m):
-                v = da[(r, i)]
-                if v:
-                    mat[(index[m + 1][(p + 1, r, j)], col)] += v
-            db = b.diff(q)
-            sgn = -1 if p % 2 else 1
-            for r in range(db.m):
-                v = db[(r, j)]
-                if v:
-                    mat[(index[m + 1][(p, i, r)], col)] += sgn * v
+        src, tgt = index[m], index[m + 1]
+        rows = [{} for _ in tgt]
+        # d(x (x) y) = dx (x) y + (-1)^p x (x) dy, one nonzero of d_a or d_b at a time
+        for p in sup_a:
+            q, sgn = m - p, (-1 if p % 2 else 1)
+            for r, i, v in a.diff(p).items():
+                for j in range(b.dim(q)):
+                    rows[tgt[(p + 1, r, j)]][src[(p, i, j)]] = v
+            for r, j, v in b.diff(q).items():
+                for i in range(a.dim(p)):
+                    rows[tgt[(p, i, r)]][src[(p, i, j)]] = sgn * v
+        mat = Mat.from_dicts(len(tgt), len(src), rows)
         if not mat.is_zero():
             diffs[m] = mat
     return Complex(GradedSpace(labels), diffs, validate=False)
@@ -630,27 +605,17 @@ def contracting_homotopy(c: Complex):
         n = c.dim(k)
         w_prev = pivots.get(k - 1, [])
         w_here = pivots.get(k, [])
-        d_in = c.diff(k - 1)
-        cols = []
-        for j in w_prev:
-            cols.append([d_in[(i, j)] for i in range(n)])
-        for j in w_here:
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            cols.append(e)
-        if len(cols) != n:
+        if len(w_prev) + len(w_here) != n:
             return None
-        A = Mat(n, n, [[cols[j][i] for j in range(n)] for i in range(n)])
+        # columns: d_{k-1} on W_{k-1}, then the unit vectors of W_k
+        cols = c.diff(k - 1).transpose().select_rows(w_prev)
         try:
-            X = A.inv()
+            X = cols.vstack(Mat.eye(n).select_rows(w_here)).transpose().inv()
         except ValueError:
             return None
-        top = Mat(len(w_prev), n, [X.rows[i] for i in range(len(w_prev))])
-        h = Mat.zero(c.dim(k - 1), n)
-        for row, j in enumerate(w_prev):
-            for col in range(n):
-                h[(j, col)] = top[(row, col)]
-        comps[k] = h
+        # h_k puts the W_{k-1} coordinates of x back on W_{k-1}
+        place = {j: row for row, j in enumerate(w_prev)}
+        comps[k] = X.select_rows([place.get(j) for j in range(c.dim(k - 1))])
     gm = GradedMap(c, c, -1, comps)
     # Exact verification of the witness identity.
     for k in sup:

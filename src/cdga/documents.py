@@ -88,7 +88,10 @@ def _matrix_from_json(rows, m, n, where):
 
 
 def matrix_to_json(mat: Mat):
-    return [[format_rational(x) for x in row] for row in mat.rows]
+    rows = [["0"] * mat.n for _ in range(mat.m)]
+    for i, j, x in mat.items():
+        rows[i][j] = format_rational(x)
+    return rows
 
 
 # -- loading ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .graded import GradedError
 from .linalg import Mat
 from .complexes import Complex, GradedMap, HomologySpace, InternalCheckError
 from .poly import Q_ONE, Q_ZERO, Generators, Polynomial, key_product
-from .algebra import FreeCDGA, Derivation
+from .algebra import FreeCDGA, Derivation, key_matrix
 
 
 class InnerProduct:
@@ -194,27 +194,18 @@ def hodge_decomposition(c: Complex, ip: InnerProduct, k: int) -> HodgeDecomposit
 def harmonic_projection(c: Complex, ip: InnerProduct, k: int, vec):
     """(harmonic part, exact part, coexact part) of a degree-k vector."""
     dec = hodge_decomposition(c, ip, k)
-    cols = [list(v) for v in dec.harmonic + dec.exact + dec.coexact]
-    n = c.dim(k)
-    A = Mat(n, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    cols = dec.harmonic + dec.exact + dec.coexact
+    A = Mat(len(cols), c.dim(k), cols).transpose()
     x = A.solve(list(vec))
     if x is None:
         raise InternalCheckError("Hodge basis failed to span degree %d" % k)
     h = len(dec.harmonic)
     e = len(dec.exact)
 
-    def combine(idxs):
-        out = [Fraction(0)] * n
-        for j in idxs:
-            for i in range(n):
-                out[i] += x[j] * cols[j][i]
-        return out
+    def part(lo, hi):
+        return A.apply([v if lo <= j < hi else Fraction(0) for j, v in enumerate(x)])
 
-    return (
-        combine(range(h)),
-        combine(range(h, h + e)),
-        combine(range(h + e, len(cols))),
-    )
+    return part(0, h), part(h, h + e), part(h + e, len(cols))
 
 
 # -- graded Lie-type data for the oscillator audit --------------------------------
@@ -290,11 +281,11 @@ class GradedChainData:
         src = self.basis_of_degree(p)
         tgt = self.basis_of_degree(p + 1)
         tindex = {n: i for i, n in enumerate(tgt)}
-        mat = Mat.zero(len(tgt), len(src))
+        rows = [{} for _ in tgt]
         for j, v in enumerate(src):
             for w, coeff in self.boundary.get(v, {}).items():
-                mat[(tindex[w], j)] = coeff
-        return mat
+                rows[tindex[w]][j] = coeff
+        return Mat.from_dicts(len(tgt), len(src), rows)
 
     def gram_of_degree(self, p: int) -> Mat:
         return self._inner.gram(p, len(self.basis_of_degree(p)))
@@ -380,14 +371,11 @@ def doubled_algebra(data: GradedChainData, truncation: int = 6) -> FreeCDGA:
 
 def _multiplication(alg: FreeCDGA, y: int, k: int) -> Mat:
     """Matrix of multiplication by generator y from degree k."""
-    src = alg.basis(k)
-    tgt_index = alg.basis_index(k + alg.gens.degrees[y])
-    rows = [[Q_ZERO] * len(src) for _ in tgt_index]
-    for col, key in enumerate(src):
+    def image(key):
         sign, prod = key_product(alg.gens, ((y, 1),), key)
-        if sign:
-            rows[tgt_index[prod]][col] = Q_ONE if sign > 0 else -Q_ONE
-    return Mat(len(rows), len(src), rows)
+        return {prod: Fraction(sign)} if sign else {}
+
+    return key_matrix(alg.basis(k), alg.basis_index(k + alg.gens.degrees[y]), image)
 
 
 class FockInnerProduct:
@@ -460,13 +448,11 @@ class FockInnerProduct:
         basis = self.algebra.basis(k)
         flats = [self._flat(key) for key in basis]
         n = len(basis)
-        g = Mat.zero(n, n)
+        rows = [{} for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                val = self._wick(flats[i], flats[j])
-                g[(i, j)] = val
-                g[(j, i)] = val
-        self._gram_cache[k] = g
+                rows[i][j] = rows[j][i] = self._wick(flats[i], flats[j])
+        g = self._gram_cache[k] = Mat.from_dicts(n, n, rows)
         return g
 
 

@@ -1,118 +1,153 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with fractions.Fraction entries; no floating point
-anywhere.  Mat keeps entries that are already exactly Fractions and coerces
-every other entry (int, "p/q" string, Fraction subclass) with Fraction().
-Matrices are small (tens of rows) in typical use, so Mat is dense.  All
-elimination runs through one routine, _reduce, on sparse row dicts
-{column: Fraction} whose pivot is the leftmost column: rank counts its
-pivots, det multiplies its pivot values, rref back-substitutes after it (and
-backs nullspace, solve and inv), and SparseEliminator keeps its rows across
-calls for long, mostly-zero vectors (tensor-word coordinates).
+anywhere.  A Mat stores each row as a {column: Fraction} dict holding no
+zeros, and every operation touches only those nonzeros.  Mat(m, n, rows)
+coerces dense rows (int, "p/q" string, Fraction subclass) with Fraction();
+from_dicts takes sparse rows; internal results skip both through _new.
+__mul__ is the one product kernel: the right factor over one common
+denominator L, each left row over its own D, sums in ints, one Fraction per
+nonzero.  All elimination runs through _reduce on the same row dicts (pivot
+= leftmost column), behind rank, det, rref (nullspace, solve, inv) and
+SparseEliminator, which keeps its rows across calls for arbitrary keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+
+Q_ZERO = Fraction(0)
+Q_ONE = Fraction(1)
 
 
 class Mat:
-    """Dense matrix with explicit shape, so zero-dimensional edges stay sane."""
+    """Sparse matrix with explicit shape, so zero-dimensional edges stay sane."""
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "_rows")
 
     def __init__(self, m: int, n: int, rows):
         if len(rows) != m or any(len(r) != n for r in rows):
             raise ValueError("row data does not match shape (%d, %d)" % (m, n))
-        self.m = m
-        self.n = n
-        self.rows = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
+        self.m, self.n = m, n
+        self._rows = [_sparse_row(enumerate(r)) for r in rows]
+
+    @classmethod
+    def _new(cls, m: int, n: int, rows) -> "Mat":
+        """Matrix over row dicts taken as they are (exact nonzero Fractions)."""
+        mat = object.__new__(cls)
+        mat.m, mat.n, mat._rows = m, n, rows
+        return mat
+
+    @classmethod
+    def from_dicts(cls, m: int, n: int, rows) -> "Mat":
+        """Matrix from m row dicts {column: value}; zero values are dropped."""
+        if len(rows) != m or any(r and (min(r) < 0 or max(r) >= n) for r in rows):
+            raise ValueError("row data does not match shape (%d, %d)" % (m, n))
+        return cls._new(m, n, [_sparse_row(r.items()) for r in rows])
 
     @classmethod
     def zero(cls, m: int, n: int) -> "Mat":
-        return cls(m, n, [[Fraction(0)] * n for _ in range(m)])
+        return cls._new(m, n, [{} for _ in range(m)])
 
     @classmethod
     def eye(cls, n: int) -> "Mat":
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        return cls(n, n, rows)
+        return cls._new(n, n, [{i: Q_ONE} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows) -> "Mat":
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        return cls(m, n, rows)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
-    def copy(self) -> "Mat":
-        return Mat(self.m, self.n, [r[:] for r in self.rows])
+    @property
+    def rows(self):
+        """Fresh dense rows (lists of Fraction)."""
+        return [[r.get(j, Q_ZERO) for j in range(self.n)] for r in self._rows]
+
+    def items(self):
+        """The nonzero entries as (row, column, value), row by row."""
+        return [(i, j, x) for i, r in enumerate(self._rows) for j, x in r.items()]
+
+    def select_rows(self, idx) -> "Mat":
+        """Matrix whose i-th row is row idx[i] of self, or zero where it is None."""
+        return Mat._new(len(idx), self.n, [{} if i is None else dict(self._rows[i]) for i in idx])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not 0 <= j < self.n:
+            raise IndexError("column %d out of range" % j)
+        return self._rows[i].get(j, Q_ZERO)
 
     def __setitem__(self, ij, v):
         i, j = ij
-        self.rows[i][j] = Fraction(v)
+        if not 0 <= j < self.n:
+            raise IndexError("column %d out of range" % j)
+        v = self._rows[i][j] = Fraction(v)
+        if not v:
+            del self._rows[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.m == other.m
-            and self.n == other.n
-            and self.rows == other.rows
-        )
+        return isinstance(other, Mat) and (self.m, self.n, self._rows) == (other.m, other.n, other._rows)
 
     def __hash__(self):
-        return hash((self.m, self.n, tuple(tuple(r) for r in self.rows)))
+        return hash((self.m, self.n, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return "Mat(%d, %d, %r)" % (self.m, self.n, self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("shape mismatch in +")
-        return Mat(self.m, self.n, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self._plus(other, Q_ONE)
 
     def __sub__(self, other: "Mat") -> "Mat":
+        return self._plus(other, -Q_ONE)
+
+    def _plus(self, other: "Mat", c: Fraction) -> "Mat":
         if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("shape mismatch in -")
-        return Mat(self.m, self.n, [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+            raise ValueError("shape mismatch in %s" % ("+" if c > 0 else "-"))
+        rows = [dict(r) for r in self._rows]
+        for r, s in zip(rows, other._rows):
+            _axpy(r, c, s)
+        return Mat._new(self.m, self.n, rows)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = Fraction(c)
-        return Mat(self.m, self.n, [[c * a for a in r] for r in self.rows])
+        return Mat._new(self.m, self.n, [{j: c * x for j, x in r.items()} if c else {} for r in self._rows])
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Exact product: integer sums over the common denominators D*L."""
         if self.n != other.m:
             raise ValueError("shape mismatch in *: (%d,%d)x(%d,%d)" % (self.m, self.n, other.m, other.n))
-        out = [[Fraction(0)] * other.n for _ in range(self.m)]
-        for i in range(self.m):
-            ri = self.rows[i]
-            oi = out[i]
-            for k in range(self.n):
-                a = ri[k]
-                if a:
-                    rk = other.rows[k]
-                    for j in range(other.n):
-                        if rk[j]:
-                            oi[j] += a * rk[j]
-        return Mat(self.m, other.n, out)
+        L = lcm(*(x.denominator for r in other._rows for x in r.values()))
+        right = [{j: x.numerator * (L // x.denominator) for j, x in r.items()} for r in other._rows]
+        out = []
+        for r in self._rows:
+            D = lcm(*(x.denominator for x in r.values()))
+            acc = {}
+            for k, a in r.items():
+                a = a.numerator * (D // a.denominator)
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            DL = D * L
+            out.append({j: Fraction(s, DL) for j, s in acc.items() if s})
+        return Mat._new(self.m, other.n, out)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        return [sum((a * v for a, v in zip(r, vec) if a and v), Fraction(0)) for r in self.rows]
+        return [sum((a * vec[j] for j, a in r.items() if vec[j]), Q_ZERO) for r in self._rows]
 
     def transpose(self) -> "Mat":
-        return Mat(self.n, self.m, [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)])
+        cols = [{} for _ in range(self.n)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                cols[j][i] = x
+        return Mat._new(self.n, self.m, cols)
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
+        return not any(self._rows)
 
     def rank(self) -> int:
         return len(self._echelon()[0])
@@ -140,10 +175,8 @@ class Mat:
             row = echelon[p][0]
             for q in [q for q in row if q != p and q in echelon]:
                 _axpy(row, -row[q], echelon[q][0])
-        zero = Fraction(0)
-        rows = [[echelon[p][0].get(j, zero) for j in range(self.n)] for p in pivots]
-        rows += [[zero] * self.n for _ in range(self.m - len(pivots))]
-        return Mat(self.m, self.n, rows), pivots
+        rows = [echelon[p][0] for p in pivots] + [{} for _ in range(self.m - len(pivots))]
+        return Mat._new(self.m, self.n, rows), pivots
 
     def _echelon(self):
         """Forward elimination of the rows in order.
@@ -153,8 +186,8 @@ class Mat:
         """
         echelon = {}
         values = []
-        for r in self.rows:
-            v = {j: x for j, x in enumerate(r) if x}
+        for r in self._rows:
+            v = dict(r)
             p = _reduce(v, echelon)
             if p is not None:
                 pv = v[p]
@@ -165,37 +198,34 @@ class Mat:
     def nullspace(self):
         """Basis of ker(self) as a list of column vectors (lists of Fraction)."""
         R, pivots = self.rref()
-        free = [j for j in range(self.n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.n
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -R.rows[i][f]
-            basis.append(v)
-        return basis
+        basis = {f: [Q_ZERO] * self.n for f in range(self.n) if f not in set(pivots)}
+        for f, v in basis.items():
+            v[f] = Q_ONE
+        for p, row in zip(pivots, R._rows):
+            for f, x in row.items():
+                if f != p:
+                    basis[f][p] = -x
+        return list(basis.values())
 
     def solve(self, b):
         """One solution x of self @ x = b, or None when inconsistent."""
         X = self.solve_matrix(Mat(self.m, 1, [[x] for x in b]))
         if X is None:
             return None
-        return [X.rows[i][0] for i in range(self.n)]
+        return [r.get(0, Q_ZERO) for r in X._rows]
 
     def solve_matrix(self, B: "Mat"):
         """Solve self @ X = B; returns X (free coordinates zero) or None."""
         if B.m != self.m:
             raise ValueError("shape mismatch in solve")
-        aug = Mat(self.m, self.n + B.n, [r + br for r, br in zip(self.rows, B.rows)])
-        R, pivots = aug.rref()
-        for i in range(self.m):
-            if all(not R.rows[i][j] for j in range(self.n)) and any(R.rows[i][self.n + j] for j in range(B.n)):
-                return None
-        pivots = [p for p in pivots if p < self.n]
-        X = Mat.zero(self.n, B.n)
-        for i, p in enumerate(pivots):
-            for j in range(B.n):
-                X.rows[p][j] = R.rows[i][self.n + j]
+        n = self.n
+        R, pivots = self.hstack(B).rref()
+        # a pivot right of the coefficient columns is a row 0 = b != 0
+        if pivots and pivots[-1] >= n:
+            return None
+        X = Mat.zero(n, B.n)
+        for p, row in zip(pivots, R._rows):
+            X._rows[p] = {j - n: x for j, x in row.items() if j >= n}
         return X
 
     def inv(self) -> "Mat":
@@ -207,35 +237,43 @@ class Mat:
         return X
 
     def hstack(self, other: "Mat") -> "Mat":
-        if self.m != other.m:
-            raise ValueError("hstack row mismatch")
-        return Mat(self.m, self.n + other.n, [r + s for r, s in zip(self.rows, other.rows)])
+        return block_matrix([[self, other]], [self.m], [self.n, other.n])
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.n != other.n:
+    def vstack(self, *others: "Mat") -> "Mat":
+        """self on top of each of others in turn."""
+        if any(o.n != self.n for o in others):
             raise ValueError("vstack column mismatch")
-        return Mat(self.m + other.m, self.n, [r[:] for r in self.rows] + [r[:] for r in other.rows])
+        rows = [dict(r) for a in (self,) + others for r in a._rows]
+        return Mat._new(len(rows), self.n, rows)
 
 
 def block_matrix(blocks, row_dims, col_dims) -> Mat:
     """Assemble a matrix from a grid of blocks; None means a zero block."""
-    m = sum(row_dims)
-    n = sum(col_dims)
-    out = Mat.zero(m, n)
-    i0 = 0
+    rows = []
     for bi, rdim in enumerate(row_dims):
+        band = [{} for _ in range(rdim)]
         j0 = 0
         for bj, cdim in enumerate(col_dims):
             blk = blocks[bi][bj]
             if blk is not None:
                 if (blk.m, blk.n) != (rdim, cdim):
                     raise ValueError("block (%d,%d) has shape (%d,%d), wanted (%d,%d)" % (bi, bj, blk.m, blk.n, rdim, cdim))
-                for i in range(rdim):
-                    for j in range(cdim):
-                        out.rows[i0 + i][j0 + j] = blk.rows[i][j]
+                for out, r in zip(band, blk._rows):
+                    out.update({j0 + j: x for j, x in r.items()})
             j0 += cdim
-        i0 += rdim
-    return out
+        rows += band
+    return Mat._new(sum(row_dims), sum(col_dims), rows)
+
+
+def _sparse_row(pairs):
+    """{column: Fraction} from (column, value) pairs, zeros left out."""
+    row = {}
+    for j, x in pairs:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            row[j] = x
+    return row
 
 
 def _axpy(v, c, row):

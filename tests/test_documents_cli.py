@@ -366,6 +366,37 @@ def test_cli_hodge(tmp_path):
     assert payload["betti"] == {"0": 0, "1": 1}
 
 
+HODGE_CX = {
+    "kind": "complex",
+    "complex": {"degrees": {"0": ["a"], "1": ["b"]}, "differential": {"0": [["2"]]}},
+}
+
+
+def _hodge_with_gram(tmp_path, capsys, grams):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(HODGE_CX))
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"kind": "gram", "grams": grams}))
+    rc = main(["hodge", "--input", str(cx), "--gram", str(gram), "--format", "json"])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_cli_hodge_rejects_a_gram_of_the_wrong_size_as_a_document_error(tmp_path, capsys):
+    rc, out, err = _hodge_with_gram(tmp_path, capsys, {"1": [["2", "1"], ["1", "2"]]})
+    assert (rc, out) == (2, "")
+    assert "degree 1" in err and "2x2" in err and "dimension 1" in err
+    # the right size is accepted
+    rc, out, _ = _hodge_with_gram(tmp_path, capsys, {"1": [["3"]]})
+    assert rc == 0 and json.loads(out)["match"] is True
+
+
+def test_cli_hodge_rejects_a_gram_for_a_degree_the_complex_lacks(tmp_path, capsys):
+    rc, out, err = _hodge_with_gram(tmp_path, capsys, {"0": [["2"]], "5": [["2"]]})
+    assert (rc, out) == (2, "")
+    assert "degree 5" in err and "dimension 0" in err
+
+
 def test_cli_number_op(tmp_path):
     doc = {
         "kind": "glie",

@@ -184,3 +184,155 @@ def test_sparse_eliminator_express():
     assert got == {"first": F(2), "second": F(1)}
     assert e.express({"z": F(1)}) is None
     assert e.rank == 2
+
+
+# -- the sparse storage against plain list-of-lists reference code --------------------
+
+
+def ref_mul(a, b, p):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(p)] for row in a]
+
+
+def ref_transpose(a, n):
+    return [[row[j] for row in a] for j in range(n)]
+
+
+def ref_rref(a, n):
+    rows = [r[:] for r in a]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def ref_inv(a, n):
+    """Inverse by Gauss-Jordan on [a | I], or None when a is singular."""
+    aug = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots = ref_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
+
+
+@st.composite
+def dense_rows(draw, m, n):
+    """m x n rows of Fractions: a drawn density in tenths, from 0 to 1, with
+    signed entries whose numerators and denominators go up to 10**6."""
+    tenths = draw(st.integers(0, 10))
+    entry = st.builds(
+        lambda num, den, neg: F(-num if neg else num, den),
+        st.integers(1, 10**6), st.integers(1, 10**6), st.booleans(),
+    )
+    return [[draw(entry) if draw(st.integers(0, 9)) < tenths else F(0) for _ in range(n)]
+            for _ in range(m)]
+
+
+def stores_only_nonzero_fractions(mat):
+    return all(type(x) is F and x != 0 for _, _, x in mat.items())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_sparse_operations_match_list_reference(data):
+    m, n, p, q = (data.draw(st.integers(0, 5)) for _ in range(4))
+    a, b = data.draw(dense_rows(m, n)), data.draw(dense_rows(m, n))
+    c, w = data.draw(dense_rows(n, p)), data.draw(dense_rows(m, q))
+    s = data.draw(dense_rows(q, n))
+    k = data.draw(st.integers(-3, 3))
+    v = [x for [x] in data.draw(dense_rows(n, 1))]
+    A, B, C, W, S = Mat(m, n, a), Mat(m, n, b), Mat(n, p, c), Mat(m, q, w), Mat(q, n, s)
+    results = {  # name: (result, its shape, the reference rows)
+        "A*C": (A * C, (m, p), ref_mul(a, c, p)),
+        "A+B": (A + B, (m, n), [[x + y for x, y in zip(r, t)] for r, t in zip(a, b)]),
+        "A-B": (A - B, (m, n), [[x - y for x, y in zip(r, t)] for r, t in zip(a, b)]),
+        "scale": (A.scale(k), (m, n), [[k * x for x in r] for r in a]),
+        "-A": (-A, (m, n), [[-x for x in r] for r in a]),
+        "transpose": (A.transpose(), (n, m), ref_transpose(a, n)),
+        "hstack": (A.hstack(W), (m, n + q), [r + t for r, t in zip(a, w)]),
+        "vstack": (A.vstack(S, B), (2 * m + q, n), a + s + b),
+        "block": (
+            block_matrix([[A, None], [None, C]], [m, n], [n, p]),
+            (m + n, n + p),
+            [r + [F(0)] * p for r in a] + [[F(0)] * n + r for r in c],
+        ),
+    }
+    for name, (got, shape, want) in results.items():
+        assert (got.m, got.n) == shape and got.rows == want, name
+        assert stores_only_nonzero_fractions(got), name
+    assert A.apply(v) == [sum((x * y for x, y in zip(r, v)), F(0)) for r in a]
+    # entries that cancel in the product are not stored
+    cancel = A.hstack(A) * C.vstack(C.scale(-1))
+    assert cancel == Mat.zero(m, p) and cancel.items() == [] and cancel.is_zero()
+    # rref is unique, so it must agree with the reference exactly
+    R, pivots = A.rref()
+    assert (R.rows, pivots) == ref_rref(a, n)
+    assert stores_only_nonzero_fractions(R)
+    # equality and hashing see values, not how the rows were built
+    sparse = Mat.from_dicts(m, n, [{j: x for j, x in enumerate(r)} for r in a])
+    assert sparse == A and hash(sparse) == hash(A)
+    assert (A == B) == (a == b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_inverse_matches_list_reference(data):
+    n = data.draw(st.integers(0, 5))
+    a = data.draw(dense_rows(n, n))
+    want = ref_inv(a, n)
+    if want is None:
+        with pytest.raises(ValueError):
+            Mat(n, n, a).inv()
+    else:
+        got = Mat(n, n, a).inv()
+        assert got.rows == want and stores_only_nonzero_fractions(got)
+
+
+def test_setting_an_entry_to_zero_removes_it():
+    m = Mat.zero(2, 3)
+    m[(1, 2)] = F(5, 7)
+    assert m != Mat.zero(2, 3)
+    m[(1, 2)] = 0
+    assert m == Mat.zero(2, 3) and hash(m) == hash(Mat.zero(2, 3))
+    assert m.items() == [] and m.is_zero()
+    assert Mat(1, 2, [[0, "0"]]) == Mat.from_dicts(1, 2, [{1: F(0)}]) == Mat.zero(1, 2)
+
+
+def test_product_entries_that_cancel_are_not_stored():
+    a = Mat.from_rows([[1, 1], [F(1, 3), F(2, 3)]])
+    b = Mat.from_rows([[F(1, 2)], [F(-1, 2)]])
+    prod = a * b
+    assert prod.items() == [(1, 0, F(-1, 6))]
+    assert (a * Mat.from_rows([[1], [-1]]))[(0, 0)] == 0
+    assert Mat.from_rows([[1, 1]]) * Mat.from_rows([[1], [-1]]) == Mat.zero(1, 1)
+
+
+def test_inverse_of_a_singular_matrix_raises():
+    for rows in ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[0, 0], [0, 0]], [[F(1, 3), F(1, 6)], [2, 1]]):
+        with pytest.raises(ValueError):
+            Mat.from_rows(rows).inv()
+
+
+def test_inverse_checks_its_result(monkeypatch):
+    # inv verifies G X = I on whatever the solver returns
+    g = Mat.from_rows([[2, 1], [1, 1]])
+    monkeypatch.setattr(Mat, "solve_matrix", lambda self, rhs: Mat.eye(self.n))
+    with pytest.raises(ValueError):
+        g.inv()
+    assert Mat.eye(2).inv() == Mat.eye(2)
+
+
+def test_from_dicts_rejects_columns_outside_the_shape():
+    with pytest.raises(ValueError):
+        Mat.from_dicts(1, 2, [{2: F(1)}])
+    with pytest.raises(ValueError):
+        Mat.from_dicts(2, 2, [{0: F(1)}])

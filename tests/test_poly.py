@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdga import (
+    CDGAMorphism,
     Derivation,
     FreeCDGA,
     Generators,
@@ -200,3 +201,52 @@ def test_derivations_obey_the_graded_leibniz_rule(data):
     (da, a), (_, b) = [data.draw(homogeneous_polys(gens)) for _ in range(2)]
     assert D(a * b) == D(a) * b + (a * D(b)).scale((-1) ** (r * da))
     assert D.matrix(da).apply(algebra.vector(a, da)) == algebra.vector(D(a), da + r)
+
+
+def product_reference(f, poly):
+    """f(poly) multiplied out with Polynomial products, term by term."""
+    out = Polynomial.zero(f.target.gens)
+    for key, c in poly.terms.items():
+        term = Polynomial.one(f.target.gens).scale(c)
+        for i, e in key:
+            for _ in range(e):
+                term = term * f.image_of(f.source.gens.names[i])
+        out = out + term
+    return out
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_morphisms_match_the_polynomial_product_reference(data):
+    source, target, third = (FreeCDGA(data.draw(generator_tables()), {}, truncation=8)
+                             for _ in range(3))
+
+    def images(src, tgt):
+        return {name: data.draw(homogeneous_polys(tgt.gens, d))[1]
+                for name, d in zip(src.gens.names, src.gens.degrees)}
+
+    f = CDGAMorphism(source, target, images(source, target))
+    g = CDGAMorphism(third, source, images(third, source))
+    (da, a), (db, b) = [data.draw(homogeneous_polys(source.gens)) for _ in range(2)]
+    assert f(a) == product_reference(f, a)
+    assert f(a * b) == f(a) * f(b)
+    assert f.matrix(da).apply(source.vector(a, da)) == target.vector(f(a), da)
+    _, c = data.draw(homogeneous_polys(third.gens))
+    assert f.compose(g)(c) == product_reference(f, product_reference(g, c))
+
+
+def test_morphism_matrix_multiplies_no_polynomials(monkeypatch):
+    gens = Generators([("x", 2), ("y", 3), ("z", 3)])
+    x, y, z = (Polynomial.generator(gens, n) for n in ("x", "y", "z"))
+    a = FreeCDGA(gens, {"y": x * x}, truncation=10)
+    f = CDGAMorphism(a, a, {"x": x.scale(2), "y": y.scale(4) + z, "z": z})
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+    mats = {k: f.matrix(k) for k in range(11)}
+    assert products == []
+    monkeypatch.undo()
+    for k, mat in mats.items():
+        for col, key in enumerate(a.basis(k)):
+            image = product_reference(f, Polynomial(gens, {key: 1}))
+            assert [row[col] for row in mat.rows] == a.vector(image, k)
