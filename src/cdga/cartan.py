@@ -15,16 +15,20 @@ Conventions, with [X_i, X_j] = sum_k c^k_ij X_k:
   d a^k = F^k - (1/2) sum_ij c^k_ij a^i a^j,
   d F^k = - sum_ij c^k_ij a^i F^j,
   iota_a(a^k) = delta, iota_a(F^k) = 0, theta_a = coadjoint on both rows.
+
+Both models are built by the same two routines: _structure_sum writes every
+structure-constant sum (quadratic d, d F^k, each theta row) and _cartan_ops
+puts iota_a and theta_a on each row of n generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import GradedError, GradedSpace
 from .linalg import Mat
-from .complexes import Complex, ChainMap, GradedMap, InternalCheckError
+from .complexes import Complex, ChainMap, InternalCheckError
 from .poly import Generators, Polynomial
 from .algebra import FreeCDGA, Derivation, CDGAMorphism
 
@@ -37,26 +41,22 @@ class LieData:
         if len(set(self.names)) != len(self.names):
             raise GradedError("duplicate Lie basis names")
         self.n = len(self.names)
-        self._c = {}
+        given = {}  # every listed ordered pair, zero brackets included
         for (i, j), combo in brackets.items():
             i, j = int(i), int(j)
-            if i == j:
-                for k, v in combo.items():
-                    if Fraction(v):
-                        raise GradedError("[x, x] must vanish")
-                continue
             clean = {int(k): Fraction(v) for k, v in combo.items() if Fraction(v)}
-            if not clean:
-                continue
-            if (j, i) in self._c:
-                other = self._c[(j, i)]
-                if {k: -v for k, v in other.items()} != clean:
+            if i == j:
+                if clean:
+                    raise GradedError("[x, x] must vanish")
+            elif (j, i) in given:
+                if {k: -v for k, v in given[(j, i)].items()} != clean:
                     raise GradedError(
                         "brackets [%d,%d] and [%d,%d] are not antisymmetric"
                         % (i, j, j, i)
                     )
-                continue
-            self._c[(i, j)] = clean
+            else:
+                given[(i, j)] = clean
+        self._c = {pair: combo for pair, combo in given.items() if combo}
         self._validate_jacobi()
 
     def c(self, i, j, k) -> Fraction:
@@ -131,63 +131,30 @@ class CartanOps:
         """
         failures = []
         n = self.lie.n
-        gens = self.algebra.gens.names
+        gens = self.algebra.gens
 
-        def images(op):
-            return {g: op.image_of(g) for g in gens}
-
-        def same(op, expected_images, label):
-            for g in gens:
-                if op.image_of(g) != expected_images[g]:
+        def same(op, ops, coefs, label):
+            """Record label unless op = sum_k coefs[k] ops_k on every generator."""
+            for g in gens.names:
+                want = _combination(gens, ((c, ops[k].image_of(g)) for k, c in coefs.items()))
+                if op.image_of(g) != want:
                     failures.append("%s fails on generator %s" % (label, g))
                     return
 
-        zero = {g: Polynomial.zero(self.algebra.gens) for g in gens}
         for a in range(n):
-            same(
-                self.d.commutator(self.iota[a]),
-                images(self.theta[a]),
-                "[d, iota_%d] = theta_%d" % (a, a),
-            )
+            same(self.d.commutator(self.iota[a]), self.theta, {a: 1},
+                 "[d, iota_%d] = theta_%d" % (a, a))
         for a in range(n):
             for b in range(a, n):
-                same(
-                    self.iota[a].commutator(self.iota[b]),
-                    zero,
-                    "[iota_%d, iota_%d] = 0" % (a, b),
-                )
+                same(self.iota[a].commutator(self.iota[b]), self.iota, {},
+                     "[iota_%d, iota_%d] = 0" % (a, b))
+        for name, ops in (("iota", self.iota), ("theta", self.theta)):
+            for a in range(n):
+                for b in range(n):
+                    same(self.theta[a].commutator(ops[b]), ops, self.lie.bracket(a, b),
+                         "[theta_%d, %s_%d] = %s_[.,.]" % (a, name, b, name))
         for a in range(n):
-            for b in range(n):
-                want = {g: Polynomial.zero(self.algebra.gens) for g in gens}
-                for k in range(n):
-                    coef = self.lie.c(a, b, k)
-                    if coef:
-                        for g in gens:
-                            want[g] = want[g] + self.iota[k].image_of(g).scale(coef)
-                same(
-                    self.theta[a].commutator(self.iota[b]),
-                    want,
-                    "[theta_%d, iota_%d] = iota_[.,.]" % (a, b),
-                )
-        for a in range(n):
-            for b in range(n):
-                want = {g: Polynomial.zero(self.algebra.gens) for g in gens}
-                for k in range(n):
-                    coef = self.lie.c(a, b, k)
-                    if coef:
-                        for g in gens:
-                            want[g] = want[g] + self.theta[k].image_of(g).scale(coef)
-                same(
-                    self.theta[a].commutator(self.theta[b]),
-                    want,
-                    "[theta_%d, theta_%d] = theta_[.,.]" % (a, b),
-                )
-        for a in range(n):
-            same(
-                self.theta[a].commutator(self.d),
-                zero,
-                "[theta_%d, d] = 0" % a,
-            )
+            same(self.theta[a].commutator(self.d), self.theta, {}, "[theta_%d, d] = 0" % a)
         return failures
 
     def verify_matrices(self, window):
@@ -211,95 +178,71 @@ class CartanOps:
         return failures
 
 
+def _combination(gens, terms):
+    """sum c p over the (c, p) in terms with c nonzero, a Polynomial over gens."""
+    return sum((p.scale(c) for c, p in terms if c), Polynomial.zero(gens))
+
+
+def _structure_sum(lie: LieData, k: int, terms, gens) -> Polynomial:
+    """-sum c(i, j, k) p over the (i, j, p) in terms, a Polynomial over gens.
+
+    Every structure-constant formula of the two models is one of these sums:
+    the quadratic part of d, d F^k, and theta_a on a generator row.
+    """
+    return _combination(gens, ((-lie.c(i, j, k), p) for i, j, p in terms))
+
+
+def _quadratic_terms(gens, n, shift=0, upper=True):
+    """(i, j, x_i x_{shift+j}) for i < j (upper) or all i, j < n."""
+    return [(i, j, Polynomial.monomial(gens, ((i, 1), (shift + j, 1))))
+            for i in range(n) for j in range(i + 1 if upper else 0, n)]
+
+
+def _cartan_ops(lie: LieData, algebra: FreeCDGA, rows, kind: str) -> CartanOps:
+    """iota_a and theta_a on an algebra whose generators come in rows of n.
+
+    rows lists the offset of each row; iota_a sends generator a of the
+    first row to 1 and every other generator to 0, and theta_a acts on each
+    row by the coadjoint action theta_a x^k = -sum_b c(a, b, k) x^b.
+    """
+    gens, n = algebra.gens, lie.n
+    row_gens = {r: [Polynomial.generator(gens, gens.names[r + b]) for b in range(n)]
+                for r in rows}
+    iota = [Derivation(algebra, -1, {gens.names[a]: Polynomial.one(gens)})
+            for a in range(n)]
+    theta = [
+        Derivation(algebra, 0, {
+            gens.names[r + k]: _structure_sum(
+                lie, k, [(a, b, row_gens[r][b]) for b in range(n)], gens)
+            for k in range(n) for r in rows
+        })
+        for a in range(n)
+    ]
+    return CartanOps(algebra=algebra, lie=lie, iota=iota, theta=theta, kind=kind)
+
+
 def chevalley_eilenberg(lie: LieData, truncation: int = 8) -> CartanOps:
     """Cochains on the Lie algebra: degree-1 generators, quadratic d."""
     gens = Generators([(name, 1) for name in lie.names])
-    n = lie.n
-    d_images = {}
-    for k in range(n):
-        poly = Polynomial.zero(gens)
-        for i in range(n):
-            for j in range(i + 1, n):
-                coef = lie.c(i, j, k)
-                if coef:
-                    poly = poly + Polynomial.monomial(
-                        gens, [(i, 1), (j, 1)], -coef
-                    )
-        if not poly.is_zero():
-            d_images[lie.names[k]] = poly
-    algebra = FreeCDGA(gens, d_images, truncation=truncation)
-    iota = []
-    theta = []
-    for a in range(n):
-        iota.append(
-            Derivation(
-                algebra,
-                -1,
-                {lie.names[a]: Polynomial.one(gens)},
-            )
-        )
-        images = {}
-        for k in range(n):
-            poly = Polynomial.zero(gens)
-            for b in range(n):
-                coef = lie.c(a, b, k)
-                if coef:
-                    poly = poly + Polynomial.monomial(gens, [(b, 1)], -coef)
-            if not poly.is_zero():
-                images[lie.names[k]] = poly
-        theta.append(Derivation(algebra, 0, images))
-    return CartanOps(algebra=algebra, lie=lie, iota=iota, theta=theta, kind="ce")
+    quadratic = _quadratic_terms(gens, lie.n)
+    d_images = {name: _structure_sum(lie, k, quadratic, gens)
+                for k, name in enumerate(lie.names)}
+    return _cartan_ops(lie, FreeCDGA(gens, d_images, truncation=truncation), (0,), "ce")
 
 
 def weil_algebra(lie: LieData, truncation: int = 8) -> CartanOps:
     """Connection-curvature model: acyclic carrier of the Cartan operators."""
     n = lie.n
-    names_a = ["a%d" % (i + 1) for i in range(n)]
-    names_f = ["F%d" % (i + 1) for i in range(n)]
-    gens = Generators(
-        [(nm, 1) for nm in names_a] + [(nm, 2) for nm in names_f]
-    )
+    gens = Generators([("a%d" % (k + 1), 1) for k in range(n)]
+                      + [("F%d" % (k + 1), 2) for k in range(n)])
+    quadratic = _quadratic_terms(gens, n)
+    a_times_f = _quadratic_terms(gens, n, shift=n, upper=False)
     d_images = {}
     for k in range(n):
-        poly = Polynomial.generator(gens, names_f[k])
-        for i in range(n):
-            for j in range(i + 1, n):
-                coef = lie.c(i, j, k)
-                if coef:
-                    poly = poly + Polynomial.monomial(gens, [(i, 1), (j, 1)], -coef)
-        d_images[names_a[k]] = poly
-        fpoly = Polynomial.zero(gens)
-        for i in range(n):
-            for j in range(n):
-                coef = lie.c(i, j, k)
-                if coef:
-                    fpoly = fpoly + Polynomial.monomial(
-                        gens, [(i, 1), (n + j, 1)], -coef
-                    )
-        if not fpoly.is_zero():
-            d_images[names_f[k]] = fpoly
-    algebra = FreeCDGA(gens, d_images, truncation=truncation)
-    iota = []
-    theta = []
-    for a in range(n):
-        iota.append(
-            Derivation(algebra, -1, {names_a[a]: Polynomial.one(gens)})
-        )
-        images = {}
-        for k in range(n):
-            pa = Polynomial.zero(gens)
-            pf = Polynomial.zero(gens)
-            for b in range(n):
-                coef = lie.c(a, b, k)
-                if coef:
-                    pa = pa + Polynomial.monomial(gens, [(b, 1)], -coef)
-                    pf = pf + Polynomial.monomial(gens, [(n + b, 1)], -coef)
-            if not pa.is_zero():
-                images[names_a[k]] = pa
-            if not pf.is_zero():
-                images[names_f[k]] = pf
-        theta.append(Derivation(algebra, 0, images))
-    return CartanOps(algebra=algebra, lie=lie, iota=iota, theta=theta, kind="weil")
+        d_images[gens.names[k]] = (Polynomial.generator(gens, gens.names[n + k])
+                                   + _structure_sum(lie, k, quadratic, gens))
+        d_images[gens.names[n + k]] = _structure_sum(lie, k, a_times_f, gens)
+    return _cartan_ops(lie, FreeCDGA(gens, d_images, truncation=truncation), (0, n), "weil")
 
 
 def weil_contraction_witness(ops: CartanOps):
@@ -430,15 +373,10 @@ def classifying_map(weil_ops: CartanOps, target_ops: CartanOps,
                     "not a connection: iota_%d applied to entry %d gives %s"
                     % (i, k, got)
                 )
-    curvatures = []
-    for k in range(n):
-        F = tgt.d(connection[k])
-        for i in range(n):
-            for j in range(i + 1, n):
-                coef = lie.c(i, j, k)
-                if coef:
-                    F = F + (connection[i] * connection[j]).scale(coef)
-        curvatures.append(F)
+    products = [(i, j, connection[i] * connection[j])
+                for i in range(n) for j in range(i + 1, n)]
+    curvatures = [tgt.d(connection[k]) - _structure_sum(lie, k, products, tgt.gens)
+                  for k in range(n)]
     images = {}
     for k in range(n):
         images[weil_ops.algebra.gens.names[k]] = connection[k]
@@ -453,11 +391,7 @@ def classifying_map(weil_ops: CartanOps, target_ops: CartanOps,
                     "iota_%d of curvature %d is nonzero" % (i, k)
                 )
             got = target_ops.theta[i].apply(connection[k])
-            want = Polynomial.zero(tgt.gens)
-            for b in range(n):
-                coef = lie.c(i, b, k)
-                if coef:
-                    want = want + connection[b].scale(-coef)
+            want = _structure_sum(lie, k, [(i, b, connection[b]) for b in range(n)], tgt.gens)
             if got != want:
                 failures.append(
                     "theta_%d equivariance fails on connection entry %d" % (i, k)
@@ -499,29 +433,24 @@ def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomoto
     built from h = -sum_{m>=1} (iota_X d)^{m-1} iota_X / m!, and verifies
     both that identity and the factorization
     exp(d iota_X) exp(iota_X d) = exp(d iota_X) + exp(iota_X d) - id
-    entrywise on the window.
+    entrywise on the window.  coefficients is a list of n rationals or a
+    dict from directions 0..n-1 to rationals; any other direction is refused.
     """
     lo, hi = window
     alg = ops.algebra
     n = ops.lie.n
     if isinstance(coefficients, dict):
-        sparse = coefficients
-        coefficients = [Fraction(0)] * n
-        for a, c in sparse.items():
-            coefficients[a] = Fraction(c)
-    else:
-        coefficients = [Fraction(c) for c in coefficients]
+        for a in coefficients:
+            if a not in range(n):
+                raise GradedError("flow direction %r is not in 0..%d" % (a, n - 1))
+        coefficients = [coefficients.get(a, 0) for a in range(n)]
+    coefficients = [Fraction(c) for c in coefficients]
     if len(coefficients) != n:
         raise GradedError("flow needs %d coefficients" % n)
-    iota_images = {}
-    for g in alg.gens.names:
-        img = Polynomial.zero(alg.gens)
-        for a in range(n):
-            if coefficients[a]:
-                img = img + ops.iota[a].image_of(g).scale(coefficients[a])
-        if not img.is_zero():
-            iota_images[g] = img
-    iota_x = Derivation(alg, -1, iota_images)
+    iota_x = Derivation(alg, -1, {
+        g: _combination(alg.gens, zip(coefficients, (op.image_of(g) for op in ops.iota)))
+        for g in alg.gens.names
+    })
 
     def matpow_series(T, dim):
         """(nilpotency index, exp(T)) for a nilpotent matrix, or (None, None)."""

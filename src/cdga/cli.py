@@ -34,7 +34,6 @@ from .cartan import (
 )
 from .minimal import minimal_model
 from .hodge import InnerProduct, adjoint, harmonic_space, number_operator_check
-from .hodge import _require_positive_definite
 from .complexes import HomologySpace
 from . import documents
 from .documents import DocumentError
@@ -115,9 +114,7 @@ def cmd_check(args):
     elif kind == "glie":
         documents.load_glie(doc)
     elif kind == "gram":
-        ip = documents.load_gram(doc)
-        for k, g in ip.grams.items():
-            _require_positive_definite(g, k)
+        documents.load_gram(doc).check_grams()
     else:
         c, f = documents.load_complex(doc)
         rep = check(c)
@@ -391,30 +388,35 @@ def build_parser():
         description="Exact rational homotopy computations on CDGA documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand gets only the optional flags its handler reads
+    T, W, G = "truncation", "window", "gram"
     handlers = {
-        "check": (cmd_check, "validate a document and its mathematics"),
-        "homology": (cmd_homology, "Betti numbers of a complex or CDGA"),
-        "minimal-model": (cmd_minimal_model, "minimal Sullivan model"),
-        "homotopy": (cmd_homotopy, "rational homotopy ranks"),
-        "ce": (cmd_ce, "Lie algebra cochain cohomology"),
-        "weil": (cmd_weil, "Weil model and its basic subcomplex"),
-        "cone": (cmd_cone, "cone of a complex or mapping cone of a map"),
-        "cyl": (cmd_cyl, "mapping cylinder of a map"),
-        "hodge": (cmd_hodge, "harmonic spaces against Betti numbers"),
-        "number-op": (cmd_number_op, "number operator audit of a graded space"),
+        "check": (cmd_check, "validate a document and its mathematics", (T,)),
+        "homology": (cmd_homology, "Betti numbers of a complex or CDGA", (T, W)),
+        "minimal-model": (cmd_minimal_model, "minimal Sullivan model", (T,)),
+        "homotopy": (cmd_homotopy, "rational homotopy ranks", (T,)),
+        "ce": (cmd_ce, "Lie algebra cochain cohomology", ()),
+        "weil": (cmd_weil, "Weil model and its basic subcomplex", (W,)),
+        "cone": (cmd_cone, "cone of a complex or mapping cone of a map", ()),
+        "cyl": (cmd_cyl, "mapping cylinder of a map", ()),
+        "hodge": (cmd_hodge, "harmonic spaces against Betti numbers", (W, G)),
+        "number-op": (cmd_number_op, "number operator audit of a graded space", (T,)),
     }
-    for name, (fn, help_text) in handlers.items():
+    for name, (fn, help_text, flags) in handlers.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="document path or builtin name")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--truncation", type=int, default=None)
-        p.add_argument("--window", default=None, help="degree window 'a..b'")
-        p.add_argument("--gram", default=None, help="gram document (hodge)")
-        p.add_argument(
-            "--force-truncation",
-            action="store_true",
-            help="allow truncations beyond %d" % MAX_COMFORTABLE_TRUNCATION,
-        )
+        if T in flags:
+            p.add_argument("--truncation", type=int, default=None)
+            p.add_argument(
+                "--force-truncation",
+                action="store_true",
+                help="allow truncations beyond %d" % MAX_COMFORTABLE_TRUNCATION,
+            )
+        if W in flags:
+            p.add_argument("--window", default=None, help="degree window 'a..b'")
+        if G in flags:
+            p.add_argument("--gram", default=None, help="gram document")
         p.set_defaults(handler=fn)
     return parser
 

@@ -444,7 +444,7 @@ def bar_slice(algebra: AlgebraPresentation, module: ModulePresentation,
             continue
         src = words[s]
         tgt_index = index[s - 1]
-        mat = Mat.zero(len(words[s - 1]), len(src))
+        rows = [{} for _ in words[s - 1]]
         for col, (word, m) in enumerate(src):
             bar_parity = 0
             for pos in range(s - 1):
@@ -461,7 +461,7 @@ def bar_slice(algebra: AlgebraPresentation, module: ModulePresentation,
                         raise GradedError(
                             "bar face left the enumerated slice"
                         )
-                    mat[(row, col)] += sgn * c
+                    rows[row][col] = rows[row].get(col, 0) + sgn * c
                 bar_parity += algebra.degree(word[pos]) + 1
             # action face: last letter acts on the module element
             sgn = (-1) ** (bar_parity % 2)
@@ -470,7 +470,8 @@ def bar_slice(algebra: AlgebraPresentation, module: ModulePresentation,
                 row = tgt_index.get((neww, k))
                 if row is None:
                     raise GradedError("bar action face left the slice")
-                mat[(row, col)] += sgn * c
+                rows[row][col] = rows[row].get(col, 0) + sgn * c
+        mat = Mat.from_dicts(len(rows), len(src), rows)
         if not mat.is_zero():
             diffs[-s] = mat
     return Complex(GradedSpace(labels), diffs, validate=True)

@@ -56,23 +56,27 @@ class InnerProduct:
             return g
         return Mat.eye(dim)
 
+    def check_grams(self, dim=None):
+        """Require every stored Gram symmetric positive definite, in stored order.
+
+        With dim (a function of the degree), each must also be dim(k) square.
+        """
+        for k, g in self.grams.items():
+            if dim is not None:
+                g = self.gram(k, dim(k))
+            if g != g.transpose():
+                raise GradedError("Gram matrix at degree %d is not symmetric" % k)
+            # Sylvester: eliminating the rows in order, the s-th leading minor is the
+            # product of the first s pivot values, so g is positive definite exactly
+            # when row s pivots in column s with a positive value for every s
+            echelon, values = g._echelon()
+            if list(echelon) != list(range(g.n)) or any(v <= 0 for v in values):
+                raise GradedError(
+                    "Gram matrix at degree %d is not positive definite" % k
+                )
+
     def validate_for(self, c: Complex):
-        for k in c.support():
-            g = self.gram(k, c.dim(k))
-            _require_positive_definite(g, k)
-
-
-def _require_positive_definite(g: Mat, k: int):
-    if g != g.transpose():
-        raise GradedError("Gram matrix at degree %d is not symmetric" % k)
-    # Sylvester: eliminating the rows in order, the s-th leading minor is the
-    # product of the first s pivot values, so g is positive definite exactly
-    # when row s pivots in column s with a positive value for every s
-    echelon, values = g._echelon()
-    if list(echelon) != list(range(g.n)) or any(v <= 0 for v in values):
-        raise GradedError(
-            "Gram matrix at degree %d is not positive definite" % k
-        )
+        self.check_grams(c.dim)
 
 
 def _adjoints(grams, *ops):
@@ -296,8 +300,7 @@ class GradedChainData:
             m2 = self.boundary_matrix(p + 1) * self.boundary_matrix(p)
             if not m2.is_zero():
                 raise GradedError("boundary does not square to zero at degree %d" % p)
-        for p in self.grams:
-            _require_positive_definite(self.gram_of_degree(p), p)
+        self._inner.check_grams(lambda p: len(self.basis_of_degree(p)))
         # co-Leibniz compatibility when both structures are present
         if self.cobracket and self.boundary:
             for v, _ in self.elements:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from cdga import (
+    CartanOps,
+    Derivation,
     GradedError,
     LieData,
     basic_subcomplex,
@@ -35,6 +37,21 @@ def test_lie_data_validation():
                 (0, 2): {0: F(1)},
             },
         )
+
+
+@pytest.mark.parametrize("brackets", [
+    {(0, 1): {1: F(1)}, (1, 0): {}},
+    {(1, 0): {}, (0, 1): {1: F(1)}},
+    {(0, 1): {1: F(1)}, (1, 0): {1: F(0)}},
+], ids=["zero-second", "zero-first", "explicit-zero"])
+def test_lie_data_rejects_a_bracket_zero_in_one_order_only(brackets):
+    with pytest.raises(GradedError, match="not antisymmetric"):
+        LieData(["x", "y"], brackets)
+
+
+def test_lie_data_accepts_a_bracket_zero_in_both_orders():
+    lie = LieData(["x", "y"], {(0, 1): {}, (1, 0): {1: F(0)}})
+    assert lie.bracket(0, 1) == {} and lie.bracket(1, 0) == {}
 
 
 def test_lie_bracket_access():
@@ -183,3 +200,86 @@ def test_integrate_homotopy_weil_nilpotent_direction():
     w = weil_algebra(lie)
     rep = integrate_homotopy(w, {1: F(1)}, (0, 3))
     assert rep.ok
+
+
+def _ce_with_theta(lie, coef):
+    """The cochain algebra with theta_a e^k = sum_b coef(a, b, k) e^b."""
+    ce = chevalley_eilenberg(lie)
+    alg = ce.algebra
+    theta = [
+        Derivation(alg, 0, {
+            lie.names[k]: sum(
+                (alg.gen(lie.names[b]).scale(coef(a, b, k)) for b in range(lie.n)),
+                alg.zero(),
+            )
+            for k in range(lie.n)
+        })
+        for a in range(lie.n)
+    ]
+    return CartanOps(algebra=alg, lie=lie, iota=ce.iota, theta=theta)
+
+
+# On the cyclic algebra c(i, j, k) is totally antisymmetric, so the
+# transposed theta equals the sign-flipped one and both fail the same checks.
+CROSS3_BAD_THETA = [
+    "[d, iota_0] = theta_0 fails on generator x2",
+    "[d, iota_1] = theta_1 fails on generator x1",
+    "[d, iota_2] = theta_2 fails on generator x1",
+    "[theta_0, iota_1] = iota_[.,.] fails on generator x3",
+    "[theta_0, iota_2] = iota_[.,.] fails on generator x2",
+    "[theta_1, iota_0] = iota_[.,.] fails on generator x3",
+    "[theta_1, iota_2] = iota_[.,.] fails on generator x1",
+    "[theta_2, iota_0] = iota_[.,.] fails on generator x2",
+    "[theta_2, iota_1] = iota_[.,.] fails on generator x1",
+    "[theta_0, theta_1] = theta_[.,.] fails on generator x1",
+    "[theta_0, theta_2] = theta_[.,.] fails on generator x1",
+    "[theta_1, theta_0] = theta_[.,.] fails on generator x1",
+    "[theta_1, theta_2] = theta_[.,.] fails on generator x2",
+    "[theta_2, theta_0] = theta_[.,.] fails on generator x1",
+    "[theta_2, theta_1] = theta_[.,.] fails on generator x2",
+]
+
+
+def test_verify_reports_a_transposed_or_sign_flipped_theta():
+    lie = LieData.cross3()
+    c = lie.c
+    assert _ce_with_theta(lie, lambda a, b, k: -c(a, b, k)).verify() == []
+    assert _ce_with_theta(lie, lambda a, b, k: -c(a, k, b)).verify() == CROSS3_BAD_THETA
+    assert _ce_with_theta(lie, lambda a, b, k: c(a, b, k)).verify() == CROSS3_BAD_THETA
+
+
+def test_verify_reports_a_theta_that_does_not_commute_with_d():
+    # solvable2 ([x1, x2] = x2), theta transposed: theta_1 x1 = x2 and
+    # d x1 = 0, so [theta_1, d] x1 = -d x2 = x1 x2 is nonzero
+    lie = LieData.solvable2()
+    ops = _ce_with_theta(lie, lambda a, b, k: -lie.c(a, k, b))
+    assert ops.verify() == [
+        "[d, iota_1] = theta_1 fails on generator x1",
+        "[theta_1, iota_0] = iota_[.,.] fails on generator x2",
+        "[theta_1, iota_1] = iota_[.,.] fails on generator x1",
+        "[theta_0, theta_1] = theta_[.,.] fails on generator x1",
+        "[theta_1, theta_0] = theta_[.,.] fails on generator x1",
+        "[theta_1, d] = 0 fails on generator x1",
+    ]
+
+
+def test_verify_reports_contractions_that_do_not_anticommute():
+    # iota_0 and iota_1 both also send F1 to a1: iota_a iota_b + iota_b iota_a
+    # is then 1 on F1 for every pair, and iota_a no longer kills F1
+    w = weil_algebra(LieData.abelian(2))
+    alg = w.algebra
+    iota = [Derivation(alg, -1, {**op.images, "F1": alg.gen("a1")}) for op in w.iota]
+    ops = CartanOps(algebra=alg, lie=w.lie, iota=iota, theta=w.theta)
+    assert ops.verify() == [
+        "[d, iota_0] = theta_0 fails on generator a1",
+        "[d, iota_1] = theta_1 fails on generator a1",
+        "[iota_0, iota_0] = 0 fails on generator F1",
+        "[iota_0, iota_1] = 0 fails on generator F1",
+    ]
+
+
+@pytest.mark.parametrize("direction", [-1, 2, 5, "1"])
+def test_integrate_homotopy_rejects_a_direction_outside_the_algebra(direction):
+    ce = chevalley_eilenberg(LieData.solvable2())
+    with pytest.raises(GradedError, match="flow direction %r " % direction):
+        integrate_homotopy(ce, {direction: F(1)}, (0, 2))

@@ -21,7 +21,7 @@ from cdga import (
     validate_document,
 )
 from cdga.documents import builtin_names, format_rational, parse_rational, load_json
-from cdga.cli import main
+from cdga.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -178,6 +178,19 @@ def test_cli_exit_code_math_error(tmp_path):
     assert "rejected" in err
 
 
+@pytest.mark.parametrize("command", ["check", "ce"])
+def test_cli_rejects_a_bracket_zero_in_one_order_only(tmp_path, command):
+    bad = tmp_path / "half_zero_lie.json"
+    bad.write_text(json.dumps({
+        "kind": "lie",
+        "basis": ["x", "y"],
+        "brackets": {"x,y": {"y": "1"}, "y,x": {}},
+    }))
+    rc, out, err = run_cli(command, "--input", str(bad))
+    assert (rc, out) == (1, "")
+    assert "not antisymmetric" in err
+
+
 def test_cli_missing_input_resolves_to_error():
     rc, out, err = run_cli("homology", "--input", "nonexistent_doc")
     assert rc == 2
@@ -189,6 +202,50 @@ def test_cli_truncation_guard():
     )
     assert rc == 2
     assert "force-truncation" in err
+
+
+FLAG_ARGS = {
+    "--truncation": ["5"],
+    "--force-truncation": [],
+    "--window": ["0..2"],
+    "--gram": ["x"],
+}
+ACCEPTED_FLAGS = {
+    "check": {"--truncation", "--force-truncation"},
+    "homology": {"--truncation", "--force-truncation", "--window"},
+    "minimal-model": {"--truncation", "--force-truncation"},
+    "homotopy": {"--truncation", "--force-truncation"},
+    "ce": set(),
+    "weil": {"--window"},
+    "cone": set(),
+    "cyl": set(),
+    "hodge": {"--window", "--gram"},
+    "number-op": {"--truncation", "--force-truncation"},
+}
+
+
+def test_cli_each_subcommand_parses_only_the_flags_it_reads(capsys):
+    parser = build_parser()
+    for command, accepted in ACCEPTED_FLAGS.items():
+        for flag, value in FLAG_ARGS.items():
+            argv = [command, "--input", "x", flag, *value]
+            if flag in accepted:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, argv
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ce", "--input", "lie_cross3", "--truncation", "5"],
+    ["cone", "--input", "lie_cross3", "--gram", "x"],
+], ids=["ce-truncation", "cone-gram"])
+def test_cli_refuses_a_flag_the_subcommand_does_not_read(argv):
+    rc, out, err = run_cli(*argv)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_cli_window_parsing():
@@ -389,6 +446,22 @@ def test_cli_hodge_rejects_a_gram_of_the_wrong_size_as_a_document_error(tmp_path
     # the right size is accepted
     rc, out, _ = _hodge_with_gram(tmp_path, capsys, {"1": [["3"]]})
     assert rc == 0 and json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("grams, message", [
+    ({"1": [["-1"]]}, "Gram matrix at degree 1 is not positive definite"),
+    ({"0": [["1", "2"], ["3", "1"]]}, "Gram matrix at degree 0 is not symmetric"),
+], ids=["negative", "asymmetric"])
+def test_cli_check_and_hodge_reject_a_gram_that_is_not_positive_definite(
+        tmp_path, capsys, grams, message):
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"kind": "gram", "grams": grams}))
+    assert main(["check", "--input", str(gram)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    if "1" in grams:
+        rc, out, err = _hodge_with_gram(tmp_path, capsys, grams)
+        assert (rc, out) == (1, "") and message in err
 
 
 def test_cli_hodge_rejects_a_gram_for_a_degree_the_complex_lacks(tmp_path, capsys):
