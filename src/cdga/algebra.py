@@ -23,6 +23,7 @@ from .poly import (
     key_degree,
     key_product,
     render_key,
+    terms_product,
 )
 
 
@@ -237,7 +238,7 @@ class CDGAMorphism:
     """Algebra map determined by generator images, compatible with d.
 
     apply_key multiplies out the images of a monomial key's generators with
-    poly.key_product into a {key: Fraction} dict; apply, matrix, compose and
+    poly.terms_product into a {key: Fraction} dict; apply, matrix, compose and
     is_chain_map all go through it, so none multiplies Polynomials.
     """
 
@@ -281,13 +282,7 @@ class CDGAMorphism:
             if img is None:
                 return out
             for _ in range(e):
-                prod = {}
-                for k1, c1 in terms.items():
-                    for k2, c2 in img.items():
-                        s, k = key_product(gens, k1, k2)
-                        if s:
-                            prod[k] = prod.get(k, Q_ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
-                terms = {k: c for k, c in prod.items() if c}
+                terms = terms_product(gens, terms, img)
         for k, c in terms.items():
             out[k] = out.get(k, Q_ZERO) + c
         return out

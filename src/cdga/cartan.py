@@ -417,12 +417,10 @@ def weil_to_ce_projection(weil_ops: CartanOps, ce_ops: CartanOps) -> Classifying
 
 @dataclass
 class IntegratedHomotopyReport:
-    ok: bool
     window: tuple
     homotopy: dict
     exp_theta: dict
     nilpotency_index: dict
-    factorization_checked: bool
 
 
 def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomotopyReport:
@@ -507,7 +505,6 @@ def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomoto
                 "flow is not nilpotent below degree %d; cannot integrate" % k
             )
         homotopy[k] = h
-    ok = True
     for k in range(lo, hi + 1):
         dim = alg.dim(k)
         lhs = alg.d_matrix(k - 1) * homotopy[k] + homotopy[k + 1] * alg.d_matrix(k)
@@ -528,10 +525,8 @@ def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomoto
                 "exponential factorization fails at degree %d" % k
             )
     return IntegratedHomotopyReport(
-        ok=ok,
         window=(lo, hi),
         homotopy={k: homotopy[k] for k in range(lo, hi + 1)},
         exp_theta={k: exp_theta[k] for k in range(lo, hi + 1)},
         nilpotency_index={k: nilp[k] for k in range(lo, hi + 1)},
-        factorization_checked=True,
     )

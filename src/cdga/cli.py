@@ -96,6 +96,14 @@ def _truncation(args, doc, minimum, default=8):
     return t
 
 
+def _truncation_only_for_cdga(args, kind):
+    """Only cdga documents have a truncation; either truncation flag on another kind is an error."""
+    if kind != "cdga" and (args.truncation is not None or args.force_truncation):
+        raise DocumentError(
+            "--truncation and --force-truncation apply to cdga documents, not %s" % kind
+        )
+
+
 def _betti_payload(bettis):
     return {str(k): v for k, v in sorted(bettis.items())}
 
@@ -105,6 +113,7 @@ def _betti_payload(bettis):
 
 def cmd_check(args):
     doc, kind = _load(args)
+    _truncation_only_for_cdga(args, kind)
     detail = {"kind": kind, "ok": True}
     if kind == "cdga":
         documents.load_cdga(doc)
@@ -128,6 +137,7 @@ def cmd_check(args):
 
 def cmd_homology(args):
     doc, kind = _load(args)
+    _truncation_only_for_cdga(args, kind)
     window = _parse_window(args.window) if args.window else None
     if kind == "cdga":
         algebra = documents.load_cdga(doc)

@@ -6,6 +6,12 @@ surgery is provided: shifts, duals, cones, cylinders, tensor products,
 homology with canonical representatives, contractibility witnesses and
 two-route weak-equivalence checks.
 
+Direct sums, cones, mapping cones and cylinders are lists of pieces (label
+prefix, complex, degree offset), a piece adding complex_{m+offset} in degree
+m, laid out by one block assembler (_assemble) from the blocks of d_m;
+_assemble_map builds their chain maps (the cylinder's four, free_to_cone_iso)
+the same way.  Every (-1)^m is _sign(m).
+
 Sign conventions (fixed once here, used everywhere):
 
 * cone(C)_m = C_m (+) C_{m+1} with d = [[d_m, (-1)^m I], [0, d_{m+1}]].
@@ -79,12 +85,7 @@ class Complex:
             raise ComplexError("; ".join(report.violations))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Complex)
-            and self.space == other.space
-            and {k: m for k, m in self.d.items()}
-            == {k: m for k, m in other.d.items()}
-        )
+        return isinstance(other, Complex) and self.space == other.space and self.d == other.d
 
     def __repr__(self):
         dims = {k: self.dim(k) for k in self.support()}
@@ -171,11 +172,7 @@ class GradedMap:
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self o other."""
-        comps = {}
-        for k in other.source.degrees():
-            m = self.comp(k + other.degree) * other.comp(k)
-            if not m.is_zero():
-                comps[k] = m
+        comps = {k: self.comp(k + other.degree) * other.comp(k) for k in other.source.degrees()}
         return GradedMap(other.source, self.target, self.degree + other.degree, comps)
 
     def __add__(self, other):
@@ -305,6 +302,11 @@ def induced_on_homology(f: ChainMap, k: int, hs=None, ht=None) -> Mat:
 # -- shift / dual ---------------------------------------------------------------
 
 
+def _sign(m: int) -> int:
+    """(-1)^m: the one sign rule of the dual, the tensor product and every composite."""
+    return -1 if m % 2 else 1
+
+
 def shift(c: Complex, b: int) -> Complex:
     """Degree shift: shift(C, b)_m = C_{m-b}; matrices are reused unsigned."""
     labels = {k + b: c.labels(k) for k in c.support()}
@@ -314,63 +316,61 @@ def shift(c: Complex, b: int) -> Complex:
 
 def dual(c: Complex) -> Complex:
     """Linear dual: dual(C)_k = (C_{-k})*, d_k = (-1)^(k+1) transpose(d_{-k-1})."""
-    labels = {}
-    for k in c.support():
-        labels[-k] = tuple(l + "*" for l in c.labels(k))
-    diffs = {}
-    for k in list(labels):
-        src = c.diff(-k - 1)  # C_{-k-1} -> C_{-k}
-        if src.m and src.n:
-            mat = src.transpose().scale(-1 if k % 2 == 0 else 1)
-            if not mat.is_zero():
-                diffs[k] = mat
+    labels = {-k: tuple(l + "*" for l in c.labels(k)) for k in c.support()}
+    # c.diff(-k - 1) : C_{-k-1} -> C_{-k}; zero blocks are dropped by Complex
+    diffs = {k: c.diff(-k - 1).transpose().scale(_sign(k + 1)) for k in labels}
     return Complex(GradedSpace(labels), diffs, validate=False)
 
 
 # -- sums, cones, cylinders ------------------------------------------------------
 
 
-def direct_sum(a: Complex, b: Complex) -> Complex:
-    labels = {}
-    diffs = {}
-    degrees = sorted(set(a.support()) | set(b.support()))
-    for k in degrees:
-        labels[k] = tuple("a." + l for l in a.labels(k)) + tuple(
-            "b." + l for l in b.labels(k)
-        )
-    for k in degrees:
-        if a.dim(k) + b.dim(k) == 0 or a.dim(k + 1) + b.dim(k + 1) == 0:
-            continue
-        diffs[k] = block_matrix(
-            [[a.diff(k), None], [None, b.diff(k)]],
-            [a.dim(k + 1), b.dim(k + 1)],
-            [a.dim(k), b.dim(k)],
-        )
+def _sizes(pieces, m):
+    return [c.dim(m + off) for _, c, off in pieces]
+
+
+def _assemble(pieces, blocks) -> Complex:
+    """The complex on pieces with d_m = block_matrix(blocks(m)); None is a zero block."""
+    degrees = sorted({k - off for _, c, off in pieces for k in c.support()})
+    labels, diffs = {}, {}
+    for m in degrees:
+        labels[m] = tuple(p + l for p, c, off in pieces for l in c.labels(m + off))
+        rows, cols = _sizes(pieces, m + 1), _sizes(pieces, m)
+        if sum(rows) and sum(cols):
+            diffs[m] = block_matrix(blocks(m), rows, cols)
     return Complex(GradedSpace(labels), diffs, validate=False)
+
+
+def _assemble_map(source, target, src_pieces, tgt_pieces, blocks) -> ChainMap:
+    """The chain map source -> target with f_m = block_matrix(blocks(m)), sized by the pieces."""
+    comps = {}
+    for m in source.support():
+        rows = _sizes(tgt_pieces, m)
+        if sum(rows):
+            comps[m] = block_matrix(blocks(m), rows, _sizes(src_pieces, m))
+    return ChainMap(source, target, comps)
+
+
+def _eye(c: Complex, k: int) -> Mat:
+    return Mat.eye(c.dim(k))
+
+
+def direct_sum(a: Complex, b: Complex) -> Complex:
+    return _assemble(
+        [("a.", a, 0), ("b.", b, 0)], lambda m: [[a.diff(m), None], [None, b.diff(m)]]
+    )
+
+
+def _cone_pieces(c: Complex):
+    return [("a.", c, 0), ("b.", c, 1)]
 
 
 def cone(c: Complex) -> Complex:
     """cone(C)_m = C_m (+) C_{m+1}, d = [[d_m, (-1)^m I], [0, d_{m+1}]]."""
-    sup = c.support()
-    if not sup:
-        return Complex(GradedSpace({}), {}, validate=False)
-    degrees = sorted({m for m in sup} | {m - 1 for m in sup})
-    labels = {}
-    for m in degrees:
-        labels[m] = tuple("a." + l for l in c.labels(m)) + tuple(
-            "b." + l for l in c.labels(m + 1)
-        )
-    diffs = {}
-    for m in degrees:
-        rows = [c.dim(m + 1), c.dim(m + 2)]
-        colsizes = [c.dim(m), c.dim(m + 1)]
-        if sum(rows) == 0 or sum(colsizes) == 0:
-            continue
-        cross = Mat.eye(c.dim(m + 1)).scale(-1 if m % 2 else 1)
-        diffs[m] = block_matrix(
-            [[c.diff(m), cross], [None, c.diff(m + 1)]], rows, colsizes
-        )
-    return Complex(GradedSpace(labels), diffs, validate=False)
+    return _assemble(
+        _cone_pieces(c),
+        lambda m: [[c.diff(m), _eye(c, m + 1).scale(_sign(m))], [None, c.diff(m + 1)]],
+    )
 
 
 def cone_prime(c: Complex) -> Complex:
@@ -415,18 +415,14 @@ def free_to_cone_iso(c: Complex) -> ChainMap:
         )
     src = module_cone_prime(shift(c, -1))
     tgt = cone(c)
-    comps = {}
     for m in tgt.support():
-        n0, n1 = c.dim(m), c.dim(m + 1)
-        if src.dim(m) != n0 + n1:
-            raise InternalCheckError(
-                "free model and cone disagree in degree %d" % m
-            )
-        low = c.diff(m).scale(1 if (m + 1) % 2 == 0 else -1)
-        comps[m] = block_matrix(
-            [[Mat.eye(n0), None], [low, Mat.eye(n1)]], [n0, n1], [n0, n1]
-        )
-    return ChainMap(src, tgt, comps)
+        if src.dim(m) != c.dim(m) + c.dim(m + 1):
+            raise InternalCheckError("free model and cone disagree in degree %d" % m)
+    pieces = _cone_pieces(c)
+    return _assemble_map(
+        src, tgt, pieces, pieces,
+        lambda m: [[_eye(c, m), None], [c.diff(m).scale(_sign(m + 1)), _eye(c, m + 1)]],
+    )
 
 
 @dataclass
@@ -442,99 +438,42 @@ class CylinderData:
 def mapping_cone(f: ChainMap) -> Complex:
     """cone(f)_m = F_{m+1} (+) F'_m, d = [[d, 0], [(-1)^m f, d']]."""
     F, G = f.source, f.target
-    degrees = sorted(
-        {m for m in G.support()} | {m - 1 for m in F.support()}
+    return _assemble(
+        [("s.", F, 1), ("t.", G, 0)],
+        lambda m: [[F.diff(m + 1), None], [f.comp(m + 1).scale(_sign(m)), G.diff(m)]],
     )
-    labels = {}
-    diffs = {}
-    for m in degrees:
-        labels[m] = tuple("s." + l for l in F.labels(m + 1)) + tuple(
-            "t." + l for l in G.labels(m)
-        )
-    for m in degrees:
-        rows = [F.dim(m + 2), G.dim(m + 1)]
-        cols = [F.dim(m + 1), G.dim(m)]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        cross = f.comp(m + 1).scale(-1 if m % 2 else 1)
-        diffs[m] = block_matrix(
-            [[F.diff(m + 1), None], [cross, G.diff(m)]], rows, cols
-        )
-    return Complex(GradedSpace(labels), diffs, validate=False)
 
 
 def mapping_cylinder(f: ChainMap) -> CylinderData:
     """Cylinder with its inclusions, projection, and collapse onto the cone."""
     F, G = f.source, f.target
-    degrees = sorted(
-        {m for m in F.support()}
-        | {m - 1 for m in F.support()}
-        | {m for m in G.support()}
+    pieces = [("x.", F, 0), ("y.", F, 1), ("z.", G, 0)]
+    cyl = _assemble(
+        pieces,
+        lambda m: [
+            [F.diff(m), _eye(F, m + 1).scale(_sign(m + 1)), None],
+            [None, F.diff(m + 1), None],
+            [None, f.comp(m + 1).scale(_sign(m)), G.diff(m)],
+        ],
     )
-    labels = {}
-    diffs = {}
-    for m in degrees:
-        labels[m] = (
-            tuple("x." + l for l in F.labels(m))
-            + tuple("y." + l for l in F.labels(m + 1))
-            + tuple("z." + l for l in G.labels(m))
-        )
-    for m in degrees:
-        rows = [F.dim(m + 1), F.dim(m + 2), G.dim(m + 1)]
-        cols = [F.dim(m), F.dim(m + 1), G.dim(m)]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        down = Mat.eye(F.dim(m + 1)).scale(-1 if m % 2 == 0 else 1)
-        over = f.comp(m + 1).scale(-1 if m % 2 else 1)
-        diffs[m] = block_matrix(
-            [
-                [F.diff(m), down, None],
-                [None, F.diff(m + 1), None],
-                [None, over, G.diff(m)],
-            ],
-            rows,
-            cols,
-        )
-    cyl = Complex(GradedSpace(labels), diffs, validate=False)
-    inc_s = {}
-    inc_t = {}
-    proj = {}
-    for m in degrees:
-        a, b, c_ = F.dim(m), F.dim(m + 1), G.dim(m)
-        n = a + b + c_
-        if n == 0:
-            continue
-        if a:
-            inc_s[m] = block_matrix(
-                [[Mat.eye(a)], [None], [None]], [a, b, c_], [a]
-            )
-        if c_:
-            inc_t[m] = block_matrix(
-                [[None], [None], [Mat.eye(c_)]], [a, b, c_], [c_]
-            )
-        proj[m] = block_matrix(
-            [[f.comp(m), Mat.zero(c_, b) if b else None, Mat.eye(c_)]],
-            [c_],
-            [a, b, c_],
-        )
     cone_f = mapping_cone(f)
-    collapse = {}
-    for m in degrees:
-        a, b, c_ = F.dim(m), F.dim(m + 1), G.dim(m)
-        if a + b + c_ == 0 or b + c_ == 0:
-            continue
-        collapse[m] = block_matrix(
-            [[None, Mat.eye(b), None], [None, None, Mat.eye(c_)]],
-            [b, c_],
-            [a, b, c_],
-        )
+    source, target = [("", F, 0)], [("", G, 0)]
     return CylinderData(
         cylinder=cyl,
-        include_source=ChainMap(F, cyl, inc_s),
-        include_target=ChainMap(G, cyl, inc_t),
-        project=ChainMap(cyl, G, proj),
+        include_source=_assemble_map(
+            F, cyl, source, pieces, lambda m: [[_eye(F, m)], [None], [None]]
+        ),
+        include_target=_assemble_map(
+            G, cyl, target, pieces, lambda m: [[None], [None], [_eye(G, m)]]
+        ),
+        project=_assemble_map(
+            cyl, G, pieces, target, lambda m: [[f.comp(m), None, _eye(G, m)]]
+        ),
         cone=cone_f,
-        collapse=ChainMap(cyl, cone_f, collapse),
+        collapse=_assemble_map(
+            cyl, cone_f, pieces, pieces[1:],  # cone(f) = cylinder / F: pieces y, z
+            lambda m: [[None, _eye(F, m + 1), None], [None, None, _eye(G, m)]],
+        ),
     )
 
 
@@ -571,7 +510,7 @@ def tensor_complex(a: Complex, b: Complex) -> Complex:
         rows = [{} for _ in tgt]
         # d(x (x) y) = dx (x) y + (-1)^p x (x) dy, one nonzero of d_a or d_b at a time
         for p in sup_a:
-            q, sgn = m - p, (-1 if p % 2 else 1)
+            q, sgn = m - p, _sign(p)
             for r, i, v in a.diff(p).items():
                 for j in range(b.dim(q)):
                     rows[tgt[(p + 1, r, j)]][src[(p, i, j)]] = v

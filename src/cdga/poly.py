@@ -12,8 +12,9 @@ reproducible.
 
 Every product goes through key_product, which merges two canonical keys run
 by run without expanding exponents and returns the Koszul sign (0 when an
-odd generator meets itself); Polynomial.__mul__ and normalize_factors both
-use it, so products have one sign routine.
+odd generator meets itself); terms_product (behind Polynomial.__mul__ and
+CDGAMorphism.apply_key) and normalize_factors both use it, so products have
+one sign routine.
 """
 
 from __future__ import annotations
@@ -111,6 +112,17 @@ def key_product(gens: Generators, a, b):
             p += 1
             q += 1
     return sign, tuple(out) + a[p:] + b[q:]
+
+
+def terms_product(gens: Generators, a, b):
+    """Product of two term dicts {key: Fraction}, cancelled terms left out."""
+    terms = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            s, key = key_product(gens, k1, k2)
+            if s:
+                terms[key] = terms.get(key, Q_ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
+    return {k: c for k, c in terms.items() if c}
 
 
 def normalize_factors(gens: Generators, factors, coeff=Q_ONE):
@@ -222,13 +234,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_gens(other)
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                s, key = key_product(self.gens, k1, k2)
-                if s:
-                    terms[key] = terms.get(key, Q_ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
-        return Polynomial(self.gens, terms)
+        return Polynomial(self.gens, terms_product(self.gens, self.terms, other.terms))
 
     __rmul__ = __mul__
 

