@@ -4,8 +4,9 @@ Everything computes over the rationals with :class:`fractions.Fraction`;
 no floats appear anywhere.  The main entry points:
 
 - :mod:`cdga.linalg` — exact sparse matrices with one product kernel, and
-  one row-dict elimination routine behind rank, det, rref, nullspace/solve
-  and the incremental sparse eliminator.
+  one integer elimination routine (rows over one denominator, primitive
+  echelon rows, content removed; Fractions only at input and output)
+  behind rank, det, rref, nullspace/solve and the incremental eliminator.
 - :mod:`cdga.graded` — graded sign bookkeeping and label spaces.
 - :mod:`cdga.poly` — free graded-commutative polynomials.
 - :mod:`cdga.complexes` — cochain complexes, cones, cylinders, homology,

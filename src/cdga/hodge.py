@@ -66,14 +66,8 @@ class InnerProduct:
                 g = self.gram(k, dim(k))
             if g != g.transpose():
                 raise GradedError("Gram matrix at degree %d is not symmetric" % k)
-            # Sylvester: eliminating the rows in order, the s-th leading minor is the
-            # product of the first s pivot values, so g is positive definite exactly
-            # when row s pivots in column s with a positive value for every s
-            echelon, values = g._echelon()
-            if list(echelon) != list(range(g.n)) or any(v <= 0 for v in values):
-                raise GradedError(
-                    "Gram matrix at degree %d is not positive definite" % k
-                )
+            if not g.is_positive_definite():
+                raise GradedError("Gram matrix at degree %d is not positive definite" % k)
 
     def validate_for(self, c: Complex):
         self.check_grams(c.dim)

@@ -5,17 +5,19 @@ anywhere.  A Mat stores each row as a {column: Fraction} dict holding no
 zeros, and every operation touches only those nonzeros.  Mat(m, n, rows)
 coerces dense rows (int, "p/q" string, Fraction subclass) with Fraction();
 from_dicts takes sparse rows; internal results skip both through _new.
-__mul__ is the one product kernel: the right factor over one common
-denominator L, each left row over its own D, sums in ints, one Fraction per
-nonzero.  All elimination runs through _reduce on the same row dicts (pivot
-= leftmost column), behind rank, det, rref (nullspace, solve, inv) and
-SparseEliminator, which keeps its rows across calls for arbitrary keys.
+The kernels work on integer rows over one common denominator D, with
+Fractions only at input and output.  __mul__ and apply sum in ints.  All
+elimination runs through _reduce (pivot = leftmost column), behind rank,
+det, rref (nullspace, solve, inv) and SparseEliminator: v <- a*v - b*e in
+ints, D tracked exactly, common content of D and v removed; echelon rows
+are primitive with a positive pivot.  rref back-substitutes in integers,
+removes each row's content, then divides by the pivot once per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 Q_ZERO = Fraction(0)
 Q_ONE = Fraction(1)
@@ -123,10 +125,9 @@ class Mat:
         right = [{j: x.numerator * (L // x.denominator) for j, x in r.items()} for r in other._rows]
         out = []
         for r in self._rows:
-            D = lcm(*(x.denominator for x in r.values()))
+            v, D = _int_row(r)
             acc = {}
-            for k, a in r.items():
-                a = a.numerator * (D // a.denominator)
+            for k, a in v.items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             DL = D * L
@@ -134,10 +135,11 @@ class Mat:
         return Mat._new(self.m, other.n, out)
 
     def apply(self, vec):
-        """Matrix times column vector (a plain list)."""
+        """Matrix times column vector (a plain list), summed in ints like __mul__."""
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        return [sum((a * vec[j] for j, a in r.items() if vec[j]), Q_ZERO) for r in self._rows]
+        w, L = _int_row(dict(enumerate(vec)))
+        return [Fraction(sum(a * w[j] for j, a in v.items()), D * L) for v, D in map(_int_row, self._rows)]
 
     def transpose(self) -> "Mat":
         cols = [{} for _ in range(self.n)]
@@ -165,34 +167,41 @@ class Mat:
         inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
         return prod(values, start=Fraction(-1 if inversions % 2 else 1))
 
+    def is_positive_definite(self) -> bool:
+        """Sylvester, for a symmetric matrix: eliminating the rows in order, the
+        s-th leading minor is the product of the first s pivot values, so row s
+        must pivot in column s with a positive value for every s."""
+        echelon, values = self._echelon()
+        return self.m == self.n and list(echelon) == list(range(self.n)) and all(v > 0 for v in values)
+
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
         echelon, _ = self._echelon()
         pivots = sorted(echelon)
-        # back-substitution from the last pivot up: the rows below are already
-        # reduced, so clearing one pivot column disturbs no other
+        # integer back-substitution from the last pivot up (rows below are reduced,
+        # so no other pivot column is disturbed), then each row's content is dropped
         for p in reversed(pivots):
             row = echelon[p][0]
             for q in [q for q in row if q != p and q in echelon]:
-                _axpy(row, -row[q], echelon[q][0])
-        rows = [echelon[p][0] for p in pivots] + [{} for _ in range(self.m - len(pivots))]
-        return Mat._new(self.m, self.n, rows), pivots
+                _cancel(row, echelon[q][0], q)
+            echelon[p] = (_primitive(row, p), None)
+        rows = [{j: Fraction(x, e[p]) for j, x in e.items()} for p, (e, _) in sorted(echelon.items())]
+        return Mat._new(self.m, self.n, rows + [{} for _ in range(self.m - len(pivots))]), pivots
 
     def _echelon(self):
         """Forward elimination of the rows in order.
 
-        Returns ({pivot: (unit row dict, None)} in the order the independent
-        rows were met, [their pivot values before scaling, in that order]).
+        Returns ({pivot: (primitive integer row, None)} in the order the
+        independent rows were met, [their exact pivot values, in that order]).
         """
         echelon = {}
         values = []
         for r in self._rows:
-            v = dict(r)
-            p = _reduce(v, echelon)
+            v, D = _int_row(r)
+            p, D = _reduce(v, D, echelon)
             if p is not None:
-                pv = v[p]
-                echelon[p] = ({j: x / pv for j, x in v.items()}, None)
-                values.append(pv)
+                values.append(Fraction(v[p], D))
+                echelon[p] = (_primitive(v, p), None)
         return echelon, values
 
     def nullspace(self):
@@ -286,26 +295,52 @@ def _axpy(v, c, row):
             del v[k]
 
 
-def _reduce(v, echelon, combo=None):
-    """Reduce the row dict v in place against echelon; return v's pivot.
+def _int_row(r):
+    """(v, D): the rational row dict r as integers v over one common denominator D."""
+    D = lcm(*(x.denominator for x in r.values()))
+    return {j: x.numerator * (D // x.denominator) for j, x in r.items()}, D
 
-    Rows are {column: Fraction} dicts that hold no zeros, and a row's pivot
-    is its leftmost column.  echelon maps pivots to (row scaled to 1 at its
-    pivot, row combination).  While v's pivot is in echelon the matching
-    multiple of that row is subtracted and, when combo is given, the same
-    multiple of its combination is added to combo.  Returns None once v is
-    zero.
-    """
+
+def _primitive(v, p):
+    """The integer row v divided by its content, signed so that v[p] > 0."""
+    c = gcd(*v.values()) * (-1 if v[p] < 0 else 1)
+    return v if c == 1 else {j: x // c for j, x in v.items()}
+
+
+def _cancel(v, e, p):
+    """v <- a*v - b*e in place, (a, b) = (e[p], v[p]) / gcd, clearing v[p]; returns (a, b)."""
+    g = gcd(e[p], v[p])
+    a, b = e[p] // g, v[p] // g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    _axpy(v, -b, e)
+    return a, b
+
+
+def _reduce(v, D, echelon, combo=None):
+    """Reduce the row v/D in place against echelon; return (pivot or None, D).
+
+    v is a {column: int} dict holding no zeros; its pivot is its leftmost
+    column.  echelon maps pivots to (primitive integer row e, combination).
+    While v's pivot p is in echelon, _cancel takes v_p / (D e_p) times e off
+    v/D, gcd(D, content(v)) is divided out, and combo gains the same multiple
+    of e's combination."""
     while v:
         p = min(v)
         if p not in echelon:
-            return p
-        c = v[p]
-        row, rcombo = echelon[p]
-        _axpy(v, -c, row)
+            return p, D
+        e, ecombo = echelon[p]
+        a, b = _cancel(v, e, p)
         if combo is not None:
-            _axpy(combo, c, rcombo)
-    return None
+            _axpy(combo, Fraction(b, a * D), ecombo)
+        D *= a
+        g = gcd(D, *v.values())
+        if g != 1:
+            D //= g
+            for j in v:
+                v[j] //= g
+    return None, D
 
 
 class SparseEliminator:
@@ -318,35 +353,33 @@ class SparseEliminator:
     """
 
     def __init__(self):
-        # pivot column -> (normalized row dict, combo dict over selected ids)
+        # pivot -> (primitive integer row dict, Fraction combo dict over selected tags)
         self.rows = {}
         self.selected = []
 
     def add(self, vec, tag=None):
         """Insert vec; returns its tag when independent, else None."""
-        v = {k: Fraction(x) for k, x in vec.items() if x}
+        v, D = _int_row({k: x for k, x in vec.items() if x})
         combo = {}
-        p = _reduce(v, self.rows, combo)
+        p, D = _reduce(v, D, self.rows, combo)
         if p is None:
             return None
         if tag is None:
             tag = len(self.selected)
-        pv = v[p]
-        row = {k: x / pv for k, x in v.items()}
-        # vec = residual + sum(combo * selected)  =>  row = (vec - sum(...)) / pv
-        rcombo = {tag: 1 / pv}
-        _axpy(rcombo, -1 / pv, combo)
+        row = _primitive(v, p)
+        # v / D = vec - sum(combo * selected) and row = v * s / D
+        s = Fraction(D * row[p], v[p])
+        rcombo = {tag: s}
+        _axpy(rcombo, -s, combo)
         self.rows[p] = (row, rcombo)
         self.selected.append(tag)
         return tag
 
     def express(self, vec):
         """Combination dict over selected tags with vec = sum c_i * sel_i, or None."""
-        v = {k: Fraction(x) for k, x in vec.items() if x}
+        v, D = _int_row({k: x for k, x in vec.items() if x})
         combo = {}
-        if _reduce(v, self.rows, combo) is not None:
-            return None
-        return combo
+        return combo if _reduce(v, D, self.rows, combo)[0] is None else None
 
     @property
     def rank(self) -> int:

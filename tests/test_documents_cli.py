@@ -11,6 +11,7 @@ import pytest
 import cdga.documents as documents
 from cdga import (
     DocumentError,
+    GradedMap,
     canonical_json,
     load_cdga,
     load_complex,
@@ -432,6 +433,30 @@ def test_cli_cone_and_cyl(tmp_path):
     assert json.loads(out3)["acyclic"] is True
     rc4, _, err4 = run_cli("cyl", "--input", str(p2))
     assert rc4 == 2  # cyl needs a map document
+
+
+def test_cli_cyl_checks_the_projection_once(tmp_path, capsys, monkeypatch):
+    # mapping_cylinder builds its maps as validated ChainMaps; cyl adds no check
+    doc = {
+        "kind": "complex",
+        "map": {
+            "source": {"degrees": {"0": ["s0"], "1": ["s1"]}, "differential": {"0": [["1"]]}},
+            "target": {"degrees": {"0": ["t0"]}, "differential": {}},
+            "components": {"0": [["1"]]},
+        },
+    }
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps(doc))
+    calls = []
+    is_chain_map = GradedMap.is_chain_map
+    monkeypatch.setattr(GradedMap, "is_chain_map", lambda self: calls.append(self) or is_chain_map(self))
+    assert main(["cyl", "--input", str(p), "--format", "json"]) == 0
+    assert len(calls) == 5
+    assert capsys.readouterr().out == (
+        '{"complex":{"degrees":{"-1":["y.s0"],"0":["x.s0","y.s1","z.t0"],"1":["x.s1"]},'
+        '"differential":{"-1":[["1"],["1"],["-1"]],"0":[["1","-1","0"]]}},"kind":"complex",'
+        '"projection_weak_equivalence":true,"schema":"cdga.complex/1"}\n'
+    )
 
 
 def test_cli_hodge(tmp_path):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -224,16 +227,19 @@ def ref_inv(a, n):
     return [row[n:] for row in rows]
 
 
+# signed nonzero rationals with numerators and denominators up to 10**6
+NONZERO = st.builds(
+    lambda num, den, neg: F(-num if neg else num, den),
+    st.integers(1, 10**6), st.integers(1, 10**6), st.booleans(),
+)
+
+
 @st.composite
 def dense_rows(draw, m, n):
     """m x n rows of Fractions: a drawn density in tenths, from 0 to 1, with
     signed entries whose numerators and denominators go up to 10**6."""
     tenths = draw(st.integers(0, 10))
-    entry = st.builds(
-        lambda num, den, neg: F(-num if neg else num, den),
-        st.integers(1, 10**6), st.integers(1, 10**6), st.booleans(),
-    )
-    return [[draw(entry) if draw(st.integers(0, 9)) < tenths else F(0) for _ in range(n)]
+    return [[draw(NONZERO) if draw(st.integers(0, 9)) < tenths else F(0) for _ in range(n)]
             for _ in range(m)]
 
 
@@ -336,3 +342,169 @@ def test_from_dicts_rejects_columns_outside_the_shape():
         Mat.from_dicts(1, 2, [{2: F(1)}])
     with pytest.raises(ValueError):
         Mat.from_dicts(2, 2, [{0: F(1)}])
+
+
+# -- the integer elimination kernel ---------------------------------------------------
+
+
+def ref_det(a, n):
+    """Determinant by Fraction elimination on plain lists."""
+    rows = [r[:] for r in a]
+    det = F(1)
+    for c in range(n):
+        sel = next((i for i in range(c, n) if rows[i][c]), None)
+        if sel is None:
+            return F(0)
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+@st.composite
+def rows_with_repeats(draw, m, n):
+    """dense_rows where some rows are copies or rational multiples of earlier ones."""
+    rows = draw(dense_rows(m, n))
+    for i in range(1, m):
+        kind, j = draw(st.integers(0, 3)), draw(st.integers(0, i - 1))
+        if kind == 1:
+            rows[i] = rows[j][:]
+        elif kind == 2:
+            c = draw(NONZERO)
+            rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_elimination_kernel_matches_list_reference(data):
+    m, n = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    a = data.draw(rows_with_repeats(m, n))
+    A = Mat(m, n, a)
+    r = A.rank()
+    assert r == oracle_rank(a)
+    R, pivots = A.rref()
+    assert (R.rows, pivots) == ref_rref(a, n) and stores_only_nonzero_fractions(R)
+    kernel = A.nullspace()
+    assert len(kernel) == n - r and all(A.apply(v) == [F(0)] * m for v in kernel)
+    x0 = [x for [x] in data.draw(dense_rows(n, 1))]
+    x = A.solve(A.apply(x0))
+    assert x is not None and A.apply(x) == A.apply(x0)
+    if m == n:
+        u = random_unimodular(data.draw(st.randoms(use_true_random=False)), n)
+        assert A.det() == (u * A).det() == ref_det(a, n)
+        want = ref_inv(a, n)
+        if want is None:
+            with pytest.raises(ValueError):
+                A.inv()
+        else:
+            assert A.inv().rows == want
+
+
+# Runs in a fresh interpreter under a timeout, so a kernel whose integers blow
+# up fails instead of hanging.  Every (k+1)-minor of the rows put over their own
+# denominators is at most H (Hadamard), every primitive row the kernel keeps
+# has entries made of such minors, and one update a*v - b*e of two such rows
+# stays below 2 H^2; the spy on _cancel records the largest integer it leaves.
+GROWTH_GUARD = r"""
+import random
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from math import comb, isqrt, lcm
+from cdga import Mat, linalg
+
+n = 12
+hilbert = Mat(n, n, [[F(1, i + j + 1) for j in range(n)] for i in range(n)])
+closed_form = [[(-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1)
+                * comb(i + j, i) ** 2 for j in range(n)] for i in range(n)]
+assert hilbert.inv() == Mat(n, n, closed_form)
+
+n = 40
+rng = random.Random(40)
+rows = [[F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)] for _ in range(n)]
+H = 1
+for r in rows:
+    D = lcm(*(x.denominator for x in r))
+    H *= isqrt(sum(int(x * D) ** 2 for x in r)) + 1
+largest = [0]
+cancel = linalg._cancel
+def spy(v, e, p):
+    out = cancel(v, e, p)
+    largest[0] = max([largest[0]] + [abs(x).bit_length() for x in v.values()])
+    return out
+linalg._cancel = spy
+R, pivots = Mat(n, n, rows).rref()
+assert R == Mat.eye(n) and pivots == list(range(n))
+print(largest[0], H.bit_length())
+"""
+
+
+def test_elimination_coefficients_stay_bounded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", GROWTH_GUARD], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    largest, h_bits = map(int, proc.stdout.split())
+    assert largest <= 2 * h_bits + 1
+
+
+@st.composite
+def keyed_vectors(draw):
+    """Rational vectors over word keys; some are combinations of earlier ones."""
+    keys = draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=6, unique=True))
+    vecs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if vecs and draw(st.booleans()):
+            vec = {}
+            for w in draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3)):
+                _add_into(vec, draw(NONZERO), w)
+        else:
+            vec = {k: draw(NONZERO) for k in draw(st.lists(st.sampled_from(keys), unique=True))}
+        vecs.append({k: x for k, x in vec.items() if x})
+    return keys, vecs
+
+
+def _add_into(vec, c, w):
+    for k, x in w.items():
+        vec[k] = vec.get(k, F(0)) + c * x
+
+
+def _dense(vecs, keys):
+    return [[v.get(k, F(0)) for k in keys] for v in vecs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(keyed_vectors(), st.data())
+def test_sparse_eliminator_matches_oracle(keyed, data):
+    keys, vecs = keyed
+    e = SparseEliminator()
+    kept = {}
+    for i, v in enumerate(vecs):
+        independent = oracle_rank(_dense(list(kept.values()) + [v], keys)) > len(kept)
+        assert e.add(v, "v%d" % i) == ("v%d" % i if independent else None)
+        if independent:
+            kept["v%d" % i] = v
+    assert e.rank == len(kept) == oracle_rank(_dense(vecs, keys))
+    target = {}
+    for v in vecs:
+        _add_into(target, data.draw(NONZERO), v)
+    probes = [target] + [{k: data.draw(NONZERO) for k in data.draw(st.lists(st.sampled_from(keys)))}
+                         for _ in range(3)]
+    for w in probes:
+        w = {k: x for k, x in w.items() if x}
+        combo = e.express(w)
+        if oracle_rank(_dense(list(kept.values()) + [w], keys)) > len(kept):
+            assert combo is None
+            continue
+        rebuilt = {}
+        for tag, c in combo.items():
+            _add_into(rebuilt, c, kept[tag])
+        assert {k: x for k, x in rebuilt.items() if x} == w
