@@ -7,13 +7,15 @@ no floats appear anywhere.  The main entry points:
   one integer elimination routine (rows over one denominator, primitive
   echelon rows, content removed; Fractions only at input and output)
   behind rank, det, rref, nullspace/solve and the incremental eliminator.
-- :mod:`cdga.graded` — graded sign bookkeeping and label spaces.
+- :mod:`cdga.graded` — graded sign bookkeeping, label spaces, and the one
+  check of the graded Lie identities on a bracket table.
 - :mod:`cdga.poly` — free graded-commutative polynomials.
 - :mod:`cdga.complexes` — cochain complexes, cones, cylinders, homology,
   weak equivalences with dual-route verification.
 - :mod:`cdga.algebra` — finitely presented free CDGAs, derivations, morphisms.
-- :mod:`cdga.free` — free functor dimension counts, free graded Lie algebras,
-  bar constructions.
+- :mod:`cdga.free` — free functor dimension counts from one generating
+  series, free graded Lie algebras, associativity-checked algebra and
+  module presentations, bar constructions.
 - :mod:`cdga.cartan` — contraction/flow operators on Lie cochains and the
   Weil construction, classifying maps, flow integration.
 - :mod:`cdga.minimal` — minimal Sullivan models and rational homotopy ranks.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedError, GradedSpace
+from .graded import GradedError, GradedSpace, lie_violation
 from .linalg import Mat
 from .complexes import Complex, ChainMap, InternalCheckError
 from .poly import Generators, Polynomial
@@ -41,51 +41,29 @@ class LieData:
         if len(set(self.names)) != len(self.names):
             raise GradedError("duplicate Lie basis names")
         self.n = len(self.names)
-        given = {}  # every listed ordered pair, zero brackets included
+        self._c = {}  # [x_i, x_j] for every listed pair (i, j) and its reverse
         for (i, j), combo in brackets.items():
             i, j = int(i), int(j)
             clean = {int(k): Fraction(v) for k, v in combo.items() if Fraction(v)}
-            if i == j:
-                if clean:
-                    raise GradedError("[x, x] must vanish")
-            elif (j, i) in given:
-                if {k: -v for k, v in given[(j, i)].items()} != clean:
-                    raise GradedError(
-                        "brackets [%d,%d] and [%d,%d] are not antisymmetric"
-                        % (i, j, j, i)
-                    )
-            else:
-                given[(i, j)] = clean
-        self._c = {pair: combo for pair, combo in given.items() if combo}
-        self._validate_jacobi()
+            if not {i, j, *clean} <= set(range(self.n)):
+                raise GradedError(
+                    "bracket [%d,%d] names an index outside 0..%d" % (i, j, self.n - 1)
+                )
+            self._c[(i, j)] = clean
+        for (i, j), combo in list(self._c.items()):
+            self._c.setdefault((j, i), {k: -v for k, v in combo.items()})
+        bad = lie_violation([0] * self.n, self.bracket, 0)
+        if bad:
+            raise GradedError(
+                "brackets [%d,%d] and [%d,%d] are not antisymmetric" % (bad + bad[::-1])
+                if len(bad) == 2 else "Jacobi identity fails on basis triple (%d,%d,%d)" % bad
+            )
 
     def c(self, i, j, k) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if (i, j) in self._c:
-            return self._c[(i, j)].get(k, Fraction(0))
-        if (j, i) in self._c:
-            return -self._c[(j, i)].get(k, Fraction(0))
-        return Fraction(0)
+        return self._c.get((i, j), {}).get(k, Fraction(0))
 
     def bracket(self, i, j):
-        return {k: self.c(i, j, k) for k in range(self.n) if self.c(i, j, k)}
-
-    def _validate_jacobi(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                for k in range(j + 1, self.n):
-                    for l in range(self.n):
-                        total = Fraction(0)
-                        for m in range(self.n):
-                            total += self.c(i, j, m) * self.c(m, k, l)
-                            total += self.c(j, k, m) * self.c(m, i, l)
-                            total += self.c(k, i, m) * self.c(m, j, l)
-                        if total:
-                            raise GradedError(
-                                "Jacobi identity fails on basis triple (%d,%d,%d)"
-                                % (i, j, k)
-                            )
+        return dict(self._c.get((i, j), {}))
 
     # -- builtins -----------------------------------------------------------
 

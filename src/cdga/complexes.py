@@ -28,6 +28,7 @@ Sign conventions (fixed once here, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .graded import GradedError, GradedSpace
@@ -427,12 +428,30 @@ def free_to_cone_iso(c: Complex) -> ChainMap:
 
 @dataclass
 class CylinderData:
+    """The cylinder of f with its inclusions and projection.
+
+    The mapping cone of f and the collapse of the cylinder onto it are
+    built, and the collapse chain-checked, only when first read.
+    """
+
     cylinder: Complex
     include_source: ChainMap
     include_target: ChainMap
     project: ChainMap
-    cone: Complex
-    collapse: ChainMap
+    _f: ChainMap
+
+    @cached_property
+    def cone(self) -> Complex:
+        return mapping_cone(self._f)
+
+    @cached_property
+    def collapse(self) -> ChainMap:
+        f = self._f
+        pieces = _cylinder_pieces(f)
+        return _assemble_map(
+            self.cylinder, self.cone, pieces, pieces[1:],  # cone(f) = cylinder / F: pieces y, z
+            lambda m: [[None, _eye(f.source, m + 1), None], [None, None, _eye(f.target, m)]],
+        )
 
 
 def mapping_cone(f: ChainMap) -> Complex:
@@ -444,10 +463,14 @@ def mapping_cone(f: ChainMap) -> Complex:
     )
 
 
+def _cylinder_pieces(f):
+    return [("x.", f.source, 0), ("y.", f.source, 1), ("z.", f.target, 0)]
+
+
 def mapping_cylinder(f: ChainMap) -> CylinderData:
-    """Cylinder with its inclusions, projection, and collapse onto the cone."""
+    """Cylinder with its inclusions and projection; the collapse onto the cone on demand."""
     F, G = f.source, f.target
-    pieces = [("x.", F, 0), ("y.", F, 1), ("z.", G, 0)]
+    pieces = _cylinder_pieces(f)
     cyl = _assemble(
         pieces,
         lambda m: [
@@ -456,7 +479,6 @@ def mapping_cylinder(f: ChainMap) -> CylinderData:
             [None, f.comp(m + 1).scale(_sign(m)), G.diff(m)],
         ],
     )
-    cone_f = mapping_cone(f)
     source, target = [("", F, 0)], [("", G, 0)]
     return CylinderData(
         cylinder=cyl,
@@ -469,11 +491,7 @@ def mapping_cylinder(f: ChainMap) -> CylinderData:
         project=_assemble_map(
             cyl, G, pieces, target, lambda m: [[f.comp(m), None, _eye(G, m)]]
         ),
-        cone=cone_f,
-        collapse=_assemble_map(
-            cyl, cone_f, pieces, pieces[1:],  # cone(f) = cylinder / F: pieces y, z
-            lambda m: [[None, _eye(F, m + 1), None], [None, None, _eye(G, m)]],
-        ),
+        _f=f,
     )
 
 

@@ -147,7 +147,7 @@ def test_c04_enveloping_dimensions_are_tensor_dimensions():
     for ms in multisets:
         gens = [("g%d" % i, d) for i, d in enumerate(ms)]
         L = free_graded_lie(gens, 6)
-        L.verify_axioms()
+        assert L.verify_axioms() is True
         td = tensor_algebra_dims(gens, 6)
         ud = enveloping_dims(L, 6)
         for k in range(7):

@@ -41,6 +41,16 @@ def test_lie_data_validation():
 
 
 @pytest.mark.parametrize("brackets", [
+    {(0, 2): {1: F(1)}},
+    {(-1, 0): {}},
+    {(0, 1): {2: F(1)}},
+], ids=["pair", "negative-pair", "term"])
+def test_lie_data_rejects_an_index_outside_the_basis(brackets):
+    with pytest.raises(GradedError, match="outside 0..1"):
+        LieData(["x", "y"], brackets)
+
+
+@pytest.mark.parametrize("brackets", [
     {(0, 1): {1: F(1)}, (1, 0): {}},
     {(1, 0): {}, (0, 1): {1: F(1)}},
     {(0, 1): {1: F(1)}, (1, 0): {1: F(0)}},

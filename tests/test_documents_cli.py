@@ -436,7 +436,8 @@ def test_cli_cone_and_cyl(tmp_path):
 
 
 def test_cli_cyl_checks_the_projection_once(tmp_path, capsys, monkeypatch):
-    # mapping_cylinder builds its maps as validated ChainMaps; cyl adds no check
+    # mapping_cylinder builds its three maps as validated ChainMaps, cyl adds no
+    # check, and the collapse onto the cone is built only when read
     doc = {
         "kind": "complex",
         "map": {
@@ -451,7 +452,7 @@ def test_cli_cyl_checks_the_projection_once(tmp_path, capsys, monkeypatch):
     is_chain_map = GradedMap.is_chain_map
     monkeypatch.setattr(GradedMap, "is_chain_map", lambda self: calls.append(self) or is_chain_map(self))
     assert main(["cyl", "--input", str(p), "--format", "json"]) == 0
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert capsys.readouterr().out == (
         '{"complex":{"degrees":{"-1":["y.s0"],"0":["x.s0","y.s1","z.t0"],"1":["x.s1"]},'
         '"differential":{"-1":[["1"],["1"],["-1"]],"0":[["1","-1","0"]]}},"kind":"complex",'

@@ -1,6 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdga import (
     AlgebraPresentation,
@@ -15,7 +18,8 @@ from cdga import (
     is_contractible,
     tensor_algebra_dims,
 )
-from cdga.graded import GradedError
+from cdga.graded import GradedError, lie_violation
+from cdga.poly import Generators, basis_keys
 
 
 def test_tensor_algebra_dims_fibonacci():
@@ -49,12 +53,59 @@ def test_free_gc_dims_from_counts_matches():
     assert d1 == d2
 
 
+def _compositions(k, parts):
+    """Every ordered sequence of parts summing to k."""
+    if k == 0:
+        yield ()
+    for d in parts:
+        if d <= k:
+            for rest in _compositions(k - d, parts):
+                yield (d,) + rest
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=5),
+       st.integers(min_value=0, max_value=12))
+def test_generating_series_match_brute_force_counts(degrees, n):
+    gens = [("g%d" % i, d) for i, d in enumerate(degrees)]
+    counts = Counter(degrees)
+    gc = free_gc_dims(gens, n)
+    tensor = tensor_algebra_dims(gens, n)
+    assert sorted(gc) == sorted(tensor) == list(range(n + 1))
+    for k in range(n + 1):
+        assert gc[k] == len(basis_keys(Generators(gens), k))
+        # a word is a sequence of letter degrees and a choice of letter for each
+        words = sum(prod(counts[d] for d in seq) for seq in _compositions(k, sorted(counts)))
+        assert tensor[k] == words
+    assert free_gc_dims_from_counts(counts, n) == gc
+
+
+def test_free_functors_reject_nonpositive_degrees():
+    for call in (lambda: free_gc_dims([("a", 1), ("z", 0)], 4),
+                 lambda: free_gc_dims_from_counts({-1: 2}, 4),
+                 lambda: tensor_algebra_dims([("z", 0)], 4),
+                 lambda: free_graded_lie([("z", -2)], 4)):
+        with pytest.raises(GradedError, match="free functors need degree >= 1"):
+            call()
+
+
+def test_lie_violation_catches_odd_x_with_nonzero_x_x_x():
+    # degrees [1, 2, 3]: [x,x] = y, [x,y] = z = -[y,x] is graded antisymmetric,
+    # but for odd x Jacobi forces [x,[x,x]] = 0, and here it is z
+    table = {(0, 0): {1: F(1)}, (0, 1): {2: F(1)}, (1, 0): {2: F(-1)}}
+    assert lie_violation([1, 2, 3], lambda i, j: table.get((i, j), {}), 3) == (0, 0, 0)
+    # with [x,y] = 0 it is a graded Lie algebra; on an even x, [x,x] = y breaks antisymmetry
+    del table[(0, 1)], table[(1, 0)]
+    assert lie_violation([1, 2, 3], lambda i, j: table.get((i, j), {}), 3) is None
+    assert lie_violation([2, 4], lambda i, j: table.get((i, j), {}), 4) == (0, 0)
+
+
 def test_free_graded_lie_single_odd_generator():
     L = free_graded_lie([("e", 1)], 6)
     dims = L.dims()
     # e and [e, e]; triple brackets vanish by Jacobi for one odd generator
     assert [dims.get(k, 0) for k in range(1, 7)] == [1, 1, 0, 0, 0, 0]
-    L.verify_axioms()
+    assert L.verify_axioms() is True
 
 
 def test_free_graded_lie_two_odd_generators():
@@ -63,7 +114,7 @@ def test_free_graded_lie_two_odd_generators():
     assert dims[1] == 2
     # [a,a], [a,b], [b,b]
     assert dims[2] == 3
-    L.verify_axioms()
+    assert L.verify_axioms() is True
 
 
 def test_free_graded_lie_single_even_generator():
@@ -71,7 +122,16 @@ def test_free_graded_lie_single_even_generator():
     dims = L.dims()
     # an even generator has [x, x] = 0, and nothing else
     assert [dims.get(k, 0) for k in range(1, 9)] == [0, 1, 0, 0, 0, 0, 0, 0]
-    L.verify_axioms()
+    assert L.verify_axioms() is True
+
+
+def test_free_graded_lie_mixed_parity_generators():
+    L = free_graded_lie([("a", 1), ("x", 2)], 5)
+    assert L.verify_axioms() is True
+    # verify_axioms reads the bracket table: one negated entry is caught
+    pair = next(p for p, combo in L._brackets.items() if combo)
+    L._brackets[pair] = {k: -c for k, c in L._brackets[pair].items()}
+    assert L.verify_axioms() is False
 
 
 def test_enveloping_dims_is_pbw():
@@ -106,6 +166,18 @@ def test_algebra_presentation_rejects_nonassociative():
             [("one", 0), ("u", 2), ("v", 4)],
             {(1, 1): {2: F(1)}, (1, 2): {1: F(1)}, (2, 1): {1: F(1)}, (2, 2): {}},
         )
+
+
+def test_module_presentation_rejects_a_non_associative_action():
+    # x.m0 = m1 and x^2.m0 = m2, but x.m1 = 0: (x x).m0 = m2 != 0 = x.(x.m0)
+    A = AlgebraPresentation.truncated_polynomial("x", 2, 2)
+    elements = [("m0", 0), ("m1", 2), ("m2", 4)]
+    with pytest.raises(GradedError, match=r"\(a,b,m\) = \(1,1,0\)"):
+        ModulePresentation(A, elements, {(1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {}})
+    # with x.m1 = m2 it is the regular module, and its bar slices are contractible
+    M = ModulePresentation(A, elements, {(1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {2: 1}})
+    for w in range(1, 7):
+        assert is_contractible(bar_slice(A, M, w))[0]
 
 
 def test_bar_slice_exterior_tor():
