@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every subcommand loads and fully validates its input document (schema, then
-the mathematical invariants) before computing.  Exit codes: 0 on success,
-1 when the mathematics rejects the input (bad differential, failed Jacobi,
-non-nilpotent flow, ...), 2 for unreadable or schema-invalid documents and
+One table, COMMANDS, decides each subcommand's document kinds, its flags and
+the smallest truncation it can use; one runner resolves, kind-checks, loads
+(schema, then the mathematical invariants) and truncates every input document
+before its handler computes.  Exit codes: 0 on success, 1 when the
+mathematics rejects the input (bad differential, failed Jacobi, non-nilpotent
+flow, failed audit, ...), 2 for unreadable or schema-invalid documents and
 bad arguments, 3 for internal consistency failures.
 
 JSON output is canonical: sorted keys, compact separators, one trailing
@@ -17,28 +19,19 @@ import sys
 
 from .graded import GradedError
 from .complexes import (
-    ComplexError,
-    InternalCheckError,
-    check,
-    cone,
-    homology,
-    is_contractible,
-    is_weak_equivalence,
-    mapping_cone,
-    mapping_cylinder,
+    ComplexError, HomologySpace, InternalCheckError, cone, homology, is_contractible,
+    is_weak_equivalence, mapping_cone, mapping_cylinder,
 )
-from .cartan import (
-    basic_subcomplex,
-    chevalley_eilenberg,
-    weil_algebra,
-)
+from .cartan import basic_subcomplex, chevalley_eilenberg, weil_algebra
 from .minimal import minimal_model
 from .hodge import InnerProduct, adjoint, harmonic_space, number_operator_check
-from .complexes import HomologySpace
 from . import documents
 from .documents import DocumentError
 
 MAX_COMFORTABLE_TRUNCATION = 16
+
+# the truncation of a document kind that has one, when neither flag nor document gives it
+DEFAULT_TRUNCATION = {"cdga": 8, "glie": 6}
 
 MATH_ERRORS = (GradedError, ComplexError)
 
@@ -54,21 +47,7 @@ def _parse_window(text):
     return lo, hi
 
 
-def _load(args):
-    """The input document and its kind; the documents.load_* schema-check it."""
-    doc = documents.load_json(documents.resolve_input(args.input))
-    return doc, documents.document_kind(doc)
-
-
-def _emit(args, payload, text_lines):
-    if args.format == "json":
-        sys.stdout.write(documents.canonical_json(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _truncation(args, doc, minimum, default=8):
+def _truncation(args, doc, minimum, default):
     """The --truncation flag, else the document's, else default.
 
     Below minimum the command would check nothing, so that is an argument
@@ -89,88 +68,65 @@ def _truncation(args, doc, minimum, default=8):
                 "truncation %d exceeds %d; pass --force-truncation to proceed"
                 % (t, MAX_COMFORTABLE_TRUNCATION)
             )
-        print(
-            "warning: truncation %d is large; expect slow exact arithmetic" % t,
-            file=sys.stderr,
-        )
+        print("warning: truncation %d is large; expect slow exact arithmetic" % t,
+              file=sys.stderr)
     return t
-
-
-def _truncation_only_for_cdga(args, kind):
-    """Only cdga documents have a truncation; either truncation flag on another kind is an error."""
-    if kind != "cdga" and (args.truncation is not None or args.force_truncation):
-        raise DocumentError(
-            "--truncation and --force-truncation apply to cdga documents, not %s" % kind
-        )
 
 
 def _betti_payload(bettis):
     return {str(k): v for k, v in sorted(bettis.items())}
 
 
+def _betti_lines(rep, *title):
+    """The text table of a HomologyReport, after any title lines."""
+    return [*title, "degree  betti"] + ["%6d  %d" % (k, rep.betti[k]) for k in rep.degrees]
+
+
+def _verified(ops):
+    """A Cartan model whose operator identities all hold, else InternalCheckError."""
+    failures = ops.verify()
+    if failures:
+        raise InternalCheckError("; ".join(failures))
+    return ops
+
+
 # -- subcommand handlers -----------------------------------------------------------
+#
+# Each takes (args, kind, the loaded document, its truncation or None) and
+# returns (JSON payload, text lines).  args.window is already parsed.
 
 
-def cmd_check(args):
-    doc, kind = _load(args)
-    _truncation_only_for_cdga(args, kind)
+def cmd_check(args, kind, value, t):
+    # loading ran every check, d*d = 0 and chain maps included, except the Grams'
     detail = {"kind": kind, "ok": True}
-    if kind == "cdga":
-        documents.load_cdga(doc)
-        _truncation(args, doc, minimum=0)
-    elif kind == "lie":
-        documents.load_lie(doc)
-    elif kind == "glie":
-        documents.load_glie(doc)
-    elif kind == "gram":
-        documents.load_gram(doc).check_grams()
-    else:
-        c, f = documents.load_complex(doc)
-        rep = check(c)
-        if not rep.ok:
-            raise ComplexError("; ".join(rep.violations))
-        if f is not None:
-            detail["map"] = "chain map verified"
-    _emit(args, detail, ["ok: %s document passes all checks" % kind])
-    return 0
+    if kind == "gram":
+        value.check_grams()
+    elif kind == "complex" and value[1] is not None:
+        detail["map"] = "chain map verified"
+    return detail, ["ok: %s document passes all checks" % kind]
 
 
-def cmd_homology(args):
-    doc, kind = _load(args)
-    _truncation_only_for_cdga(args, kind)
-    window = _parse_window(args.window) if args.window else None
+def cmd_homology(args, kind, value, t):
+    window = args.window
     if kind == "cdga":
-        algebra = documents.load_cdga(doc)
-        t = _truncation(args, doc, minimum=1)
         # degree t has no outgoing differential in the slice: trust up to t - 1
         if window and window[1] > t - 1:
             raise DocumentError(
                 "window top %d is above %d, the highest degree truncation %d trusts"
                 % (window[1], t - 1, t)
             )
-        c = algebra.to_complex((0, t))
+        c = value.to_complex((0, t))
         window = window or (0, t - 1)
-    elif kind == "complex":
-        c, _ = documents.load_complex(doc)
     else:
-        raise DocumentError("homology expects a cdga or complex document")
+        c = value[0]
     rep = homology(c, window)
     payload = {"betti": _betti_payload(rep.betti)}
     if window:
         payload["window"] = [window[0], window[1]]
-    lines = ["degree  betti"]
-    for k in rep.degrees:
-        lines.append("%6d  %d" % (k, rep.betti[k]))
-    _emit(args, payload, lines)
-    return 0
+    return payload, _betti_lines(rep)
 
 
-def cmd_minimal_model(args):
-    doc, kind = _load(args)
-    if kind != "cdga":
-        raise DocumentError("minimal-model expects a cdga document")
-    algebra = documents.load_cdga(doc)
-    t = _truncation(args, doc, minimum=2)
+def cmd_minimal_model(args, kind, algebra, t):
     mm = minimal_model(algebra, t)
     gens = list(zip(mm.model.gens.names, mm.model.gens.degrees))
     diff = {
@@ -184,11 +140,8 @@ def cmd_minimal_model(args):
         "certified_through": mm.certified_through,
         "already_minimal": mm.already_minimal,
         "stages": [
-            {
-                "degree": st.degree,
-                "closed": st.closed_generators,
-                "closing": st.closing_generators,
-            }
+            {"degree": st.degree, "closed": st.closed_generators,
+             "closing": st.closing_generators}
             for st in mm.stages
         ],
     }
@@ -199,16 +152,10 @@ def cmd_minimal_model(args):
             "  %s (degree %d), d = %s" % (n, d, img if not img.is_zero() else "0")
         )
     lines.append("certified through degree %d" % mm.certified_through)
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_homotopy(args):
-    doc, kind = _load(args)
-    if kind != "cdga":
-        raise DocumentError("homotopy expects a cdga document")
-    algebra = documents.load_cdga(doc)
-    t = _truncation(args, doc, minimum=2)
+def cmd_homotopy(args, kind, algebra, t):
     mm = minimal_model(algebra, t)
     ranks = mm.homotopy_ranks()
     payload = {
@@ -222,44 +169,21 @@ def cmd_homotopy(args):
             lines.append("  pi_%d has rank %d" % (k, v))
     if not any(ranks.values()):
         lines.append("  all trivial in the certified range")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_ce(args):
-    doc, kind = _load(args)
-    if kind != "lie":
-        raise DocumentError("ce expects a lie document")
-    lie = documents.load_lie(doc)
-    ops = chevalley_eilenberg(lie)
-    failures = ops.verify()
-    if failures:
-        raise InternalCheckError("; ".join(failures))
-    hi = lie.n
-    c = ops.algebra.to_complex((0, hi))
-    rep = homology(c, (0, hi))
+def cmd_ce(args, kind, lie, t):
+    ops = _verified(chevalley_eilenberg(lie))
+    rep = homology(ops.algebra.to_complex((0, lie.n)), (0, lie.n))
     payload = {"betti": _betti_payload(rep.betti), "identities": "verified"}
-    lines = ["Lie algebra cochain cohomology:", "degree  betti"]
-    for k in rep.degrees:
-        lines.append("%6d  %d" % (k, rep.betti[k]))
-    _emit(args, payload, lines)
-    return 0
+    return payload, _betti_lines(rep, "Lie algebra cochain cohomology:")
 
 
-def cmd_weil(args):
-    doc, kind = _load(args)
-    if kind != "lie":
-        raise DocumentError("weil expects a lie document")
-    lie = documents.load_lie(doc)
-    window = _parse_window(args.window) if args.window else (0, 2 * lie.n)
-    ops = weil_algebra(lie)
-    failures = ops.verify()
-    if failures:
-        raise InternalCheckError("; ".join(failures))
-    c = ops.algebra.to_complex((0, window[1] + 1))
-    rep = homology(c, window)
-    basic = basic_subcomplex(ops, window)
-    brep = homology(basic.complex, window)
+def cmd_weil(args, kind, lie, t):
+    window = args.window or (0, 2 * lie.n)
+    ops = _verified(weil_algebra(lie))
+    rep = homology(ops.algebra.to_complex((0, window[1] + 1)), window)
+    brep = homology(basic_subcomplex(ops, window).complex, window)
     payload = {
         "weil_betti": _betti_payload(rep.betti),
         "basic_betti": _betti_payload(brep.betti),
@@ -270,58 +194,43 @@ def cmd_weil(args):
         lines.append(
             "%6d  %10d  %11d" % (k, rep.betti.get(k, 0), brep.betti.get(k, 0))
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_cone(args):
-    doc, kind = _load(args)
-    if kind != "complex":
-        raise DocumentError("cone expects a complex document")
-    c, f = documents.load_complex(doc)
+def cmd_cone(args, kind, value, t):
+    c, f = value
     if f is not None:
         result = mapping_cone(f)
         verdict = is_weak_equivalence(f)
         payload = documents.complex_to_doc(result)
         payload["weak_equivalence"] = bool(verdict)
-        lines = [
+        return payload, [
             "mapping cone computed; source map %s a weak equivalence"
             % ("is" if verdict else "is not")
         ]
-    else:
-        result = cone(c)
-        flag, _ = is_contractible(result)
-        payload = documents.complex_to_doc(result)
-        payload["acyclic"] = flag
-        lines = ["cone computed; acyclic: %s" % flag]
-    _emit(args, payload, lines)
-    return 0
+    result = cone(c)
+    flag, _ = is_contractible(result)
+    payload = documents.complex_to_doc(result)
+    payload["acyclic"] = flag
+    return payload, ["cone computed; acyclic: %s" % flag]
 
 
-def cmd_cyl(args):
-    doc, kind = _load(args)
-    if kind != "complex":
-        raise DocumentError("cyl expects a complex document carrying a map")
-    _, f = documents.load_complex(doc)
+def cmd_cyl(args, kind, value, t):
+    _, f = value
     if f is None:
         raise DocumentError("cyl needs the document to carry a map")
     data = mapping_cylinder(f)
     verdict = is_weak_equivalence(data.project)
     payload = documents.complex_to_doc(data.cylinder)
     payload["projection_weak_equivalence"] = bool(verdict)
-    lines = [
+    return payload, [
         "cylinder computed; inclusions and projection are chain maps",
         "projection is%s a weak equivalence" % ("" if verdict else " not"),
     ]
-    _emit(args, payload, lines)
-    return 0
 
 
-def cmd_hodge(args):
-    doc, kind = _load(args)
-    if kind != "complex":
-        raise DocumentError("hodge expects a complex document")
-    c, _ = documents.load_complex(doc)
+def cmd_hodge(args, kind, value, t):
+    c, _ = value
     ip = InnerProduct.identity()
     if args.gram:
         ip = documents.load_gram(documents.load_json(documents.resolve_input(args.gram)))
@@ -331,9 +240,7 @@ def cmd_hodge(args):
                                     "dimension %d in degree %d" % (k, g.m, g.n, c.dim(k), k))
     ip.validate_for(c)
     sup = c.support()
-    window = _parse_window(args.window) if args.window else (
-        (min(sup), max(sup)) if sup else (0, 0)
-    )
+    window = args.window or ((min(sup), max(sup)) if sup else (0, 0))
     adj = adjoint(c, ip)
     harm = {}
     betti = {}
@@ -352,16 +259,10 @@ def cmd_hodge(args):
     lines = ["degree  harmonic  betti"]
     for k in sorted(harm):
         lines.append("%6d  %8d  %5d" % (k, harm[k], betti[k]))
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_number_op(args):
-    doc, kind = _load(args)
-    if kind != "glie":
-        raise DocumentError("number-op expects a glie document")
-    data = documents.load_glie(doc)
-    t = _truncation(args, doc, minimum=1, default=6)
+def cmd_number_op(args, kind, data, t):
     rep = number_operator_check(data, truncation=t)
     payload = {
         "ok": rep.ok,
@@ -382,8 +283,58 @@ def cmd_number_op(args):
         "  cross terms vanish: %s" % rep.cross_terms_zero,
     ]
     lines.extend("  failure: %s" % f for f in rep.failures)
-    _emit(args, payload, lines)
-    return 0 if rep.ok else 1
+    return payload, lines
+
+
+# -- the table and its runner -------------------------------------------------------
+
+ANY_KIND = {"cdga": 0, "lie": None, "glie": None, "complex": None, "gram": None}
+
+# subcommand: (handler, help, flags besides the truncation pair,
+#              {accepted kind: smallest useful truncation, or None if it has none})
+COMMANDS = {
+    "check": (cmd_check, "validate a document and its mathematics", (), ANY_KIND),
+    "homology": (cmd_homology, "Betti numbers of a complex or CDGA", ("--window",),
+                 {"cdga": 1, "complex": None}),
+    "minimal-model": (cmd_minimal_model, "minimal Sullivan model", (), {"cdga": 2}),
+    "homotopy": (cmd_homotopy, "rational homotopy ranks", (), {"cdga": 2}),
+    "ce": (cmd_ce, "Lie algebra cochain cohomology", (), {"lie": None}),
+    "weil": (cmd_weil, "Weil model and its basic subcomplex", ("--window",), {"lie": None}),
+    "cone": (cmd_cone, "cone of a complex or mapping cone of a map", (), {"complex": None}),
+    "cyl": (cmd_cyl, "mapping cylinder of a map", (), {"complex": None}),
+    "hodge": (cmd_hodge, "harmonic spaces against Betti numbers", ("--window", "--gram"),
+              {"complex": None}),
+    "number-op": (cmd_number_op, "number operator audit of a graded space", (), {"glie": 1}),
+}
+
+FLAG_HELP = {"--window": "degree window 'a..b'", "--gram": "gram document"}
+
+
+def _run(args):
+    """Resolve, kind-check, load and truncate the input, then run the handler and emit."""
+    handler, _, _, kinds = COMMANDS[args.command]
+    doc = documents.load_json(documents.resolve_input(args.input))
+    kind = documents.document_kind(doc)
+    if kind not in kinds:
+        raise DocumentError("%s expects a %s document" % (args.command, " or ".join(kinds)))
+    minimum = kinds[kind]
+    if minimum is None and (getattr(args, "truncation", None) is not None
+                            or getattr(args, "force_truncation", False)):
+        raise DocumentError(
+            "--truncation and --force-truncation apply to cdga documents, not %s" % kind
+        )
+    if hasattr(args, "window"):
+        args.window = _parse_window(args.window) if args.window else None
+    # looked up at call time, so a wrapper set on the documents module is called
+    value = getattr(documents, "load_" + kind)(doc)
+    t = None if minimum is None else _truncation(args, doc, minimum, DEFAULT_TRUNCATION[kind])
+    payload, lines = handler(args, kind, value, t)
+    if args.format == "json":
+        sys.stdout.write(documents.canonical_json(payload))
+    else:
+        for line in lines:
+            print(line)
+    return 1 if payload.get("ok") is False else 0
 
 
 # -- entry point --------------------------------------------------------------------
@@ -396,35 +347,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand gets only the optional flags its handler reads
-    T, W, G = "truncation", "window", "gram"
-    handlers = {
-        "check": (cmd_check, "validate a document and its mathematics", (T,)),
-        "homology": (cmd_homology, "Betti numbers of a complex or CDGA", (T, W)),
-        "minimal-model": (cmd_minimal_model, "minimal Sullivan model", (T,)),
-        "homotopy": (cmd_homotopy, "rational homotopy ranks", (T,)),
-        "ce": (cmd_ce, "Lie algebra cochain cohomology", ()),
-        "weil": (cmd_weil, "Weil model and its basic subcomplex", (W,)),
-        "cone": (cmd_cone, "cone of a complex or mapping cone of a map", ()),
-        "cyl": (cmd_cyl, "mapping cylinder of a map", ()),
-        "hodge": (cmd_hodge, "harmonic spaces against Betti numbers", (W, G)),
-        "number-op": (cmd_number_op, "number operator audit of a graded space", (T,)),
-    }
-    for name, (fn, help_text, flags) in handlers.items():
+    for name, (_, help_text, flags, kinds) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="document path or builtin name")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if T in flags:
+        if any(m is not None for m in kinds.values()):
             p.add_argument("--truncation", type=int, default=None)
             p.add_argument(
                 "--force-truncation",
                 action="store_true",
                 help="allow truncations beyond %d" % MAX_COMFORTABLE_TRUNCATION,
             )
-        if W in flags:
-            p.add_argument("--window", default=None, help="degree window 'a..b'")
-        if G in flags:
-            p.add_argument("--gram", default=None, help="gram document")
-        p.set_defaults(handler=fn)
+        for flag in flags:
+            p.add_argument(flag, default=None, help=FLAG_HELP[flag])
     return parser
 
 
@@ -432,7 +367,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args)
     except DocumentError as exc:
         print("document error: %s" % exc, file=sys.stderr)
         return 2

@@ -265,9 +265,6 @@ class HomologyReport:
     boundary_rank: dict
     spaces: dict = field(repr=False, default_factory=dict)
 
-    def euler_characteristic(self):
-        return sum((-1) ** (k % 2) * b for k, b in self.betti.items())
-
 
 def homology(c: Complex, window=None) -> HomologyReport:
     if window is None:

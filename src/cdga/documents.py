@@ -128,10 +128,14 @@ def validate_document(doc) -> str:
     return kind
 
 
+def _require(doc, kind):
+    """Schema-check a document dict and require it to be of this kind."""
+    if validate_document(doc) != kind:
+        raise DocumentError("expected a %s document" % kind)
+
+
 def load_cdga(doc) -> FreeCDGA:
-    validate_document(doc)
-    if doc["kind"] != "cdga":
-        raise DocumentError("expected a cdga document")
+    _require(doc, "cdga")
     gens = Generators([(g[0], g[1]) for g in doc["generators"]])
     images = {}
     for name, expr in doc.get("differential", {}).items():
@@ -151,9 +155,7 @@ def load_cdga(doc) -> FreeCDGA:
 
 
 def load_lie(doc) -> LieData:
-    validate_document(doc)
-    if doc["kind"] != "lie":
-        raise DocumentError("expected a lie document")
+    _require(doc, "lie")
     names = list(doc["basis"])
     index = {n: i for i, n in enumerate(names)}
     brackets = {}
@@ -172,9 +174,7 @@ def load_lie(doc) -> LieData:
 
 
 def load_glie(doc) -> GradedChainData:
-    validate_document(doc)
-    if doc["kind"] != "glie":
-        raise DocumentError("expected a glie document")
+    _require(doc, "glie")
     elements = [(e[0], e[1]) for e in doc["basis"]]
     boundary = {
         v: {w: parse_rational(c) for w, c in combo.items()}
@@ -208,9 +208,7 @@ def _complex_from_body(body, where="complex") -> Complex:
 
 def load_complex(doc):
     """Returns (Complex, ChainMap or None) from a complex document."""
-    validate_document(doc)
-    if doc["kind"] != "complex":
-        raise DocumentError("expected a complex document")
+    _require(doc, "complex")
     if "map" in doc:
         body = doc["map"]
         source = _complex_from_body(body["source"], "source")
@@ -226,9 +224,7 @@ def load_complex(doc):
 
 
 def load_gram(doc) -> InnerProduct:
-    validate_document(doc)
-    if doc["kind"] != "gram":
-        raise DocumentError("expected a gram document")
+    _require(doc, "gram")
     grams = {}
     for key, rows in doc["grams"].items():
         k = int(key)

@@ -8,8 +8,8 @@ inside the tensor algebra: brackets are computed as honest tensors and a
 sparse echelon picks basis elements degree by degree, so the returned
 bracket table is correct by construction; verify_axioms re-checks it with
 graded.lie_violation.  Algebra and module presentations are checked for
-degrees and associativity by the same two helpers before bar_slice reads
-them.
+indices, degrees and associativity by the same two helpers before
+bar_slice reads them.
 """
 
 from __future__ import annotations
@@ -181,21 +181,31 @@ def enveloping_dims(lie: FreeGradedLie, n: int):
 # -- bar construction ----------------------------------------------------------------
 
 
-def _table(table, left, right, out, what):
-    """table {(i, j): {k: c}} with int keys and nonzero Fractions, degree-checked.
+def _table(table, left, right, out, what, unit_right):
+    """table {(i, j): {k: c}} with int keys and nonzero Fractions, checked.
 
-    Every term k of entry (i, j) must have out(k) = left(i) + right(j).
+    left, right and out are the (name, degree) element lists that i, j and k
+    index; i is never the unit (element 0 of left), nor is j when unit_right,
+    since products with the unit are fixed.  Every term k of entry (i, j)
+    must have degree(k) = degree(i) + degree(j).
     """
     clean = {}
     for (i, j), combo in table.items():
         i, j = int(i), int(j)
-        clean[(i, j)] = {int(k): Fraction(c) for k, c in combo.items() if Fraction(c)}
-        want = left(i) + right(j)
+        terms = {int(k): Fraction(c) for k, c in combo.items()}
+        inside = 0 <= i < len(left) and 0 <= j < len(right)
+        if not inside or any(not 0 <= k < len(out) for k in terms):
+            raise GradedError("%s %d*%d names an element outside the basis" % (what, i, j))
+        if i == 0 or (unit_right and j == 0):
+            raise GradedError("%s %d*%d is a product with the unit, which is fixed"
+                              % (what, i, j))
+        clean[(i, j)] = {k: c for k, c in terms.items() if c}
+        want = left[i][1] + right[j][1]
         for k in clean[(i, j)]:
-            if out(k) != want:
+            if out[k][1] != want:
                 raise GradedError(
                     "%s %d*%d has a term of degree %d, expected %d"
-                    % (what, i, j, out(k), want)
+                    % (what, i, j, out[k][1], want)
                 )
     return clean
 
@@ -225,7 +235,7 @@ class AlgebraPresentation:
     elements as basis and bar words in any fixed internal degree are finite.
     `mult[(i, j)]` gives the product of non-unit elements as a coefficient
     dict over the full basis (missing pairs multiply to zero).  The table
-    is checked for degrees and associativity on construction.
+    is checked for indices, degrees and associativity on construction.
     """
 
     def __init__(self, elements, mult):
@@ -237,7 +247,8 @@ class AlgebraPresentation:
                 raise GradedError(
                     "non-unit element %r must have positive degree" % name
                 )
-        self.mult = _table(mult, self.degree, self.degree, self.degree, "product")
+        self.mult = _table(mult, self.elements, self.elements, self.elements, "product",
+                           unit_right=True)
         nonunit = range(1, len(self.elements))
         bad = _nonassociative(self.product, self.product, nonunit, nonunit)
         if bad:
@@ -267,20 +278,22 @@ class AlgebraPresentation:
             ("%s^%d" % (name, p) if p > 1 else name, degree * p)
             for p in range(1, cap + 1)
         ]
-        return cls(elements, {(i, j): {i + j: 1} for i in range(1, cap) for j in range(1, cap + 1 - i)})
+        mult = {(i, j): {i + j: 1} for i in range(1, cap) for j in range(1, cap + 1 - i)}
+        return cls(elements, mult)
 
 
 class ModulePresentation:
     """Finite graded basis of a left module over an AlgebraPresentation.
 
     `action[(i, j)]` gives non-unit algebra element i acting on module
-    element j; the table is checked for degrees and for (ab)m = a(bm).
+    element j; the table is checked for indices, degrees and (ab)m = a(bm).
     """
 
     def __init__(self, algebra: AlgebraPresentation, elements, action):
         self.algebra = algebra
         self.elements = [(str(n), int(d)) for n, d in elements]
-        self.action = _table(action, algebra.degree, self.degree, self.degree, "action")
+        self.action = _table(action, algebra.elements, self.elements, self.elements, "action",
+                             unit_right=False)
         bad = _nonassociative(algebra.product, self.act,
                               range(1, len(algebra.elements)), range(len(self.elements)))
         if bad:

@@ -143,9 +143,6 @@ class HodgeDecomposition:
     exact: list
     coexact: list
 
-    def total_rank(self):
-        return len(self.harmonic) + len(self.exact) + len(self.coexact)
-
 
 def hodge_decomposition(c: Complex, ip: InnerProduct, k: int) -> HodgeDecomposition:
     """Orthogonal splitting C_k = harmonic (+) im d (+) im d*, fully verified."""

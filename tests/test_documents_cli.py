@@ -22,7 +22,7 @@ from cdga import (
     validate_document,
 )
 from cdga.documents import builtin_names, format_rational, parse_rational, load_json
-from cdga.cli import build_parser, main
+from cdga.cli import COMMANDS, build_parser, main
 
 
 def run_cli(*args):
@@ -621,3 +621,54 @@ def test_cli_number_op_with_a_cobracket_fails_with_exit_1(tmp_path, capsys):
         '"generator_identity":{"1":true,"2":false,"3":false},'
         '"laplacian_commutes":true,"ok":false,"truncation":5}\n'
     )
+
+
+# one document of each kind, each accepted by check
+KIND_DOCS = {
+    "cdga": "cdga_cp2",
+    "lie": "lie_cross3",
+    "glie": GLIE_SMALL,
+    "complex": HODGE_CX,
+    "gram": {"kind": "gram", "grams": {"1": [["2", "1"], ["1", "2"]]}},
+}
+
+
+def _kind_input(tmp_path, kind):
+    doc = KIND_DOCS[kind]
+    if isinstance(doc, str):
+        return doc
+    path = tmp_path / ("%s.json" % kind)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_table_names_only_known_kinds():
+    assert set(COMMANDS["check"][3]) == set(KIND_DOCS)
+    for command, (_, _, _, kinds) in COMMANDS.items():
+        assert kinds and set(kinds) <= set(KIND_DOCS), command
+
+
+@pytest.mark.parametrize("command, kind", [
+    (command, kind) for command, (_, _, _, kinds) in COMMANDS.items()
+    for kind in KIND_DOCS if kind not in kinds
+])
+def test_cli_refuses_a_document_kind_the_command_does_not_accept(
+        tmp_path, capsys, command, kind):
+    rc = main([command, "--input", _kind_input(tmp_path, kind), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("document error: %s expects a " % command), err
+    assert all(accepted in err for accepted in COMMANDS[command][3])
+
+
+@pytest.mark.parametrize("command, kind, minimum", [
+    (command, kind, minimum) for command, (_, _, _, kinds) in COMMANDS.items()
+    for kind, minimum in kinds.items() if minimum is not None
+])
+def test_cli_refuses_a_truncation_below_the_table_minimum(
+        tmp_path, capsys, command, kind, minimum):
+    doc = _kind_input(tmp_path, kind)
+    rc = main([command, "--input", doc, "--truncation", str(minimum - 1), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "below %d, the smallest that %s can use" % (minimum, command) in err

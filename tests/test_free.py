@@ -180,6 +180,36 @@ def test_module_presentation_rejects_a_non_associative_action():
         assert is_contractible(bar_slice(A, M, w))[0]
 
 
+@pytest.mark.parametrize("entry", [
+    {(1, 5): {}}, {(1, -1): {}}, {(5, 1): {}}, {(1, 1): {7: 1}}, {(1, 1): {-1: 1}},
+], ids=["right-5", "right-minus1", "left-5", "term-7", "term-minus1"])
+def test_algebra_presentation_rejects_an_index_outside_the_basis(entry):
+    # out of range used to raise a bare IndexError, negative to wrap silently
+    with pytest.raises(GradedError, match="outside the basis"):
+        AlgebraPresentation([("1", 0), ("e", 1)], entry)
+
+
+@pytest.mark.parametrize("entry", [{(0, 1): {1: 5}}, {(1, 0): {1: 5}}, {(0, 0): {}}],
+                         ids=["unit-left", "unit-right", "unit-unit"])
+def test_algebra_presentation_rejects_an_entry_on_the_unit(entry):
+    # products with the unit are fixed; such an entry used to be accepted and ignored
+    with pytest.raises(GradedError, match="with the unit"):
+        AlgebraPresentation([("1", 0), ("e", 1)], entry)
+
+
+def test_module_presentation_rejects_an_action_of_the_unit():
+    # claims 1.m0 = 5 n0 (degrees agree); it used to be accepted and ignored
+    A = AlgebraPresentation.exterior("e", 1)
+    with pytest.raises(GradedError, match="with the unit"):
+        ModulePresentation(A, [("m0", 0), ("n0", 0)], {(0, 0): {1: 5}})
+    elements = [("m0", 0), ("m1", 1)]
+    with pytest.raises(GradedError, match="outside the basis"):
+        ModulePresentation(A, elements, {(1, 2): {}})
+    # module element 0 is no unit: an action on it is an ordinary entry
+    M = ModulePresentation(A, elements, {(1, 0): {1: 1}})
+    assert M.act(1, 0) == {1: F(1)}
+
+
 def test_bar_slice_exterior_tor():
     # one exterior generator in degree 1, trivial module: one Tor class
     # per word length, in internal degree w at complex degree -w

@@ -157,6 +157,21 @@ def homogeneous_polys(draw, gens, degree=None):
     return k, Polynomial(gens, dict(zip(keys, coeffs)))
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_printed_polynomials_parse_back_to_themselves(data):
+    # mixed degrees over odd and even generators, with signed fractional
+    # coefficients and constant terms (the empty key)
+    gens = data.draw(generator_tables())
+    terms = data.draw(st.dictionaries(
+        canonical_keys(gens),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=6,
+    ))
+    p = Polynomial(gens, terms)
+    assert parse_polynomial(gens, str(p)) == p
+
+
 def oracle_product(gens, factors):
     """(sign, key) of a factor sequence: stable sort signed by koszul_sign."""
     flat = [i for i, e in factors for _ in range(e)]
