@@ -30,7 +30,7 @@ from .graded import GradedError, GradedSpace, lie_violation
 from .linalg import Mat
 from .complexes import Complex, ChainMap, InternalCheckError
 from .poly import Generators, Polynomial
-from .algebra import FreeCDGA, Derivation, CDGAMorphism
+from .algebra import FreeCDGA, Derivation, CDGAMorphism, key_matrix
 
 
 class LieData:
@@ -266,44 +266,43 @@ class BasicComplexData:
 
 
 def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
-    """Joint kernel of all iota_a and theta_a, with its induced differential.
+    """The basic subcomplex of the Weil model: S(F)^g, with d = 0 (Cartan).
 
-    Computed degreewise on [lo, hi+1] so the differential is available on
-    all of [lo, hi]; closure of the kernel under d is verified exactly.
+    iota_a sends a^b to delta_ab and kills every curvature F, so the joint
+    kernel of the iota_a is the polynomial algebra S(F); the basic part is
+    the joint kernel of the theta_a on S(F), taken degreewise on [lo, hi+1].
+    On S(F), d = sum_i a^i theta_i, so d vanishes exactly on the invariants;
+    that is certified on [lo, hi] against the Weil complex, which is built
+    once, on [0, hi+1], and returned as ambient.
     """
+    if ops.kind != "weil":
+        raise GradedError("the basic subcomplex is computed in the Weil model")
     lo, hi = window
     alg = ops.algebra
-    n = ops.lie.n
-    bases = {}
+    n, names = ops.lie.n, alg.gens.names
+    for a in range(n):
+        for b, name in enumerate(names):
+            got, want = ops.iota[a].image_of(name), alg.one() if a == b else alg.zero()
+            if got != want:
+                raise InternalCheckError("iota_%d sends %s to %s, not %s" % (a, name, got, want))
+            if b >= n and any(i < n for key in ops.theta[a].image_of(name).terms
+                              for i, _ in key):
+                raise InternalCheckError("theta_%d sends %s out of S(F)" % (a, name))
+    ambient = alg.to_complex(window=(0, hi + 1))
+    labels, mats = {}, {}
     for k in range(lo, hi + 2):
-        dim = alg.dim(k)
-        blocks = [op[a].matrix(k) for a in range(n) for op in (ops.iota, ops.theta)] if dim else []
-        bases[k] = Mat.zero(0, dim).vstack(*blocks).nullspace()
-    labels = {}
-    mats = {}
-    for k in range(lo, hi + 2):
-        if bases[k]:
-            labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(bases[k])))
-            mats[k] = Mat(len(bases[k]), alg.dim(k), bases[k]).transpose()
-    diffs = {}
-    for k in range(lo, hi + 1):
-        if not bases[k] or not bases.get(k + 1):
+        fkeys = [key for key in alg.basis(k) if all(i >= n for i, _ in key)]
+        findex = {key: i for i, key in enumerate(fkeys)}
+        blocks = [key_matrix(fkeys, findex, op.apply_key) for op in ops.theta]
+        basis = Mat.zero(0, len(fkeys)).vstack(*blocks).nullspace()
+        if not basis:
             continue
-        image = alg.d_matrix(k) * mats[k]
-        sol = mats[k + 1].solve_matrix(image)
-        if sol is None:
-            raise InternalCheckError(
-                "basic subspace is not closed under d at degree %d" % k
-            )
-        if not sol.is_zero():
-            diffs[k] = sol
-    basic = Complex(GradedSpace(labels), diffs, validate=True)
-    ambient = alg.to_complex(window=(lo, hi + 1))
-    inclusion = ChainMap(
-        basic,
-        ambient,
-        {k: mats[k] for k in mats},
-    )
+        labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(basis)))
+        mats[k] = key_matrix(basis, alg.basis_index(k), lambda v: dict(zip(fkeys, v)))
+        if k <= hi and not (ambient.diff(k) * mats[k]).is_zero():
+            raise InternalCheckError("basic subspace is not closed under d at degree %d" % k)
+    basic = Complex(GradedSpace(labels), {}, validate=False)
+    inclusion = ChainMap(basic, ambient, mats, validate=False)
     return BasicComplexData(complex=basic, inclusion=inclusion, ambient=ambient)
 
 

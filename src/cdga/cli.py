@@ -15,6 +15,7 @@ newline, rationals as "p" or "p/q" strings — byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .graded import GradedError
@@ -181,9 +182,9 @@ def cmd_ce(args, kind, lie, t):
 
 def cmd_weil(args, kind, lie, t):
     window = args.window or (0, 2 * lie.n)
-    ops = _verified(weil_algebra(lie))
-    rep = homology(ops.algebra.to_complex((0, window[1] + 1)), window)
-    brep = homology(basic_subcomplex(ops, window).complex, window)
+    data = basic_subcomplex(_verified(weil_algebra(lie)), window)
+    rep = homology(data.ambient, window)
+    brep = homology(data.complex, window)
     payload = {
         "weil_betti": _betti_payload(rep.betti),
         "basic_betti": _betti_payload(brep.betti),
@@ -320,9 +321,8 @@ def _run(args):
     minimum = kinds[kind]
     if minimum is None and (getattr(args, "truncation", None) is not None
                             or getattr(args, "force_truncation", False)):
-        raise DocumentError(
-            "--truncation and --force-truncation apply to cdga documents, not %s" % kind
-        )
+        raise DocumentError("%s takes no --truncation or --force-truncation for a %s "
+                            "document" % (args.command, kind))
     if hasattr(args, "window"):
         args.window = _parse_window(args.window) if args.window else None
     # looked up at call time, so a wrapper set on the documents module is called
@@ -340,6 +340,7 @@ def _run(args):
 # -- entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cdga",

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from cdga import (
     CartanOps,
     Derivation,
     GradedError,
+    InternalCheckError,
     LieData,
     Mat,
     basic_subcomplex,
@@ -20,6 +22,7 @@ from cdga import (
     weil_contraction_witness,
     weil_to_ce_projection,
 )
+from helpers import mat_rows, oracle_rank
 
 
 def test_lie_data_validation():
@@ -141,6 +144,81 @@ def test_basic_subcomplex_abelian1():
     data = basic_subcomplex(ops, (0, 8))
     got = [betti_numbers(data.complex).get(k, 0) for k in range(9)]
     assert got == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+def _joint_kernel(ops, k):
+    """Basis of the joint kernel of every iota_a and theta_a on the whole Weil
+    degree k: the nullspace of the 2n stacked operator matrices."""
+    alg, n = ops.algebra, ops.lie.n
+    blocks = [op[a].matrix(k) for a in range(n) for op in (ops.iota, ops.theta)]
+    return Mat.zero(0, alg.dim(k)).vstack(*blocks).nullspace() if alg.dim(k) else []
+
+
+def _signed_permuted(lie, perm, signs):
+    """The same Lie algebra in the basis y_i = signs[i] x_perm[i]."""
+    n = lie.n
+    brackets = {
+        (i, j): {m: signs[i] * signs[j] * signs[m] * lie.c(perm[i], perm[j], perm[m])
+                 for m in range(n)}
+        for i in range(n) for j in range(n)
+    }
+    return LieData(["y%d" % (i + 1) for i in range(n)], brackets)
+
+
+BASIC_LIES = {
+    "cross3": LieData.cross3(),
+    "cross3-signed-permuted": _signed_permuted(LieData.cross3(), [2, 0, 1], [-1, 1, -1]),
+    "solvable2": LieData.solvable2(),
+    "abelian2": LieData.abelian(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIC_LIES))
+def test_basic_subcomplex_spans_the_joint_kernel_of_iota_and_theta(name):
+    # S(F)^g against the joint kernel of the iota_a and theta_a on all of W(g)
+    ops = weil_algebra(BASIC_LIES[name])
+    assert ops.verify() == []
+    data = basic_subcomplex(ops, (0, 10))
+    assert data.inclusion.is_chain_map()
+    assert data.complex.d == {}
+    assert data.ambient.support() == list(range(12))
+    for k in range(12):
+        ref = _joint_kernel(ops, k)
+        got = mat_rows(data.inclusion.comp(k).transpose())
+        assert data.complex.dim(k) == len(got) == len(ref)
+        assert oracle_rank(got) == oracle_rank(ref) == oracle_rank(ref + got) == len(ref)
+
+
+def test_basic_subcomplex_refuses_a_model_other_than_weil():
+    with pytest.raises(GradedError, match="Weil model"):
+        basic_subcomplex(chevalley_eilenberg(LieData.cross3()), (0, 3))
+
+
+def test_basic_subcomplex_rejects_an_iota_that_does_not_kill_a_curvature():
+    w = weil_algebra(LieData.cross3())
+    alg = w.algebra
+    iota = [Derivation(alg, -1, {**op.images, "F2": alg.gen("a1")}) if a == 1 else op
+            for a, op in enumerate(w.iota)]
+    with pytest.raises(InternalCheckError, match="iota_1 sends F2 to a1, not 0"):
+        basic_subcomplex(replace(w, iota=iota), (0, 4))
+
+
+def test_basic_subcomplex_rejects_a_theta_that_leaves_the_curvatures():
+    w = weil_algebra(LieData.abelian(2))
+    alg = w.algebra
+    theta = [Derivation(alg, 0, {"F1": alg.gen("a1") * alg.gen("a2")}), w.theta[1]]
+    with pytest.raises(InternalCheckError, match="theta_0 sends F1 out of S"):
+        basic_subcomplex(replace(w, theta=theta), (0, 4))
+
+
+def test_basic_subcomplex_certificate_catches_missing_thetas():
+    # with theta_0 = theta_1 = 0 the curvature F3 looks invariant, but
+    # d F3 = -(a1 F2 - a2 F1) is not zero; theta_1 and theta_2 alone still
+    # generate the algebra, so zeroing theta_0 alone would not show
+    w = weil_algebra(LieData.cross3())
+    zero = Derivation(w.algebra, 0, {})
+    with pytest.raises(InternalCheckError, match="not closed under d at degree 2$"):
+        basic_subcomplex(replace(w, theta=[zero, zero, w.theta[2]]), (0, 4))
 
 
 def test_classifying_map_flat_projection():

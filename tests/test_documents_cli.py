@@ -353,13 +353,15 @@ def test_cli_refuses_a_truncation_on_a_document_without_one(tmp_path, command, d
         "GRAM": {"kind": "gram", "grams": {"1": [["2", "1"], ["1", "2"]]}},
         "COMPLEX": HODGE_CX,
     }
+    kind = docs[doc]["kind"] if doc in docs else "lie"
     if doc in docs:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(docs[doc]))
         doc = str(path)
     rc, out, err = run_cli(command, "--input", doc, *flag)
     assert (rc, out) == (2, "")
-    assert "apply to cdga documents, not" in err
+    assert err == ("document error: %s takes no --truncation or --force-truncation "
+                   "for a %s document\n" % (command, kind))
     # the same documents are fine without the flag
     rc, out, _ = run_cli(command, "--input", doc)
     assert rc == 0 and out
@@ -396,6 +398,22 @@ def test_cli_ce_and_weil_json():
     assert payload2["weil_betti"]["0"] == 1
     assert all(v == 0 for k, v in payload2["weil_betti"].items() if k != "0")
     assert payload2["basic_betti"] == {"0": 1, "1": 0, "2": 1}
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 9), (5, 12)])
+def test_cli_weil_window_is_a_slice_of_the_window_from_zero(lo, hi):
+    # the Weil Betti number at lo needs d_(lo-1), so the ambient complex starts at 0
+    def weil(window):
+        rc, out, err = run_cli("weil", "--input", "lie_cross3", "--window", window,
+                               "--format", "json")
+        assert (rc, err) == (0, "")
+        return json.loads(out)
+
+    full, part = weil("0..%d" % hi), weil("%d..%d" % (lo, hi))
+    assert part["window"] == [lo, hi]
+    for key in ("weil_betti", "basic_betti"):
+        assert part[key] == {str(k): full[key][str(k)] for k in range(lo, hi + 1)}
+    assert full["basic_betti"] == {str(k): int(k % 4 == 0) for k in range(hi + 1)}
 
 
 def test_cli_cone_and_cyl(tmp_path):
