@@ -365,8 +365,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--window" in argv[:-1]:  # else argparse reads the -2..3 of "--window -2..3" as a flag
+        i = argv.index("--window")
+        argv[i:i + 2] = ["--window=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except DocumentError as exc:

@@ -1,7 +1,7 @@
 """JSON document formats: loading, validation, canonical serialization.
 
 Five document kinds are supported, each with a versioned schema shipped in
-cdga/schemas and enforced with jsonschema before any mathematics runs:
+cdga/schemas and enforced by the interpreter below before any mathematics runs:
 
 * ``cdga``    - generator/differential presentation of a free CDGA,
 * ``lie``     - a Lie algebra by structure constants over named basis vectors,
@@ -22,8 +22,6 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-import jsonschema
-
 from .graded import GradedError, GradedSpace
 from .linalg import Mat
 from .complexes import Complex, ChainMap
@@ -38,18 +36,104 @@ class DocumentError(ValueError):
     """Malformed input document: bad JSON, bad schema, or bad expression."""
 
 
-_VALIDATORS = {}
+# -- the schema interpreter: the part of JSON Schema Draft 2020-12 the schemas use --
+# _compile refuses anything else and resolves a schema ($refs, patterns) once per
+# kind; _errors lists an instance's errors as (path, keyword, instance, value, the
+# node's type, anyOf context); _message words the one best_match would pick.
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: type(x) is int or type(x) is float and x.is_integer(),
+    "number": lambda x: type(x) in (int, float),
+}
+# keyword: (the instance type it constrains or None, its failures' values, message)
+_LEAVES = {
+    "type": (None, lambda x, v: () if _TYPES[v](x) else (v,),
+             lambda x, v: "%r is not of type %r" % (x, v)),
+    "const": (None, lambda x, v: () if x == v else (v,), lambda x, v: "%r was expected" % (v,)),
+    "required": ("object", lambda x, v: [p for p in v if p not in x],
+                 lambda x, v: "%r is a required property" % (v,)),
+    "pattern": ("string", lambda x, v: () if v.search(x) else (v.pattern,),
+                lambda x, v: "%r does not match %r" % (x, v)),
+    "minItems": ("array", lambda x, v: (v,) if len(x) < v else (),
+                 lambda x, v: "%r %s" % (x, "should be non-empty" if v == 1 else "is too short")),
+    "maxItems": ("array", lambda x, v: (v,) if len(x) > v else (),
+                 lambda x, v: "%r %s" % (x, "is expected to be empty" if v == 0 else "is too long")),
+    "minimum": ("number", lambda x, v: (v,) if x < v else (),
+                lambda x, v: "%r is less than the minimum of %r" % (x, v)),
+    "anyOf": (None, None, lambda x, v: "%r is not valid under any of the given schemas" % (x,)),
+}
+# keyword: (the instance type it constrains, its (path step, value, subschema) triples)
+_DESCENTS = {
+    "properties": ("object", lambda x, v, s: [((k,), x[k], t) for k, t in v.items() if k in x]),
+    "additionalProperties": ("object", lambda x, v, s: [
+        ((k,), y, v) for k, y in x.items() if k not in s.get("properties", ())]),
+    "propertyNames": ("object", lambda x, v, s: [((), k, v) for k in x]),
+    "items": ("array", lambda x, v, s: [
+        ((i,), x[i], v) for i in range(len(s.get("prefixItems", ())), len(x))]),
+    "prefixItems": ("array", lambda x, v, s: [((i,), y, t) for i, (y, t) in enumerate(zip(x, v))]),
+}
+_CHECKS = {}
 
 
-def _validator(kind: str):
-    """The jsonschema validator of one document kind, schema checked once."""
-    if kind not in _VALIDATORS:
-        path = "schemas/%s.v1.json" % kind
-        schema = json.loads(resources.files("cdga").joinpath(path).read_text())
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        _VALIDATORS[kind] = cls(schema)
-    return _VALIDATORS[kind]
+def _compile(schema, defs=None, refs=()):
+    """A schema resolved for _errors; ValueError for anything outside the subset."""
+    if not isinstance(schema, dict):
+        raise ValueError("schema %r is not an object" % (schema,))
+    defs = schema.get("$defs", {}) if defs is None else defs
+    out = {}
+    for kw, v in schema.items():
+        if kw == "$ref":
+            name = v[len("#/$defs/"):]
+            if not v.startswith("#/$defs/") or name not in defs or name in refs:
+                raise ValueError("unsupported $ref %r" % v)
+            out[kw] = _compile(defs[name], defs, refs + (name,))
+        elif kw == "properties":
+            out[kw] = {k: _compile(t, defs, refs) for k, t in v.items()}
+        elif kw in ("anyOf", "prefixItems"):
+            out[kw] = [_compile(t, defs, refs) for t in v]
+        elif kw in _DESCENTS:
+            out[kw] = _compile(v, defs, refs)
+        elif kw == "type" and v not in list(_TYPES) or kw == "const" and type(v) is not str:
+            raise ValueError("unsupported %s %r" % (kw, v))
+        elif kw in _LEAVES:
+            out[kw] = re.compile(v) if kw == "pattern" else v
+        elif kw not in ("$defs", "$id", "$schema", "title"):
+            raise ValueError("schema keyword %r is outside the supported subset" % kw)
+    return out
+
+
+def _errors(s, x):
+    out = []
+    for kw, v in s.items():
+        if kw in _DESCENTS:
+            on, triples = _DESCENTS[kw]
+            if _TYPES[on](x):
+                for step, y, t in triples(x, v, s):
+                    out += [(step + e[0],) + e[1:] for e in _errors(t, y)]
+        elif kw == "$ref":
+            out += _errors(v, x)
+        elif kw == "anyOf":
+            context = [_errors(t, x) for t in v]
+            if all(context):
+                out.append(((), kw, x, None, s.get("type"), sum(context, [])))
+        elif _LEAVES[kw][0] is None or _TYPES[_LEAVES[kw][0]](x):
+            out += [((), kw, x, m, s.get("type"), ()) for m in _LEAVES[kw][1](x, v)]
+    return out
+
+
+def _message(errors):
+    """The message of the error best_match picks, by its relevance key and anyOf descent."""
+    key = lambda e: (-len(e[0]), e[0], e[1] != "anyOf", not (e[4] and _TYPES[e[4]](e[2])))
+    best = max(errors, key=key)
+    while best[5]:
+        ranked = sorted(best[5], key=key)
+        if len(ranked) > 1 and key(ranked[0]) == key(ranked[1]):
+            break
+        best = ranked[0]
+    return _LEAVES[best[1]][2](best[2], best[3])
 
 
 def parse_rational(value) -> Fraction:
@@ -120,10 +204,13 @@ def document_kind(doc) -> str:
 def validate_document(doc) -> str:
     """Schema-check a document dict; returns its kind."""
     kind = document_kind(doc)
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
-    if error is not None:
+    if kind not in _CHECKS:
+        path = "schemas/%s.v1.json" % kind
+        _CHECKS[kind] = _compile(json.loads(resources.files("cdga").joinpath(path).read_text()))
+    errors = _errors(_CHECKS[kind], doc)
+    if errors:
         raise DocumentError(
-            "document does not match the %s schema: %s" % (kind, error.message)
+            "document does not match the %s schema: %s" % (kind, _message(errors))
         )
     return kind
 

@@ -5,7 +5,6 @@ import sys
 
 from fractions import Fraction as F
 
-import jsonschema
 import pytest
 
 import cdga.documents as documents
@@ -416,6 +415,63 @@ def test_cli_weil_window_is_a_slice_of_the_window_from_zero(lo, hi):
     assert full["basic_betti"] == {str(k): int(k % 4 == 0) for k in range(hi + 1)}
 
 
+@pytest.mark.parametrize("command", ["weil", "homology"])
+def test_cli_negative_window_parses_as_a_separate_argument(command):
+    source = "lie_cross3" if command == "weil" else "cdga_sphere3"
+    joined = run_cli(command, "--input", source, "--window=-2..3", "--format", "json")
+    separate = run_cli(command, "--input", source, "--window", "-2..3", "--format", "json")
+    assert joined[0] == 0 and joined[1]
+    assert separate == joined
+    assert json.loads(separate[1])["window"] == [-2, 3]
+
+
+# imports of jsonschema fail in the child, as where it is not installed
+BLOCK_JSONSCHEMA = """
+import sys
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "jsonschema":
+            raise ImportError("jsonschema is blocked")
+
+sys.meta_path.insert(0, Block())
+"""
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({
+        "kind": "complex",
+        "complex": {"degrees": {"0": ["a"], "1": ["b", "c"]}, "differential": {"0": [["1"], ["0"]]}},
+    }))
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"kind": "gram", "grams": {"0": [["2"]], "1": [["1", "0"], ["0", "3"]]}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "cdga", "generators": [["x", "4"]]}))
+    script = BLOCK_JSONSCHEMA + """
+import cdga.cli
+assert "jsonschema" not in sys.modules, "import cdga.cli imported jsonschema"
+for argv in sys.argv[1:]:
+    print(cdga.cli.main(argv.split()), flush=True)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         "check --input cdga_cp2 --format json",
+         "hodge --input %s --gram %s --format json" % (cx, gram),
+         "check --input %s --format json" % bad],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.stdout.splitlines() == [
+        '{"kind":"cdga","ok":true}', "0",
+        '{"betti":{"0":0,"1":1},"harmonic":{"0":0,"1":1},"match":true}', "0",
+        "2",
+    ]
+    assert proc.stderr == (
+        "document error: document does not match the cdga schema: "
+        "'4' is not of type 'integer'\n"
+    )
+
+
 def test_cli_cone_and_cyl(tmp_path):
     doc = {
         "kind": "complex",
@@ -604,22 +660,28 @@ def test_cli_schema_checks_each_document_once(tmp_path, capsys, monkeypatch):
     }))
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"kind": "gram", "grams": {"0": [["2"]], "1": [["3"]]}}))
-    calls = []
-    validate = documents.validate_document
+    calls, compiled = [], []
+    validate, compile_ = documents.validate_document, documents._compile
     monkeypatch.setattr(
         documents, "validate_document", lambda doc: calls.append(doc["kind"]) or validate(doc)
     )
+
+    def counting_compile(schema, defs=None, refs=()):
+        if defs is None:  # a whole schema, not one of its nodes
+            compiled.append(schema["$id"])
+        return compile_(schema, defs, refs)
+
+    # a fresh process: no schema compiled yet
+    monkeypatch.setattr(documents, "_CHECKS", {})
+    monkeypatch.setattr(documents, "_compile", counting_compile)
     assert main(["number-op", "--input", str(glie), "--truncation", "2", "--format", "json"]) == 0
     assert main(["hodge", "--input", str(cx), "--gram", str(gram), "--format", "json"]) == 0
     assert calls == ["glie", "complex", "gram"]
-    # validators are built, and their schemas checked, once per process
-    built = []
-    monkeypatch.setattr(
-        jsonschema.Draft202012Validator, "check_schema",
-        classmethod(lambda cls, schema, **kw: built.append(1)),
-    )
+    # each kind's schema is compiled once per process
+    assert compiled == ["cdga.glie/1", "cdga.complex/1", "cdga.gram/1"]
     assert main(["number-op", "--input", str(glie), "--truncation", "2", "--format", "json"]) == 0
-    assert built == []
+    assert calls == ["glie", "complex", "gram", "glie"]
+    assert compiled == ["cdga.glie/1", "cdga.complex/1", "cdga.gram/1"]
     capsys.readouterr()
 
 
