@@ -10,8 +10,9 @@ no floats appear anywhere.  The main entry points:
 - :mod:`cdga.graded` — graded sign bookkeeping, label spaces, and the one
   check of the graded Lie identities on a bracket table.
 - :mod:`cdga.poly` — free graded-commutative polynomials.
-- :mod:`cdga.complexes` — cochain complexes, cones, cylinders, homology,
-  weak equivalences with dual-route verification.
+- :mod:`cdga.complexes` — cochain complexes, cones, cylinders, Betti
+  numbers from one rank per differential, cohomology spaces with canonical
+  representatives, weak equivalences with dual-route verification.
 - :mod:`cdga.algebra` — finitely presented free CDGAs, derivations, morphisms.
 - :mod:`cdga.free` — free functor dimension counts from one generating
   series, free graded Lie algebras, associativity-checked algebra and
@@ -35,7 +36,6 @@ from .complexes import (
     Complex,
     ComplexError,
     GradedMap,
-    HomologyReport,
     HomologySpace,
     InternalCheckError,
     WeakEquivalenceReport,
@@ -48,7 +48,6 @@ from .complexes import (
     direct_sum,
     dual,
     free_to_cone_iso,
-    homology,
     induced_on_homology,
     is_contractible,
     is_weak_equivalence,
@@ -131,7 +130,6 @@ __all__ = [
     "GradedError",
     "GradedMap",
     "GradedSpace",
-    "HomologyReport",
     "HomologySpace",
     "InnerProduct",
     "InternalCheckError",
@@ -170,7 +168,6 @@ __all__ = [
     "harmonic_projection",
     "harmonic_space",
     "hodge_decomposition",
-    "homology",
     "induced_on_homology",
     "integrate_homotopy",
     "is_contractible",

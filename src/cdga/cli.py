@@ -20,7 +20,7 @@ import sys
 
 from .graded import GradedError
 from .complexes import (
-    ComplexError, HomologySpace, InternalCheckError, cone, homology, is_contractible,
+    ComplexError, InternalCheckError, betti_numbers, cone, is_contractible,
     is_weak_equivalence, mapping_cone, mapping_cylinder,
 )
 from .cartan import basic_subcomplex, chevalley_eilenberg, weil_algebra
@@ -78,9 +78,9 @@ def _betti_payload(bettis):
     return {str(k): v for k, v in sorted(bettis.items())}
 
 
-def _betti_lines(rep, *title):
-    """The text table of a HomologyReport, after any title lines."""
-    return [*title, "degree  betti"] + ["%6d  %d" % (k, rep.betti[k]) for k in rep.degrees]
+def _betti_lines(betti, *title):
+    """The text table of betti_numbers' dict, after any title lines."""
+    return [*title, "degree  betti"] + ["%6d  %d" % kv for kv in sorted(betti.items())]
 
 
 def _verified(ops):
@@ -120,11 +120,11 @@ def cmd_homology(args, kind, value, t):
         window = window or (0, t - 1)
     else:
         c = value[0]
-    rep = homology(c, window)
-    payload = {"betti": _betti_payload(rep.betti)}
+    betti = betti_numbers(c, window)
+    payload = {"betti": _betti_payload(betti)}
     if window:
         payload["window"] = [window[0], window[1]]
-    return payload, _betti_lines(rep)
+    return payload, _betti_lines(betti)
 
 
 def cmd_minimal_model(args, kind, algebra, t):
@@ -175,26 +175,23 @@ def cmd_homotopy(args, kind, algebra, t):
 
 def cmd_ce(args, kind, lie, t):
     ops = _verified(chevalley_eilenberg(lie))
-    rep = homology(ops.algebra.to_complex((0, lie.n)), (0, lie.n))
-    payload = {"betti": _betti_payload(rep.betti), "identities": "verified"}
-    return payload, _betti_lines(rep, "Lie algebra cochain cohomology:")
+    betti = betti_numbers(ops.algebra.to_complex((0, lie.n)), (0, lie.n))
+    payload = {"betti": _betti_payload(betti), "identities": "verified"}
+    return payload, _betti_lines(betti, "Lie algebra cochain cohomology:")
 
 
 def cmd_weil(args, kind, lie, t):
     window = args.window or (0, 2 * lie.n)
     data = basic_subcomplex(_verified(weil_algebra(lie)), window)
-    rep = homology(data.ambient, window)
-    brep = homology(data.complex, window)
+    weil = betti_numbers(data.ambient, window)
+    basic = betti_numbers(data.complex, window)
     payload = {
-        "weil_betti": _betti_payload(rep.betti),
-        "basic_betti": _betti_payload(brep.betti),
+        "weil_betti": _betti_payload(weil),
+        "basic_betti": _betti_payload(basic),
         "window": [window[0], window[1]],
     }
     lines = ["degree  weil_betti  basic_betti"]
-    for k in range(window[0], window[1] + 1):
-        lines.append(
-            "%6d  %10d  %11d" % (k, rep.betti.get(k, 0), brep.betti.get(k, 0))
-        )
+    lines += ["%6d  %10d  %11d" % (k, weil[k], basic[k]) for k in sorted(weil)]
     return payload, lines
 
 
@@ -243,11 +240,10 @@ def cmd_hodge(args, kind, value, t):
     sup = c.support()
     window = args.window or ((min(sup), max(sup)) if sup else (0, 0))
     adj = adjoint(c, ip)
+    betti = betti_numbers(c, window)
     harm = {}
-    betti = {}
-    for k in range(window[0], window[1] + 1):
+    for k in betti:
         harm[k] = len(harmonic_space(c, ip, k, adj))
-        betti[k] = HomologySpace(c, k).betti
         if harm[k] != betti[k]:
             raise InternalCheckError(
                 "harmonic dimension and Betti number differ at degree %d" % k

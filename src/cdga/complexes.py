@@ -3,8 +3,9 @@
 A complex stores one ordered basis per degree and the differential as exact
 rational matrices d_k : C_k -> C_{k+1} with d_{k+1} d_k = 0.  All the usual
 surgery is provided: shifts, duals, cones, cylinders, tensor products,
-homology with canonical representatives, contractibility witnesses and
-two-route weak-equivalence checks.
+Betti numbers (one rank per differential, betti_numbers), cohomology spaces
+with canonical representatives (HomologySpace, only where classes are
+read), contractibility witnesses and two-route weak-equivalence checks.
 
 Direct sums, cones, mapping cones and cylinders are lists of pieces (label
 prefix, complex, degree offset), a piece adding complex_{m+offset} in degree
@@ -27,7 +28,7 @@ Sign conventions (fixed once here, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -209,32 +210,54 @@ class ChainMap(GradedMap):
 # -- homology -------------------------------------------------------------------
 
 
+def betti_numbers(c: Complex, window=None) -> dict:
+    """{k: dim C_k - rank d_k - rank d_(k-1)} for k in the window.
+
+    The window defaults to the span of the support; hi < lo gives {}.  One
+    rank per differential d_(lo-1) .. d_hi, and d_k d_(k-1) = 0 is rechecked
+    in every degree: composites are built unvalidated, and without d o d = 0
+    the rank formula is not a Betti number.
+    """
+    if window is None:
+        sup = c.support()
+        window = (min(sup), max(sup)) if sup else (0, -1)
+    lo, hi = window
+    if hi < lo:
+        return {}
+    rank = {k: c.diff(k).rank() for k in range(lo - 1, hi + 1)}
+    betti = {}
+    for k in range(lo, hi + 1):
+        if k in c.d and k - 1 in c.d and not (c.d[k] * c.d[k - 1]).is_zero():
+            raise InternalCheckError("d o d is nonzero at degree %d" % k)
+        betti[k] = c.dim(k) - rank[k] - rank[k - 1]
+    return betti
+
+
 class HomologySpace:
     """Cohomology of one degree, with canonical representatives.
 
-    Representatives: the cycle space gets its echelon nullspace basis, the
-    boundary image gets the pivot columns of the incoming differential, and
-    the class representatives are the first cycle basis vectors (in basis
-    order) completing the boundaries.  Everything is exact, so coordinates
-    of a class are computed by solving against [boundaries | representatives].
+    The cycle space gets its echelon nullspace basis.  One rref of [the
+    columns of d_(k-1) | the cycles] then gives both bases: its pivots among
+    the columns of d_(k-1) (that matrix's own pivot columns) span the
+    boundaries, and its pivots among the cycles, the first cycles in basis
+    order completing the boundaries, are the class representatives.
+    Everything is exact, so coordinates of a class are computed by solving
+    against [boundaries | representatives].  Betti numbers alone come
+    cheaper from betti_numbers.
     """
 
     def __init__(self, c: Complex, k: int):
         self.complex = c
         self.k = k
         n = c.dim(k)
-        d_out = c.diff(k)
         d_in = c.diff(k - 1)
-        cycles = d_out.nullspace() if n else []
-        self.cycle_rank = len(cycles)
-        _, piv_in = d_in.rref()
-        bounds = d_in.transpose().select_rows(piv_in)  # boundary basis, as rows
-        self.boundary_rank = bounds.m
-        self.betti = self.cycle_rank - self.boundary_rank
-        stacked = bounds.vstack(Mat(len(cycles), n, cycles))
+        cycles = c.diff(k).nullspace() if n else []
+        # rows: the columns of d_(k-1), then the cycles
+        stacked = d_in.transpose().vstack(Mat(len(cycles), n, cycles))
         _, piv = stacked.transpose().rref()
-        rep_idx = [j - bounds.m for j in piv if j >= bounds.m]
-        self.representatives = [cycles[j] for j in rep_idx]
+        self.boundary_rank = sum(j < d_in.n for j in piv)
+        self.betti = len(cycles) - self.boundary_rank
+        self.representatives = [cycles[j - d_in.n] for j in piv if j >= d_in.n]
         if len(self.representatives) != self.betti:
             raise InternalCheckError(
                 "homology basis completion failed at degree %d" % k
@@ -255,36 +278,6 @@ class HomologySpace:
                 "cocycle outside cycle space at degree %d" % self.k
             )
         return x[self.boundary_rank:]
-
-
-@dataclass
-class HomologyReport:
-    degrees: list
-    betti: dict
-    cycle_rank: dict
-    boundary_rank: dict
-    spaces: dict = field(repr=False, default_factory=dict)
-
-
-def homology(c: Complex, window=None) -> HomologyReport:
-    if window is None:
-        sup = c.support()
-        degrees = list(range(min(sup), max(sup) + 1)) if sup else []
-    else:
-        a, b = window
-        degrees = list(range(a, b + 1))
-    spaces = {k: HomologySpace(c, k) for k in degrees}
-    return HomologyReport(
-        degrees=degrees,
-        betti={k: spaces[k].betti for k in degrees},
-        cycle_rank={k: spaces[k].cycle_rank for k in degrees},
-        boundary_rank={k: spaces[k].boundary_rank for k in degrees},
-        spaces=spaces,
-    )
-
-
-def betti_numbers(c: Complex, window=None):
-    return homology(c, window).betti
 
 
 def induced_on_homology(f: ChainMap, k: int, hs=None, ht=None) -> Mat:
@@ -603,8 +596,7 @@ def is_contractible(c: Complex, augmentation=None):
     top of degree 0) and the witness lives there.
     """
     target = augmented(c, augmentation) if augmentation is not None else c
-    rep = homology(target)
-    if any(v != 0 for v in rep.betti.values()):
+    if any(betti_numbers(target).values()):
         return False, None
     h = contracting_homotopy(target)
     if h is None:
@@ -639,20 +631,17 @@ def is_weak_equivalence(f: ChainMap, window=None) -> WeakEquivalenceReport:
     the isomorphism route runs on [a, b] and the cone route on [a, b-1],
     which is the sound restriction for data only trusted up to degree b.
     """
-    mc = mapping_cone(f)
     sup = sorted(set(f.source.support()) | set(f.target.support()))
     if window is None:
         if not sup:
             return WeakEquivalenceReport(True, (0, 0), {}, {}, True)
         lo, hi = min(sup) - 1, max(sup) + 1
-        iso_range = range(lo, hi + 1)
-        cone_range = range(lo, hi + 1)
+        cone_hi = hi
     else:
         lo, hi = window
-        iso_range = range(lo, hi + 1)
-        cone_range = range(lo, hi)
+        cone_hi = hi - 1
     iso = {}
-    for k in iso_range:
+    for k in range(lo, hi + 1):
         hs = HomologySpace(f.source, k)
         ht = HomologySpace(f.target, k)
         if hs.betti != ht.betti:
@@ -660,7 +649,7 @@ def is_weak_equivalence(f: ChainMap, window=None) -> WeakEquivalenceReport:
             continue
         mat = induced_on_homology(f, k, hs, ht)
         iso[k] = mat.rank() == hs.betti
-    cone_betti = {k: HomologySpace(mc, k).betti for k in cone_range}
+    cone_betti = betti_numbers(mapping_cone(f), (lo, cone_hi))
     h_ok = all(iso.values())
     c_ok = all(v == 0 for v in cone_betti.values())
     if window is None:

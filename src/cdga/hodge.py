@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .graded import GradedError
 from .linalg import Mat
-from .complexes import Complex, GradedMap, HomologySpace, InternalCheckError
+from .complexes import Complex, GradedMap, InternalCheckError, betti_numbers
 from .poly import Q_ONE, Q_ZERO, Generators, Polynomial, key_product
 from .algebra import FreeCDGA, Derivation, key_matrix
 
@@ -177,7 +177,7 @@ def hodge_decomposition(c: Complex, ip: InnerProduct, k: int) -> HodgeDecomposit
             "Hodge components do not fill degree %d (%d of %d)"
             % (k, total, c.dim(k))
         )
-    betti = HomologySpace(c, k).betti
+    betti = betti_numbers(c, (k, k))[k]
     if len(harms) != betti:
         raise InternalCheckError(
             "harmonic dimension %d differs from Betti number %d at degree %d"

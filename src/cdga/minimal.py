@@ -28,6 +28,7 @@ from .complexes import (
     Complex,
     HomologySpace,
     InternalCheckError,
+    betti_numbers,
     induced_on_homology,
     is_weak_equivalence,
 )
@@ -86,17 +87,11 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     margin = n + 2
 
     # simple connectivity of the input cohomology
-    probe = a.to_complex((0, 3))
-    h0 = HomologySpace(probe, 0)
-    h1 = HomologySpace(probe, 1)
-    if h0.betti != 1:
-        raise GradedError(
-            "input is not connected: H^0 has rank %d" % h0.betti
-        )
-    if h1.betti != 0:
-        raise GradedError(
-            "input is not simply connected: H^1 has rank %d" % h1.betti
-        )
+    b0, b1 = betti_numbers(a.to_complex((0, 3)), (0, 1)).values()
+    if b0 != 1:
+        raise GradedError("input is not connected: H^0 has rank %d" % b0)
+    if b1 != 0:
+        raise GradedError("input is not simply connected: H^1 has rank %d" % b1)
 
     if a.is_minimal() and a.is_simply_connected():
         mm = MinimalModel(

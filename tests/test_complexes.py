@@ -12,6 +12,7 @@ from cdga import (
     GradedMap,
     GradedSpace,
     HomologySpace,
+    InternalCheckError,
     Mat,
     augmented,
     betti_numbers,
@@ -22,7 +23,6 @@ from cdga import (
     direct_sum,
     dual,
     free_to_cone_iso,
-    homology,
     induced_on_homology,
     is_contractible,
     is_weak_equivalence,
@@ -100,9 +100,47 @@ def test_homology_space_representatives():
 
 def test_homology_window():
     c = two_step()
-    rep = homology(c, (0, 0))
-    assert rep.degrees == [0]
-    assert rep.betti == {0: 0}
+    assert betti_numbers(c, (0, 0)) == {0: 0}
+    assert betti_numbers(c, (3, 2)) == {}
+    # wider than the support: zeros outside it
+    assert betti_numbers(sphere_like(2), (-1, 4)) == {-1: 0, 0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
+    assert betti_numbers(c, (-2, 3)) == {k: 0 for k in range(-2, 4)}
+
+
+def test_betti_routes_refuse_a_nonzero_d_squared():
+    # unvalidated, as every composite is: only the Betti routes see d1 d0 != 0
+    sp = GradedSpace({0: ["a"], 1: ["b"], 2: ["c"]})
+    c = Complex(sp, {0: Mat.from_rows([[F(1)]]), 1: Mat.from_rows([[F(1)]])}, validate=False)
+    with pytest.raises(InternalCheckError):
+        betti_numbers(c)
+    with pytest.raises(InternalCheckError):
+        HomologySpace(c, 1)
+
+
+def _logged_eliminations(monkeypatch):
+    """The Mat eliminations called while patched, in order, nested ones included."""
+    log = []
+    for name in ("rank", "rref", "nullspace", "_echelon"):
+        def logged(self, *args, _name=name, _original=getattr(Mat, name)):
+            log.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(Mat, name, logged)
+    return log
+
+
+def test_betti_and_homology_space_elimination_counts(monkeypatch):
+    c, _ = random_complex(random.Random(7), max_span=5)
+    sup = c.support()
+    lo, hi = min(sup), max(sup)
+    log = _logged_eliminations(monkeypatch)
+    betti_numbers(c, (lo, hi))
+    # one rank per differential d_(lo-1) .. d_hi, one forward elimination each
+    assert log == ["rank", "_echelon"] * (hi - lo + 2)
+    for k in sup:
+        log.clear()
+        HomologySpace(c, k)
+        # the nullspace of d_k (an rref inside), then one rref of [d_(k-1) | cycles]
+        assert log == ["nullspace", "rref", "_echelon", "rref", "_echelon"]
 
 
 def test_induced_on_homology_identity():
@@ -426,12 +464,37 @@ def test_is_weak_equivalence_windowed():
     assert rep.window == (0, 2)
 
 
-def test_random_betti_against_oracle():
-    rng = random.Random(2)
-    for _ in range(50):
-        c, expected = random_complex(rng)
-        got = betti_numbers(c)
-        orc = oracle_betti(c)
-        for k in expected:
-            assert got.get(k, 0) == expected[k]
-            assert orc.get(k, 0) == expected[k]
+def _reference_classes(c, k):
+    """Representatives and coords built in three eliminations: the cycles, the
+    pivot columns of d_(k-1), then the rref of [those columns | the cycles]."""
+    n = c.dim(k)
+    d_in = c.diff(k - 1)
+    cycles = c.diff(k).nullspace() if n else []
+    _, piv_in = d_in.rref()
+    bounds = d_in.transpose().select_rows(piv_in)
+    stacked = bounds.vstack(Mat(len(cycles), n, cycles))
+    _, piv = stacked.transpose().rref()
+    reps = [cycles[j - bounds.m] for j in piv if j >= bounds.m]
+    decomp = stacked.select_rows(piv).transpose()
+    return cycles, reps, lambda vec: decomp.solve(list(vec))[bounds.m:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_betti_against_oracle(seed):
+    c, expected = random_complex(random.Random(seed))
+    sup = c.support()
+    lo, hi = (min(sup) - 1, max(sup) + 1) if sup else (-1, 1)
+    got = betti_numbers(c, (lo, hi))
+    orc = oracle_betti(c)
+    assert list(got) == list(range(lo, hi + 1))
+    for k in got:
+        hs = HomologySpace(c, k)
+        assert got[k] == hs.betti == orc.get(k, 0) == expected.get(k, 0)
+        # minimal-model output is written from these vectors
+        cycles, reps, ref_coords = _reference_classes(c, k)
+        assert hs.representatives == reps
+        for z in cycles:
+            assert hs.coords(z) == ref_coords(z)
+    # the default window is the span of the support
+    assert betti_numbers(c) == {k: got[k] for k in range(lo + 1, hi) if sup}

@@ -384,6 +384,48 @@ def test_cli_check_large_exponent_finishes(tmp_path):
     assert proc.stdout == '{"kind":"cdga","ok":true}\n'
 
 
+# Betti 1 in degree 1 only: d_(-1) u = a, d_0 b = 2c, d_1 d = 3f
+BETTI_CX = {
+    "kind": "complex",
+    "complex": {
+        "degrees": {"-1": ["u"], "0": ["a", "b"], "1": ["c", "d", "e"], "2": ["f"]},
+        "differential": {"-1": [["1"], ["0"]], "0": [["0", "2"], ["0", "0"], ["0", "0"]],
+                         "1": [["0", "3", "0"]]},
+    },
+}
+
+
+def _table(*rows):
+    return "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["homology", "--input", "cdga_cp2", "--truncation", "16"], _table(
+        "degree  betti", *("%6d  %d" % (k, int(k in (0, 2, 4))) for k in range(16)))),
+    (["homology", "--input", "CX"], _table(
+        "degree  betti", "    -1  0", "     0  0", "     1  1", "     2  0")),
+    (["homology", "--input", "CX", "--window", "-3..3"], _table(
+        "degree  betti", "    -3  0", "    -2  0", "    -1  0", "     0  0", "     1  1",
+        "     2  0", "     3  0")),
+    (["ce", "--input", "lie_cross3"], _table(
+        "Lie algebra cochain cohomology:", "degree  betti", "     0  1", "     1  0",
+        "     2  0", "     3  1")),
+    (["weil", "--input", "lie_solvable2"], _table(
+        "degree  weil_betti  basic_betti", "     0           1            1",
+        "     1           0            0", "     2           0            1",
+        "     3           0            0", "     4           0            1")),
+    (["hodge", "--input", "CX"], _table(
+        "degree  harmonic  betti", "    -1         0      0", "     0         0      0",
+        "     1         1      1", "     2         0      0")),
+], ids=["homology-cp2", "homology-complex", "homology-complex-window", "ce-cross3",
+        "weil-solvable2", "hodge-complex"])
+def test_cli_betti_text_tables_are_unchanged(tmp_path, capsys, argv, text):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(BETTI_CX))
+    assert main([str(path) if a == "CX" else a for a in argv]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_cli_ce_and_weil_json():
     rc, out, _ = run_cli("ce", "--input", "lie_solvable2", "--format", "json")
     assert rc == 0
