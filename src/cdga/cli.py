@@ -56,8 +56,7 @@ def _truncation(args, doc, minimum, default):
     """
     t = args.truncation
     if t is None:
-        t = doc.get("truncation", default)
-    t = int(t)
+        t = documents.parse_integer(doc.get("truncation", default), "truncation")
     if t < minimum:
         raise DocumentError(
             "truncation %d is below %d, the smallest that %s can use"

@@ -136,6 +136,13 @@ def _message(errors):
     return _LEAVES[best[1]][2](best[2], best[3])
 
 
+def parse_integer(value, field) -> int:
+    """value if it is a JSON integer; the schema's integer also admits 2.0."""
+    if type(value) is not int:
+        raise DocumentError("%s must be an integer, found %r" % (field, value))
+    return value
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational, found a boolean")
@@ -223,7 +230,8 @@ def _require(doc, kind):
 
 def load_cdga(doc) -> FreeCDGA:
     _require(doc, "cdga")
-    gens = Generators([(g[0], g[1]) for g in doc["generators"]])
+    gens = Generators([(g, parse_integer(d, "degree of generator %r" % g))
+                       for g, d in doc["generators"]])
     images = {}
     for name, expr in doc.get("differential", {}).items():
         try:
@@ -234,7 +242,7 @@ def load_cdga(doc) -> FreeCDGA:
             )
         if not poly.is_zero():
             images[name] = poly
-    truncation = doc.get("truncation", 8)
+    truncation = parse_integer(doc.get("truncation", 8), "truncation")
     try:
         return FreeCDGA(gens, images, truncation=truncation)
     except GradedError as exc:
@@ -262,7 +270,9 @@ def load_lie(doc) -> LieData:
 
 def load_glie(doc) -> GradedChainData:
     _require(doc, "glie")
-    elements = [(e[0], e[1]) for e in doc["basis"]]
+    elements = [(n, parse_integer(d, "degree of basis element %r" % n)) for n, d in doc["basis"]]
+    # number-op reads the truncation; checked here, check refuses it too
+    parse_integer(doc.get("truncation", 0), "truncation")
     boundary = {
         v: {w: parse_rational(c) for w, c in combo.items()}
         for v, combo in doc.get("boundary", {}).items()

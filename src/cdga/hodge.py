@@ -13,8 +13,12 @@ the doubled space carries d(g) = g' + (lifted boundary), d(g') = -(lifted
 boundary), and with the Fock inner product (monomials orthogonal between
 distinct multisets, multiplicities weighted by factorials through the Wick
 recursion) the Laplacian restricted to generators equals the small
-Laplacian of the boundary plus the length operator N.  One audit builds
-every operator matrix (d, its linear and split parts, contractions,
+Laplacian of the boundary plus the length operator N.  The underlying
+space is read as the first half reads any complex: GradedChainData holds
+its boundary as a Complex (basis names per degree, in listing order) and
+its Grams as an InnerProduct, so the small Laplacian is laplacian() and
+every basis position comes from the complex's GradedSpace.  One audit
+builds every operator matrix (d, its linear and split parts, contractions,
 multiplications) and every Gram inverse once; all adjoints go through one
 routine, _adjoints, and all anticommutators {x*, y} through _anticommutator.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graded import GradedError
+from .graded import GradedError, GradedSpace
 from .linalg import Mat
 from .complexes import Complex, GradedMap, InternalCheckError, betti_numbers
 from .poly import Q_ONE, Q_ZERO, Generators, Polynomial, key_product
@@ -211,7 +215,9 @@ class GradedChainData:
 
     `boundary[v]` maps basis names one degree up; `cobracket[v]` lists
     (a, b, coefficient) splits with deg a + deg b = deg v + 1.  An optional
-    per-degree Gram matrix equips the space with an inner product.
+    per-degree Gram matrix equips the space with an inner product.  The
+    boundary is also `complex`, whose degree-p labels are the basis names of
+    degree p in listing order, and the Grams are `inner`.
     """
 
     def __init__(self, elements, boundary=None, cobracket=None, grams=None):
@@ -254,8 +260,18 @@ class GradedChainData:
                 clean.append((a, b, coeff))
             if clean:
                 self.cobracket[v] = clean
-        self._inner = InnerProduct(grams)
-        self.grams = self._inner.grams
+        by_degree = {}
+        for n, d in self.elements:
+            by_degree.setdefault(d, []).append(n)
+        space = GradedSpace(by_degree)
+        diffs = {}
+        for v, combo in self.boundary.items():
+            p = self.degree_of(v)
+            m = diffs.setdefault(p, Mat.zero(space.dim(p + 1), space.dim(p)))
+            for w, coeff in combo.items():
+                m[(space.index(p + 1, w), space.index(p, v))] = coeff
+        self.complex = Complex(space, diffs, validate=False)
+        self.inner = InnerProduct(grams)
         self._validate()
 
     def _require(self, name):
@@ -265,33 +281,13 @@ class GradedChainData:
     def degree_of(self, name) -> int:
         return self.elements[self._index[name]][1]
 
-    def degrees(self):
-        return sorted({d for _, d in self.elements})
-
-    def basis_of_degree(self, p):
-        return [n for n, d in self.elements if d == p]
-
-    def boundary_matrix(self, p: int) -> Mat:
-        """Matrix of the boundary from degree p to p+1 in listing order."""
-        src = self.basis_of_degree(p)
-        tgt = self.basis_of_degree(p + 1)
-        tindex = {n: i for i, n in enumerate(tgt)}
-        rows = [{} for _ in tgt]
-        for j, v in enumerate(src):
-            for w, coeff in self.boundary.get(v, {}).items():
-                rows[tindex[w]][j] = coeff
-        return Mat.from_dicts(len(tgt), len(src), rows)
-
-    def gram_of_degree(self, p: int) -> Mat:
-        return self._inner.gram(p, len(self.basis_of_degree(p)))
-
     def _validate(self):
         # boundary squares to zero
-        for p in self.degrees():
-            m2 = self.boundary_matrix(p + 1) * self.boundary_matrix(p)
-            if not m2.is_zero():
+        c = self.complex
+        for p in c.degrees():
+            if not (c.diff(p + 1) * c.diff(p)).is_zero():
                 raise GradedError("boundary does not square to zero at degree %d" % p)
-        self._inner.check_grams(lambda p: len(self.basis_of_degree(p)))
+        self.inner.validate_for(c)
         # co-Leibniz compatibility when both structures are present
         if self.cobracket and self.boundary:
             for v, _ in self.elements:
@@ -391,21 +387,15 @@ class FockInnerProduct:
         self._gram_cache = {}
 
     def _pair(self, i: int, j: int) -> Fraction:
-        if (i, j) in self._pair_cache:
-            return self._pair_cache[(i, j)]
-        nL = self.nL
-        bar_i, bar_j = i >= nL, j >= nL
-        val = Fraction(0)
-        if bar_i == bar_j:
-            vi = self.data.elements[i - nL if bar_i else i]
-            vj = self.data.elements[j - nL if bar_j else j]
-            if vi[1] == vj[1]:
-                p = vi[1]
-                basis = self.data.basis_of_degree(p)
-                g = self.data.gram_of_degree(p)
-                val = g[(basis.index(vi[0]), basis.index(vj[0]))]
-        self._pair_cache[(i, j)] = val
-        return val
+        if (i, j) not in self._pair_cache:
+            (vi, p), (vj, q) = self.data.elements[i % self.nL], self.data.elements[j % self.nL]
+            val = Q_ZERO
+            if (i >= self.nL) == (j >= self.nL) and p == q:
+                space = self.data.complex.space
+                g = self.data.inner.gram(p, space.dim(p))
+                val = g[(space.index(p, vi), space.index(p, vj))]
+            self._pair_cache[(i, j)] = val
+        return self._pair_cache[(i, j)]
 
     def _flat(self, key):
         out = []
@@ -496,45 +486,28 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
     laps = {k: _anticommutator(d_adj, d, k) for k in range(0, t + 1)}
 
     # small Laplacian per underlying degree
-    ps = data.degrees()
-    b = {q: data.boundary_matrix(q) for p in ps for q in (p - 1, p)}
-    (b_adj,) = _adjoints(
-        {q: data.gram_of_degree(q) for p in ps for q in (p - 1, p, p + 1)}, b
-    )
-    small = {p: _anticommutator(b_adj, b, p) for p in ps}
+    c = data.complex
+    adj = adjoint(c, data.inner)
+    small = {p: laplacian(c, data.inner, p, adj) for p in c.degrees()}
 
-    # each doubled generator's (is a partner, underlying degree, position)
-    place = [
-        (bar, p, data.basis_of_degree(p).index(v))
-        for bar in (False, True)
-        for v, p in data.elements
-    ]
+    # each doubled generator's (is a partner, underlying degree, position);
+    # in degree k the generator columns of H must be those of N + H'
+    place = [(bar, p, c.space.index(p, v)) for bar in (False, True) for v, p in data.elements]
     generator_identity = {}
     for k in range(1, t + 1):
-        gen_pos = [
-            (pos, key[0][0])
-            for pos, key in enumerate(alg.basis(k))
-            if len(key) == 1 and key[0][1] == 1
-        ]
-        if not gen_pos:
+        basis = alg.basis(k)
+        gens = [(pos, place[key[0][0]]) for pos, key in enumerate(basis)
+                if len(key) == 1 and key[0][1] == 1]
+        if not gens:
             continue
-        H = laps[k]
-        gen_rows = {pos for pos, _ in gen_pos}
-        ok_here = True
-        for pi, gi in gen_pos:
-            bar_i, p_i, r_i = place[gi]
-            for pj, gj in gen_pos:
-                bar_j, p_j, r_j = place[gj]
-                expected = Q_ONE if pi == pj else Q_ZERO
-                if (bar_i, p_i) == (bar_j, p_j):
-                    expected += small[p_i][(r_i, r_j)]
-                if H[(pi, pj)] != expected:
-                    ok_here = False
-            # no leakage of H(generator) outside the generator block
-            if any(H[(row, pi)] for row in range(H.m) if row not in gen_rows):
-                ok_here = False
-        generator_identity[k] = ok_here
-        if not ok_here:
+        # row i is column pos_i of H; its entry at generator j is H[(pos_j, pos_i)]
+        want = Mat.from_dicts(len(gens), len(basis), [
+            {pos_j: small[p_i][(r_j, r_i)] + (Q_ONE if pos_j == pos_i else Q_ZERO)
+             for pos_j, (bar_j, p_j, r_j) in gens if (bar_j, p_j) == (bar_i, p_i)}
+            for pos_i, (bar_i, p_i, r_i) in gens
+        ])
+        generator_identity[k] = laps[k].transpose().select_rows([pos for pos, _ in gens]) == want
+        if not generator_identity[k]:
             failures.append("generator identity fails at degree %d" % k)
 
     # canonical commutation relations: contraction against multiplication

@@ -11,6 +11,7 @@ import cdga.documents as documents
 from cdga import (
     DocumentError,
     GradedMap,
+    Mat,
     canonical_json,
     load_cdga,
     load_complex,
@@ -108,11 +109,19 @@ def test_load_gram_and_glie():
     assert ip.grams[1][(0, 1)] == 1
     ld = {
         "kind": "glie",
-        "basis": [["p", 1], ["q", 2]],
+        "basis": [["p", 1], ["q", 2], ["r", 1]],
         "boundary": {"p": {"q": "3"}},
+        "gram": {"1": [["2", "1"], ["1", "2"]]},
     }
     data = load_glie(ld)
     assert data.degree_of("q") == 2
+    # the boundary is a complex on the basis names of each degree, in listing order
+    assert [data.complex.labels(k) for k in data.complex.degrees()] == [("p", "r"), ("q",)]
+    assert data.complex.diff(1) == Mat.from_rows([[3, 0]])
+    assert data.complex.d.keys() == {1}
+    # and its Grams an inner product, the identity where none is given
+    assert data.inner.gram(1, 2) == Mat.from_rows([[2, 1], [1, 2]])
+    assert data.inner.gram(2, 1) == Mat.eye(1)
 
 
 def test_resolve_input_order(tmp_path, monkeypatch):
@@ -743,6 +752,67 @@ def test_cli_number_op_with_a_cobracket_fails_with_exit_1(tmp_path, capsys):
         '"generator_identity":{"1":true,"2":false,"3":false},'
         '"laplacian_commutes":true,"ok":false,"truncation":5}\n'
     )
+
+
+# `cdga check` on glie documents the library refuses: exit code and stderr, byte for byte
+@pytest.mark.parametrize("body, rc, err", [
+    ({"basis": [["p", 1], ["q", 2], ["r", 3]], "boundary": {"p": {"q": "1"}, "q": {"r": "1"}}},
+     1, "rejected: boundary does not square to zero at degree 1\n"),
+    ({"basis": [["p", 1], ["q", 3]], "boundary": {"p": {"q": "1"}}},
+     1, "rejected: boundary of 'p' must raise degree by one\n"),
+    ({"basis": [["p", 1], ["q", 1]], "gram": {"1": [["1", "2"], ["2", "1"]]}},
+     1, "rejected: Gram matrix at degree 1 is not positive definite\n"),
+    ({"basis": [["p", 1], ["q", 1]], "gram": {"1": [["1"]]}},
+     2, "document error: matrix at gram degree 1 has shape 1x1, expected 2x2\n"),
+], ids=["d-squared", "skips-a-degree", "not-positive-definite", "wrong-size"])
+def test_cli_check_glie_refusals_are_unchanged(tmp_path, capsys, body, rc, err):
+    path = tmp_path / "glie.json"
+    path.write_text(json.dumps({"kind": "glie", **body}))
+    assert main(["check", "--input", str(path)]) == rc
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("truncation, shown", [
+    ("x", "'x' is not of type 'integer'"),
+    ([1], "[1] is not of type 'integer'"),
+    (2.5, "2.5 is not of type 'integer'"),
+    (True, "True is not of type 'integer'"),
+    (-1, "-1 is less than the minimum of 0"),
+], ids=["string", "array", "fraction", "boolean", "negative"])
+@pytest.mark.parametrize("command", ["check", "number-op"])
+def test_cli_glie_truncation_is_schema_checked(tmp_path, capsys, command, truncation, shown):
+    path = tmp_path / "glie.json"
+    path.write_text(json.dumps({**GLIE_SMALL, "truncation": truncation}))
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "document error: document does not match the glie schema: %s\n" % shown)
+
+
+def test_cli_glie_gram_degrees_are_schema_checked(tmp_path, capsys):
+    # int() of the key used to end in an internal error, exit 3
+    path = tmp_path / "glie.json"
+    path.write_text(json.dumps({**GLIE_SMALL, "gram": {"x": [["1"]]}}))
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", "document error: document does not match the glie "
+                                   "schema: 'x' does not match '^-?[0-9]+$'\n")
+
+
+@pytest.mark.parametrize("doc, command, field, value", [
+    ({"kind": "cdga", "generators": [["x", 2.0]]}, "homology", "degree of generator 'x'", "2.0"),
+    ({"kind": "glie", "basis": [["p", 1.0]]}, "number-op", "degree of basis element 'p'", "1.0"),
+    ({"kind": "cdga", "generators": [["x", 2]], "truncation": 8.0}, "homology", "truncation",
+     "8.0"),
+    ({**GLIE_SMALL, "truncation": 4.0}, "number-op", "truncation", "4.0"),
+], ids=["cdga-degree", "glie-degree", "cdga-truncation", "glie-truncation"])
+def test_cli_refuses_an_integral_float_where_an_integer_is_read(
+        tmp_path, capsys, doc, command, field, value):
+    # JSON Schema's integer admits 2.0; the loaders and the truncation read do not
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check"], [command]):
+        assert main(argv + ["--input", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "document error: %s must be an integer, found %s\n" % (field, value))
 
 
 # one document of each kind, each accepted by check

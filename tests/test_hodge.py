@@ -2,6 +2,7 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdga import (
     Complex,
@@ -270,3 +271,25 @@ def test_number_operator_inverts_each_gram_once_and_multiplies_no_polynomials(mo
     assert products == []
     # every inverted matrix is a distinct Gram (Fock degrees -1..6, underlying 0..4)
     assert len({id(g) for g in inverted}) == len(inverted) <= 8 + 5
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_number_operator_identity_holds_on_random_cobracket_free_data(seed):
+    # d^2 = 0 by construction (a twisted sum of elementary pieces in degrees
+    # 1..3); most degrees get a random positive-definite Gram, which makes the
+    # small Laplacian non-symmetric, so a transposed comparison would fail
+    rng = random.Random(seed)
+    c, _ = random_complex(rng, max_span=3, max_dim=3, lo_range=(1, 1))
+    elements = [(v, k) for k in c.support() for v in c.labels(k)]
+    assume(0 < len(elements) <= 5)
+    boundary = {}
+    for k in c.support():
+        for i, j, x in c.diff(k).items():
+            boundary.setdefault(c.labels(k)[j], {})[c.labels(k + 1)[i]] = x
+    grams = {k: random_posdef_gram(rng, c.dim(k)) for k in c.support() if rng.random() < 0.8}
+    data = GradedChainData(elements, boundary, grams=grams)
+    assert data.complex == c
+    rep = number_operator_check(data, truncation=5)
+    assert rep.ok, rep.failures
+    assert rep.generator_identity and all(rep.generator_identity.values())
