@@ -285,6 +285,9 @@ def load_glie(doc) -> GradedChainData:
     for key, rows in doc.get("gram", {}).items():
         p = int(key)
         dim = sum(1 for _, d in elements if d == p)
+        if not dim:
+            raise DocumentError("gram at degree %d is %dx%d, but the basis has dimension 0 in "
+                                "degree %d" % (p, len(rows), len(rows[0]) if rows else 0, p))
         grams[p] = _matrix_from_json(rows, dim, dim, "gram degree %s" % key)
     return GradedChainData(elements, boundary, cobracket, grams)
 

@@ -10,17 +10,15 @@ The second half implements the oscillator picture for a graded space with a
 degree +1 boundary and (optionally) a cobracket: generators are doubled
 with a partner one degree higher, the free graded-commutative algebra on
 the doubled space carries d(g) = g' + (lifted boundary), d(g') = -(lifted
-boundary), and with the Fock inner product (monomials orthogonal between
-distinct multisets, multiplicities weighted by factorials through the Wick
-recursion) the Laplacian restricted to generators equals the small
-Laplacian of the boundary plus the length operator N.  The underlying
-space is read as the first half reads any complex: GradedChainData holds
-its boundary as a Complex (basis names per degree, in listing order) and
-its Grams as an InnerProduct, so the small Laplacian is laplacian() and
-every basis position comes from the complex's GradedSpace.  One audit
+boundary), and with the Fock inner product <x a, b> = <a, J_x b> (J_x sums
+the contractions iota_y weighted by <x, y>) the Laplacian restricted to
+generators equals the small Laplacian of the boundary plus the length
+operator N.  GradedChainData holds the boundary as a Complex and its Grams
+as an InnerProduct, so the small Laplacian is laplacian().  One audit
 builds every operator matrix (d, its linear and split parts, contractions,
-multiplications) and every Gram inverse once; all adjoints go through one
-routine, _adjoints, and all anticommutators {x*, y} through _anticommutator.
+multiplications) and every Gram inverse once; the Fock Grams and the
+commutation check share the contractions, all adjoints go through
+_adjoints and all anticommutators {x*, y} through _anticommutator.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graded import GradedError, GradedSpace
+from .graded import GradedError, GradedSpace, combine
 from .linalg import Mat
 from .complexes import Complex, GradedMap, InternalCheckError, betti_numbers
 from .poly import Q_ONE, Q_ZERO, Generators, Polynomial, key_product
@@ -164,17 +162,9 @@ def hodge_decomposition(c: Complex, ip: InnerProduct, k: int) -> HodgeDecomposit
         gv = g.apply(v)
         return sum(a * b for a, b in zip(u, gv))
 
-    for fam1, fam2 in (
-        (harms, exact),
-        (harms, coexact),
-        (exact, coexact),
-    ):
-        for u in fam1:
-            for v in fam2:
-                if inner(u, v) != 0:
-                    raise InternalCheckError(
-                        "Hodge components are not orthogonal at degree %d" % k
-                    )
+    pairs = ((harms, exact), (harms, coexact), (exact, coexact))
+    if any(inner(u, v) for fam1, fam2 in pairs for u in fam1 for v in fam2):
+        raise InternalCheckError("Hodge components are not orthogonal at degree %d" % k)
     total = len(harms) + len(exact) + len(coexact)
     if total != c.dim(k):
         raise InternalCheckError(
@@ -217,17 +207,20 @@ class GradedChainData:
     (a, b, coefficient) splits with deg a + deg b = deg v + 1.  An optional
     per-degree Gram matrix equips the space with an inner product.  The
     boundary is also `complex`, whose degree-p labels are the basis names of
-    degree p in listing order, and the Grams are `inner`.
+    degree p in listing order, and the Grams are `inner`.  No basis name may
+    be another's partner name (the name with a prime appended).
     """
 
     def __init__(self, elements, boundary=None, cobracket=None, grams=None):
         self.elements = [(str(n), int(d)) for n, d in elements]
-        if len({n for n, _ in self.elements}) != len(self.elements):
+        self._index = {n: i for i, (n, _) in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
             raise GradedError("duplicate basis names")
         for n, d in self.elements:
             if d < 1:
                 raise GradedError("basis element %r must have degree >= 1" % n)
-        self._index = {n: i for i, (n, _) in enumerate(self.elements)}
+            if n + "'" in self._index:
+                raise GradedError("basis element %r has the name of the partner of %r" % (n + "'", n))
         self.boundary = {}
         for v, combo in (boundary or {}).items():
             self._require(v)
@@ -288,25 +281,17 @@ class GradedChainData:
             if not (c.diff(p + 1) * c.diff(p)).is_zero():
                 raise GradedError("boundary does not square to zero at degree %d" % p)
         self.inner.validate_for(c)
-        # co-Leibniz compatibility when both structures are present
+        # co-Leibniz compatibility when both structures are present:
+        # cobracket(boundary v) = (boundary (x) 1 + sign 1 (x) boundary)(cobracket v)
         if self.cobracket and self.boundary:
+            bd, cob = self.boundary, self.cobracket
             for v, _ in self.elements:
-                lhs = {}
-                for w, coeff in self.boundary.get(v, {}).items():
-                    for a, b, c2 in self.cobracket.get(w, []):
-                        key = (a, b)
-                        lhs[key] = lhs.get(key, Fraction(0)) + coeff * c2
-                rhs = {}
-                for a, b, c2 in self.cobracket.get(v, []):
-                    for w, coeff in self.boundary.get(a, {}).items():
-                        key = (w, b)
-                        rhs[key] = rhs.get(key, Fraction(0)) + coeff * c2
-                    sgn = -1 if self.degree_of(a) % 2 else 1
-                    for w, coeff in self.boundary.get(b, {}).items():
-                        key = (a, w)
-                        rhs[key] = rhs.get(key, Fraction(0)) + sgn * coeff * c2
-                lhs = {k: v2 for k, v2 in lhs.items() if v2}
-                rhs = {k: v2 for k, v2 in rhs.items() if v2}
+                lhs = combine((x * y, {(a, b): 1}) for w, x in bd.get(v, {}).items()
+                              for a, b, y in cob.get(w, []))
+                rhs = combine(
+                    [(x * y, {(w, b): 1}) for a, b, y in cob.get(v, []) for w, x in bd.get(a, {}).items()]
+                    + [(-x * y if self.degree_of(a) % 2 else x * y, {(a, w): 1})
+                       for a, b, y in cob.get(v, []) for w, x in bd.get(b, {}).items()])
                 if lhs != rhs:
                     raise GradedError(
                         "cobracket is not compatible with the boundary at %r" % v
@@ -369,75 +354,64 @@ def _multiplication(alg: FreeCDGA, y: int, k: int) -> Mat:
 
 
 class FockInnerProduct:
-    """Wick-recursion inner product on monomials of a doubled algebra.
+    """Fock inner product on monomials of a doubled algebra, from contractions.
 
     Generators pair through the underlying Gram (partners inherit the Gram
-    of their unbarred originals); a product pairs against another by
-    contracting its first factor into each slot with the Koszul sign.  For
-    the identity Gram this weights a monomial by the product of factorials
-    of its even-generator multiplicities.
+    of their unbarred originals).  A product pairs by <x a, b> = <a, J_x b>
+    with J_x = sum_y <x, y> iota_y, where the contraction iota_y is the
+    derivation of degree -|y| sending y to 1 and every other generator to 0.
+    A basis key is x times its rest with sign +1 when x is its first (lowest
+    index) factor, so the rows of G_k with first factor x are the rows of
+    G_{k-|x|} at the rests times J_x from degree k.  For the identity Gram
+    this weights a monomial by the product of factorials of its
+    even-generator multiplicities.  Each contraction matrix is built once,
+    by contraction(), which the audit's commutation check shares.
     """
 
     def __init__(self, data: GradedChainData, algebra: FreeCDGA):
         self.data = data
         self.algebra = algebra
-        self.nL = len(data.elements)
-        self._pair_cache = {}
-        self._memo = {}
+        space = data.complex.space
+        # each doubled generator's (is a partner, underlying degree, position)
+        self.place = [(bar, p, space.index(p, v)) for bar in (False, True) for v, p in data.elements]
+        # the nonzero pairings (y, <x, y>) of each doubled generator x
+        self._pairs = []
+        for bar, p, r in self.place:
+            g = data.inner.gram(p, space.dim(p))
+            self._pairs.append([(y, g[(r, s)]) for y, (bar_y, q, s) in enumerate(self.place)
+                                if (bar_y, q) == (bar, p) and g[(r, s)]])
+        one = Polynomial.one(algebra.gens)
+        self._iotas = [Derivation(algebra, -deg, {name: one})
+                       for name, deg in zip(algebra.gens.names, algebra.gens.degrees)]
+        self._iota_cache = {}
         self._gram_cache = {}
 
-    def _pair(self, i: int, j: int) -> Fraction:
-        if (i, j) not in self._pair_cache:
-            (vi, p), (vj, q) = self.data.elements[i % self.nL], self.data.elements[j % self.nL]
-            val = Q_ZERO
-            if (i >= self.nL) == (j >= self.nL) and p == q:
-                space = self.data.complex.space
-                g = self.data.inner.gram(p, space.dim(p))
-                val = g[(space.index(p, vi), space.index(p, vj))]
-            self._pair_cache[(i, j)] = val
-        return self._pair_cache[(i, j)]
-
-    def _flat(self, key):
-        out = []
-        for i, e in key:
-            out.extend([i] * e)
-        return tuple(out)
-
-    def _parity(self, i: int) -> int:
-        return self.algebra.gens.degrees[i] % 2
-
-    def _wick(self, a, b) -> Fraction:
-        if len(a) != len(b):
-            return Fraction(0)
-        if not a:
-            return Fraction(1)
-        memo_key = (a, b)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        x, rest = a[0], a[1:]
-        total = Fraction(0)
-        passed_parity = 0
-        for j in range(len(b)):
-            coeff = self._pair(x, b[j])
-            if coeff:
-                sgn = -1 if (self._parity(x) and passed_parity % 2) else 1
-                total += sgn * coeff * self._wick(rest, b[:j] + b[j + 1:])
-            passed_parity += self._parity(b[j])
-        self._memo[memo_key] = total
-        return total
+    def contraction(self, y: int, k: int) -> Mat:
+        """Matrix of the contraction iota_y from degree k, built once."""
+        if (y, k) not in self._iota_cache:
+            self._iota_cache[y, k] = self._iotas[y].matrix(k)
+        return self._iota_cache[y, k]
 
     def gram(self, k: int) -> Mat:
-        if k in self._gram_cache:
-            return self._gram_cache[k]
-        basis = self.algebra.basis(k)
-        flats = [self._flat(key) for key in basis]
-        n = len(basis)
-        rows = [{} for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = self._wick(flats[i], flats[j])
-        g = self._gram_cache[k] = Mat.from_dicts(n, n, rows)
-        return g
+        if k not in self._gram_cache:
+            alg, degs = self.algebra, self.algebra.gens.degrees
+            basis = alg.basis(k)
+            n = len(basis)
+            g = Mat.eye(n) if k == 0 else Mat.zero(n, n)  # degree 0 is the empty key alone
+            # rows[x][pos]: position of the rest of the key at pos whose first factor is x
+            rows = {}
+            for pos, key in enumerate(basis if k else ()):
+                (x, e), rest = key[0], key[1:]
+                if e > 1:
+                    rest = ((x, e - 1),) + rest
+                rows.setdefault(x, [None] * n)[pos] = alg.basis_index(k - degs[x])[rest]
+            for x, idx in rows.items():
+                j_x = Mat.zero(alg.dim(k - degs[x]), n)
+                for y, c in self._pairs[x]:
+                    j_x += self.contraction(y, k).scale(c)
+                g += self.gram(k - degs[x]).select_rows(idx) * j_x
+            self._gram_cache[k] = g
+        return self._gram_cache[k]
 
 
 @dataclass
@@ -490,13 +464,11 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
     adj = adjoint(c, data.inner)
     small = {p: laplacian(c, data.inner, p, adj) for p in c.degrees()}
 
-    # each doubled generator's (is a partner, underlying degree, position);
     # in degree k the generator columns of H must be those of N + H'
-    place = [(bar, p, c.space.index(p, v)) for bar in (False, True) for v, p in data.elements]
     generator_identity = {}
     for k in range(1, t + 1):
         basis = alg.basis(k)
-        gens = [(pos, place[key[0][0]]) for pos, key in enumerate(basis)
+        gens = [(pos, fock.place[key[0][0]]) for pos, key in enumerate(basis)
                 if len(key) == 1 and key[0][1] == 1]
         if not gens:
             continue
@@ -512,12 +484,7 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
 
     # canonical commutation relations: contraction against multiplication
     names, degs = alg.gens.names, alg.gens.degrees
-    one = Polynomial.one(alg.gens)
-    iota = {}
-    for x, xname in enumerate(names):
-        contraction = Derivation(alg, -degs[x], {xname: one})
-        for k in range(0, t + 1):
-            iota[x, k] = contraction.matrix(k)
+    iota = fock.contraction
     mult = {
         (y, k): _multiplication(alg, y, k)
         for y in range(len(names))
@@ -531,8 +498,8 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
             for k in range(0, t - dy + 1):
                 if k + dy - dx < 0 or k + dy - dx > t:
                     continue
-                left = iota[x, k + dy] * mult[y, k]
-                right = mult[y, k - dx] * iota[x, k]
+                left = iota(x, k + dy) * mult[y, k]
+                right = mult[y, k - dx] * iota(x, k)
                 comm = left + right if dx % 2 and dy % 2 else left - right
                 want = Mat.eye(comm.n) if x == y else Mat.zero(comm.m, comm.n)
                 if comm != want:

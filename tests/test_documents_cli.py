@@ -772,6 +772,22 @@ def test_cli_check_glie_refusals_are_unchanged(tmp_path, capsys, body, rc, err):
     assert capsys.readouterr() == ("", err)
 
 
+# a basis name that is another's partner name, and a Gram for a degree with no
+# basis element: check and number-op refuse both the same way
+@pytest.mark.parametrize("command", ["check", "number-op"])
+@pytest.mark.parametrize("body, rc, err", [
+    ({"basis": [["p", 1], ["p'", 2]]},
+     1, "rejected: basis element \"p'\" has the name of the partner of 'p'\n"),
+    ({"basis": [["q", 2], ["p", 1]], "gram": {"5": []}},
+     2, "document error: gram at degree 5 is 0x0, but the basis has dimension 0 in degree 5\n"),
+], ids=["partner-name", "gram-without-basis"])
+def test_cli_glie_refusals_agree_between_check_and_number_op(tmp_path, capsys, command, body, rc, err):
+    path = tmp_path / "glie.json"
+    path.write_text(json.dumps({"kind": "glie", **body}))
+    assert main([command, "--input", str(path)]) == rc
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("truncation, shown", [
     ("x", "'x' is not of type 'integer'"),
     ([1], "[1] is not of type 'integer'"),

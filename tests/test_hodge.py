@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import permutations
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from cdga import (
     number_operator_check,
     LieData,
 )
+from cdga.graded import koszul_sign
 from cdga.hodge import FockInnerProduct
 from cdga.poly import Polynomial
 
@@ -293,3 +295,88 @@ def test_number_operator_identity_holds_on_random_cobracket_free_data(seed):
     rep = number_operator_check(data, truncation=5)
     assert rep.ok, rep.failures
     assert rep.generator_identity and all(rep.generator_identity.values())
+
+
+def test_graded_chain_data_refuses_a_basis_name_that_is_a_partner_name():
+    with pytest.raises(GradedError) as err:
+        GradedChainData(elements=[("p", 1), ("q", 2), ("p'", 2)])
+    assert str(err.value) == "basis element \"p'\" has the name of the partner of 'p'"
+
+
+def test_graded_chain_data_checks_co_leibniz():
+    # delta(cobracket v) = (delta (x) 1 - 1 (x) delta)(cobracket v) for odd a:
+    # delta v = w and cobracket v = a (x) u with delta u = c force cobracket w = -a (x) c
+    elements = [("a", 1), ("u", 2), ("v", 2), ("c", 3), ("w", 3)]
+    boundary = {"u": {"c": F(1)}, "v": {"w": F(1)}}
+    GradedChainData(elements, boundary, {"v": [("a", "u", F(1))], "w": [("a", "c", F(-1))]})
+    with pytest.raises(GradedError, match="not compatible with the boundary at 'v'"):
+        GradedChainData(elements, boundary, {"v": [("a", "u", F(1))], "w": [("a", "c", F(1))]})
+
+
+def _dense_glie(rng):
+    """Two odd and two even basis elements with dense positive-definite Grams."""
+    grams = {}
+    for p in (1, 2):
+        c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        a, b = abs(c) + rng.randint(1, 4), abs(c) + rng.randint(1, 4)
+        grams[p] = [[a, c], [c, b]]
+    elements = [("a", 1), ("b", 1), ("c", 2), ("e", 2)]
+    boundary = {"a": {"c": F(rng.randint(-2, 2)), "e": F(rng.randint(-2, 2))}}
+    return GradedChainData(elements, boundary, grams=grams), grams
+
+
+def _fock_gram_by_bijections(elements, grams, alg, k):
+    """<a_1..a_n, b_1..b_n> = sum over bijections s of sign(s) prod <a_i, b_s(i)>.
+
+    sign(s) is the Koszul sign of reordering b into b_s(1)..b_s(n); v pairs
+    with w, and v' with w', through the Gram of their common degree.
+    """
+    n = len(elements)
+
+    def pair(i, j):
+        (v, p), (w, q) = elements[i % n], elements[j % n]
+        if (i < n) != (j < n) or p != q:
+            return F(0)
+        labels = [u for u, d in elements if d == p]
+        return F(grams[p][labels.index(v)][labels.index(w)])
+
+    flat = [[i for i, e in key for _ in range(e)] for key in alg.basis(k)]
+    rows = []
+    for a in flat:
+        row = []
+        for b in flat:
+            total = F(0)
+            if len(a) == len(b):
+                for s in permutations(range(len(b))):
+                    term = F(koszul_sign([alg.gens.degrees[y] for y in b], s))
+                    for x, j in zip(a, s):
+                        term *= pair(x, b[j])
+                    total += term
+            row.append(total)
+        rows.append(row)
+    return Mat(len(rows), len(rows), rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fock_gram_agrees_with_the_sum_over_bijections(seed):
+    data, grams = _dense_glie(random.Random(seed))
+    alg = doubled_algebra(data, truncation=6)
+    fock = FockInnerProduct(data, alg)
+    for k in range(0, 7):
+        assert fock.gram(k) == _fock_gram_by_bijections(data.elements, grams, alg, k), k
+
+
+def test_fock_gram_oracle_sees_a_dropped_contraction_sign(monkeypatch):
+    # the contraction by the odd generator b loses its Koszul signs
+    contraction = FockInnerProduct.contraction
+
+    def unsigned(self, y, k):
+        m = contraction(self, y, k)
+        return Mat(m.m, m.n, [[abs(x) for x in r] for r in m.rows]) if y == 1 else m
+
+    monkeypatch.setattr(FockInnerProduct, "contraction", unsigned)
+    data, grams = _dense_glie(random.Random(0))
+    alg = doubled_algebra(data, truncation=6)
+    fock = FockInnerProduct(data, alg)
+    assert any(fock.gram(k) != _fock_gram_by_bijections(data.elements, grams, alg, k)
+               for k in range(0, 7))
