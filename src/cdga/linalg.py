@@ -1,17 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, with no floating point anywhere.
 
-Everything here works with fractions.Fraction entries; no floating point
-anywhere.  A Mat stores each row as a {column: Fraction} dict holding no
-zeros, and every operation touches only those nonzeros.  Mat(m, n, rows)
-coerces dense rows (int, "p/q" string, Fraction subclass) with Fraction();
-from_dicts takes sparse rows; internal results skip both through _new.
-The kernels work on integer rows over one common denominator D, with
-Fractions only at input and output.  __mul__ and apply sum in ints.  All
-elimination runs through _reduce (pivot = leftmost column), behind rank,
-det, rref (nullspace, solve, inv) and SparseEliminator: v <- a*v - b*e in
-ints, D tracked exactly, common content of D and v removed; echelon rows
-are primitive with a positive pivot.  rref back-substitutes in integers,
-removes each row's content, then divides by the pivot once per entry.
+A Mat stores each row as (v, D): a {column: int} dict holding no zeros over
+one positive denominator D, with gcd(D, content(v)) = 1.  That form is
+canonical, so == and hash compare the stored pairs, and every operation runs
+on ints over lcms of denominators.  Stored rows are never changed in place,
+so matrices share them.  _int_row is the one place that converts entries
+(floats are refused); Fractions are built only on the way out.  All
+elimination runs through _reduce (pivot = leftmost column), behind rank, det,
+rref (nullspace, solve, inv) and SparseEliminator: v <- a*v - b*e in ints,
+common content of D and v removed; echelon rows are primitive with a
+positive pivot, and rref returns each reduced row e as (e, e[p]).
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from math import gcd, lcm, prod
 
 Q_ZERO = Fraction(0)
 Q_ONE = Fraction(1)
+_ZERO_ROW = ({}, 1)
 
 
 class Mat:
@@ -32,11 +31,11 @@ class Mat:
         if len(rows) != m or any(len(r) != n for r in rows):
             raise ValueError("row data does not match shape (%d, %d)" % (m, n))
         self.m, self.n = m, n
-        self._rows = [_sparse_row(enumerate(r)) for r in rows]
+        self._rows = [_int_row(enumerate(r)) for r in rows]
 
     @classmethod
     def _new(cls, m: int, n: int, rows) -> "Mat":
-        """Matrix over row dicts taken as they are (exact nonzero Fractions)."""
+        """Matrix over canonical (v, D) rows taken as they are."""
         mat = object.__new__(cls)
         mat.m, mat.n, mat._rows = m, n, rows
         return mat
@@ -46,15 +45,15 @@ class Mat:
         """Matrix from m row dicts {column: value}; zero values are dropped."""
         if len(rows) != m or any(r and (min(r) < 0 or max(r) >= n) for r in rows):
             raise ValueError("row data does not match shape (%d, %d)" % (m, n))
-        return cls._new(m, n, [_sparse_row(r.items()) for r in rows])
+        return cls._new(m, n, [_int_row(r.items()) if r else _ZERO_ROW for r in rows])
 
     @classmethod
     def zero(cls, m: int, n: int) -> "Mat":
-        return cls._new(m, n, [{} for _ in range(m)])
+        return cls._new(m, n, [_ZERO_ROW] * m)
 
     @classmethod
     def eye(cls, n: int) -> "Mat":
-        return cls._new(n, n, [{i: Q_ONE} for i in range(n)])
+        return cls._new(n, n, [({i: 1}, 1) for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows) -> "Mat":
@@ -63,93 +62,102 @@ class Mat:
     @property
     def rows(self):
         """Fresh dense rows (lists of Fraction)."""
-        return [[r.get(j, Q_ZERO) for j in range(self.n)] for r in self._rows]
+        return [[Fraction(v[j], D) if j in v else Q_ZERO for j in range(self.n)] for v, D in self._rows]
 
     def items(self):
         """The nonzero entries as (row, column, value), row by row."""
-        return [(i, j, x) for i, r in enumerate(self._rows) for j, x in r.items()]
+        return [(i, j, Fraction(x, D)) for i, (v, D) in enumerate(self._rows) for j, x in v.items()]
 
     def select_rows(self, idx) -> "Mat":
         """Matrix whose i-th row is row idx[i] of self, or zero where it is None."""
-        return Mat._new(len(idx), self.n, [{} if i is None else dict(self._rows[i]) for i in idx])
+        return Mat._new(len(idx), self.n, [_ZERO_ROW if i is None else self._rows[i] for i in idx])
+
+    def _row(self, ij):
+        """(the stored row i, j) for the index pair ij, both checked against the shape."""
+        for k, size, name in zip(ij, (self.m, self.n), ("row", "column")):
+            if not 0 <= k < size:
+                raise IndexError("%s %d out of range" % (name, k))
+        return self._rows[ij[0]], ij[1]
 
     def __getitem__(self, ij):
-        i, j = ij
-        if not 0 <= j < self.n:
-            raise IndexError("column %d out of range" % j)
-        return self._rows[i].get(j, Q_ZERO)
+        (v, D), j = self._row(ij)
+        return Fraction(v[j], D) if j in v else Q_ZERO
 
-    def __setitem__(self, ij, v):
-        i, j = ij
-        if not 0 <= j < self.n:
-            raise IndexError("column %d out of range" % j)
-        v = self._rows[i][j] = Fraction(v)
-        if not v:
-            del self._rows[i][j]
+    def __setitem__(self, ij, x):
+        (v, D), j = self._row(ij)
+        self._rows[ij[0]] = _int_row({**{k: Fraction(y, D) for k, y in v.items()}, j: x}.items())
 
     def __eq__(self, other):
         return isinstance(other, Mat) and (self.m, self.n, self._rows) == (other.m, other.n, other._rows)
 
     def __hash__(self):
-        return hash((self.m, self.n, tuple(frozenset(r.items()) for r in self._rows)))
+        return hash((self.m, self.n, tuple((frozenset(v.items()), D) for v, D in self._rows)))
 
     def __repr__(self):
         return "Mat(%d, %d, %r)" % (self.m, self.n, self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._plus(other, Q_ONE)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._plus(other, -Q_ONE)
+        return self._plus(other, -1)
 
-    def _plus(self, other: "Mat", c: Fraction) -> "Mat":
+    def _plus(self, other: "Mat", c: int) -> "Mat":
+        """self + c*other for c = 1 or -1, row by row over lcm(D, E)."""
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("shape mismatch in %s" % ("+" if c > 0 else "-"))
-        rows = [dict(r) for r in self._rows]
-        for r, s in zip(rows, other._rows):
-            _axpy(r, c, s)
+        rows = []
+        for r, (w, E) in zip(self._rows, other._rows):
+            if w:
+                v, D = r
+                L = lcm(D, E)
+                out = {j: x * (L // D) for j, x in v.items()}
+                _axpy(out, c * (L // E), w)
+                r = _canonical(out, L)
+            rows.append(r)
         return Mat._new(self.m, self.n, rows)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
-        return Mat._new(self.m, self.n, [{j: c * x for j, x in r.items()} if c else {} for r in self._rows])
+        w, q = _int_row([(0, c)])  # c = w[0] / q
+        return Mat._new(self.m, self.n, [_canonical({j: w[0] * x for j, x in v.items()}, q * D) if w else _ZERO_ROW
+                                         for v, D in self._rows])
 
     def __mul__(self, other: "Mat") -> "Mat":
         """Exact product: integer sums over the common denominators D*L."""
         if self.n != other.m:
             raise ValueError("shape mismatch in *: (%d,%d)x(%d,%d)" % (self.m, self.n, other.m, other.n))
-        L = lcm(*(x.denominator for r in other._rows for x in r.values()))
-        right = [{j: x.numerator * (L // x.denominator) for j, x in r.items()} for r in other._rows]
+        L = lcm(*(D for _, D in other._rows))
+        right = [w if E == L else {j: x * (L // E) for j, x in w.items()} for w, E in other._rows]
         out = []
-        for r in self._rows:
-            v, D = _int_row(r)
+        for v, D in self._rows:
             acc = {}
             for k, a in v.items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            DL = D * L
-            out.append({j: Fraction(s, DL) for j, s in acc.items() if s})
+            out.append(_canonical({j: s for j, s in acc.items() if s}, D * L) if acc else _ZERO_ROW)
         return Mat._new(self.m, other.n, out)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list), summed in ints like __mul__."""
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        w, L = _int_row(dict(enumerate(vec)))
-        return [Fraction(sum(a * w[j] for j, a in v.items()), D * L) for v, D in map(_int_row, self._rows)]
+        w, L = _int_row(enumerate(vec))
+        return [Fraction(sum(a * w[j] for j, a in v.items() if j in w), D * L) for v, D in self._rows]
 
     def transpose(self) -> "Mat":
+        L = lcm(*(D for _, D in self._rows))
         cols = [{} for _ in range(self.n)]
-        for i, r in enumerate(self._rows):
-            for j, x in r.items():
-                cols[j][i] = x
-        return Mat._new(self.n, self.m, cols)
+        for i, (v, D) in enumerate(self._rows):
+            f = L // D
+            for j, x in v.items():
+                cols[j][i] = x * f
+        return Mat._new(self.n, self.m, [_canonical(col, L) for col in cols])
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(v for v, _ in self._rows)
 
     def rank(self) -> int:
         return len(self._echelon()[0])
@@ -185,20 +193,16 @@ class Mat:
             for q in [q for q in row if q != p and q in echelon]:
                 _cancel(row, echelon[q][0], q)
             echelon[p] = (_primitive(row, p), None)
-        rows = [{j: Fraction(x, e[p]) for j, x in e.items()} for p, (e, _) in sorted(echelon.items())]
-        return Mat._new(self.m, self.n, rows + [{} for _ in range(self.m - len(pivots))]), pivots
+        rows = [(e, e[p]) for p, (e, _) in sorted(echelon.items())]
+        return Mat._new(self.m, self.n, rows + [_ZERO_ROW] * (self.m - len(pivots))), pivots
 
     def _echelon(self):
-        """Forward elimination of the rows in order.
-
-        Returns ({pivot: (primitive integer row, None)} in the order the
-        independent rows were met, [their exact pivot values, in that order]).
-        """
+        """Forward elimination of the rows in order; returns ({pivot: (primitive
+        integer row, None)}, [exact pivot values]), both in the order met."""
         echelon = {}
         values = []
-        for r in self._rows:
-            v, D = _int_row(r)
-            p, D = _reduce(v, D, echelon)
+        for v, D in self._rows:
+            v, D, p = _reduce(dict(v), D, echelon)
             if p is not None:
                 values.append(Fraction(v[p], D))
                 echelon[p] = (_primitive(v, p), None)
@@ -210,10 +214,10 @@ class Mat:
         basis = {f: [Q_ZERO] * self.n for f in range(self.n) if f not in set(pivots)}
         for f, v in basis.items():
             v[f] = Q_ONE
-        for p, row in zip(pivots, R._rows):
-            for f, x in row.items():
+        for p, (v, D) in zip(pivots, R._rows):
+            for f, x in v.items():
                 if f != p:
-                    basis[f][p] = -x
+                    basis[f][p] = Fraction(-x, D)
         return list(basis.values())
 
     def solve(self, b):
@@ -221,7 +225,7 @@ class Mat:
         X = self.solve_matrix(Mat(self.m, 1, [[x] for x in b]))
         if X is None:
             return None
-        return [r.get(0, Q_ZERO) for r in X._rows]
+        return [Fraction(v[0], D) if v else Q_ZERO for v, D in X._rows]
 
     def solve_matrix(self, B: "Mat"):
         """Solve self @ X = B; returns X (free coordinates zero) or None."""
@@ -233,8 +237,8 @@ class Mat:
         if pivots and pivots[-1] >= n:
             return None
         X = Mat.zero(n, B.n)
-        for p, row in zip(pivots, R._rows):
-            X._rows[p] = {j - n: x for j, x in row.items() if j >= n}
+        for p, (v, D) in zip(pivots, R._rows):
+            X._rows[p] = _canonical({j - n: x for j, x in v.items() if j >= n}, D)
         return X
 
     def inv(self) -> "Mat":
@@ -252,37 +256,59 @@ class Mat:
         """self on top of each of others in turn."""
         if any(o.n != self.n for o in others):
             raise ValueError("vstack column mismatch")
-        rows = [dict(r) for a in (self,) + others for r in a._rows]
+        rows = [r for a in (self,) + others for r in a._rows]
         return Mat._new(len(rows), self.n, rows)
 
 
 def block_matrix(blocks, row_dims, col_dims) -> Mat:
-    """Assemble a matrix from a grid of blocks; None means a zero block."""
+    """Assemble a matrix from a grid of blocks; None means a zero block.
+
+    Each row goes over the lcm L of its pieces' denominators.  For a prime r
+    of L, the piece whose D holds the most factors r has an entry prime to r,
+    and L/D is prime to r, so the row is canonical as it stands."""
     rows = []
     for bi, rdim in enumerate(row_dims):
-        band = [{} for _ in range(rdim)]
+        band = []  # (column offset, rows) of each block in the band
         j0 = 0
         for bj, cdim in enumerate(col_dims):
             blk = blocks[bi][bj]
             if blk is not None:
                 if (blk.m, blk.n) != (rdim, cdim):
                     raise ValueError("block (%d,%d) has shape (%d,%d), wanted (%d,%d)" % (bi, bj, blk.m, blk.n, rdim, cdim))
-                for out, r in zip(band, blk._rows):
-                    out.update({j0 + j: x for j, x in r.items()})
+                band.append((j0, blk._rows))
             j0 += cdim
-        rows += band
+        for i in range(rdim):
+            pieces = [(j0, block_rows[i]) for j0, block_rows in band if block_rows[i][0]]
+            L = lcm(*(D for _, (_, D) in pieces))
+            rows.append(({j0 + j: x * (L // D) for j0, (v, D) in pieces for j, x in v.items()}, L))
     return Mat._new(sum(row_dims), sum(col_dims), rows)
 
 
-def _sparse_row(pairs):
-    """{column: Fraction} from (column, value) pairs, zeros left out."""
-    row = {}
+def _int_row(pairs):
+    """The canonical row (v, D) of (column, value) pairs, zeros left out; the
+    values are ints, Fractions or exact input to Fraction() such as "p/q"."""
+    v, D = {}, 1
     for j, x in pairs:
-        if type(x) is not Fraction:
+        if type(x) is not int and type(x) is not Fraction:
+            if isinstance(x, float):
+                raise TypeError("matrix entry %r is a float; exact matrices take int, Fraction or 'p/q'" % (x,))
             x = Fraction(x)
-        if x:
-            row[j] = x
-    return row
+        x, q = x.as_integer_ratio()
+        if q == 1:
+            if x:
+                v[j] = x * D
+            continue
+        if D % q:
+            f = q // gcd(D, q)
+            v, D = {k: y * f for k, y in v.items()}, D * f
+        v[j] = x * (D // q)
+    return v, D
+
+
+def _canonical(v, D):
+    """(v, D) with gcd(D, content(v)) divided out of both; v holds no zeros."""
+    g = gcd(D, *v.values())
+    return (v, D) if g == 1 else ({j: x // g for j, x in v.items()}, D // g)
 
 
 def _axpy(v, c, row):
@@ -293,12 +319,6 @@ def _axpy(v, c, row):
             v[k] = y
         else:
             del v[k]
-
-
-def _int_row(r):
-    """(v, D): the rational row dict r as integers v over one common denominator D."""
-    D = lcm(*(x.denominator for x in r.values()))
-    return {j: x.numerator * (D // x.denominator) for j, x in r.items()}, D
 
 
 def _primitive(v, p):
@@ -319,7 +339,7 @@ def _cancel(v, e, p):
 
 
 def _reduce(v, D, echelon, combo=None):
-    """Reduce the row v/D in place against echelon; return (pivot or None, D).
+    """Reduce the row v/D against echelon, changing v; return (v, D, pivot or None).
 
     v is a {column: int} dict holding no zeros; its pivot is its leftmost
     column.  echelon maps pivots to (primitive integer row e, combination).
@@ -329,18 +349,13 @@ def _reduce(v, D, echelon, combo=None):
     while v:
         p = min(v)
         if p not in echelon:
-            return p, D
+            return v, D, p
         e, ecombo = echelon[p]
         a, b = _cancel(v, e, p)
         if combo is not None:
             _axpy(combo, Fraction(b, a * D), ecombo)
-        D *= a
-        g = gcd(D, *v.values())
-        if g != 1:
-            D //= g
-            for j in v:
-                v[j] //= g
-    return None, D
+        v, D = _canonical(v, D * a)
+    return v, D, None
 
 
 class SparseEliminator:
@@ -359,9 +374,9 @@ class SparseEliminator:
 
     def add(self, vec, tag=None):
         """Insert vec; returns its tag when independent, else None."""
-        v, D = _int_row({k: x for k, x in vec.items() if x})
+        v, D = _int_row(vec.items())
         combo = {}
-        p, D = _reduce(v, D, self.rows, combo)
+        v, D, p = _reduce(v, D, self.rows, combo)
         if p is None:
             return None
         if tag is None:
@@ -377,9 +392,9 @@ class SparseEliminator:
 
     def express(self, vec):
         """Combination dict over selected tags with vec = sum c_i * sel_i, or None."""
-        v, D = _int_row({k: x for k, x in vec.items() if x})
+        v, D = _int_row(vec.items())
         combo = {}
-        return combo if _reduce(v, D, self.rows, combo)[0] is None else None
+        return combo if _reduce(v, D, self.rows, combo)[2] is None else None
 
     @property
     def rank(self) -> int:

@@ -24,6 +24,32 @@ def test_construction_and_indexing():
     assert r[(1, 0)] == 3
 
 
+def test_row_and_column_indices_are_checked():
+    m = Mat.from_rows([[1, 2], [3, 4]])
+    for ij, what in (((-1, 0), "row -1"), ((2, 0), "row 2"), ((0, -1), "column -1"), ((0, 2), "column 2")):
+        with pytest.raises(IndexError, match=what + " out of range"):
+            m[ij]
+        with pytest.raises(IndexError, match=what + " out of range"):
+            m[ij] = 5
+    assert m == Mat.from_rows([[1, 2], [3, 4]])
+
+
+def test_floats_are_refused_wherever_entries_come_in():
+    m = Mat.eye(1)
+    attempts = [
+        lambda: Mat(1, 1, [[0.1]]),
+        lambda: Mat.from_dicts(1, 1, [{0: 0.1}]),
+        lambda: m.__setitem__((0, 0), 0.1),
+        lambda: m.scale(0.1),
+        lambda: m.apply([0.1]),
+    ]
+    for attempt in attempts:
+        with pytest.raises(TypeError, match=r"0\.1"):
+            attempt()
+    assert m == Mat.eye(1)
+    assert Mat(1, 2, [["1/10", F(1, 10)]]).rows == [[F(1, 10), F(1, 10)]]
+
+
 def test_entries_are_exactly_fractions_whatever_the_input():
     m = Mat(2, 3, [[1, "3/4", F(5, 2)], [F(-1), "-7", 0]])
     assert all(type(x) is F for r in m.rows for x in r)
@@ -247,6 +273,26 @@ def stores_only_nonzero_fractions(mat):
     return all(type(x) is F and x != 0 for _, _, x in mat.items())
 
 
+def matches_reference(got, shape, want):
+    """got has the shape and the dense rows of the reference, and equals (with
+    the same hash) the Mat built from them; == and hash compare the stored
+    canonical rows, so a row left over a non-reduced denominator fails."""
+    ref = Mat(*shape, want)
+    return ((got.m, got.n) == shape and got.rows == want and got == ref and hash(got) == hash(ref)
+            and stores_only_nonzero_fractions(got))
+
+
+def ref_solve(a, b, n, q):
+    """One solution X of a X = b with the free coordinates zero, or None."""
+    rows, pivots = ref_rref([r + t for r, t in zip(a, b)], n + q)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[F(0)] * q for _ in range(n)]
+    for p, row in zip(pivots, rows):
+        x[p] = row[n:]
+    return x
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.data())
 def test_sparse_operations_match_list_reference(data):
@@ -256,6 +302,7 @@ def test_sparse_operations_match_list_reference(data):
     s = data.draw(dense_rows(q, n))
     k = data.draw(st.integers(-3, 3))
     v = [x for [x] in data.draw(dense_rows(n, 1))]
+    idx = data.draw(st.lists(st.none() | st.integers(0, m - 1) if m else st.none(), max_size=6))
     A, B, C, W, S = Mat(m, n, a), Mat(m, n, b), Mat(n, p, c), Mat(m, q, w), Mat(q, n, s)
     results = {  # name: (result, its shape, the reference rows)
         "A*C": (A * C, (m, p), ref_mul(a, c, p)),
@@ -271,18 +318,30 @@ def test_sparse_operations_match_list_reference(data):
             (m + n, n + p),
             [r + [F(0)] * p for r in a] + [[F(0)] * n + r for r in c],
         ),
+        "select_rows": (A.select_rows(idx), (len(idx), n), [[F(0)] * n if i is None else a[i] for i in idx]),
+        "solve_matrix": (A.solve_matrix(A * C), (n, p), ref_solve(a, ref_mul(a, c, p), n, p)),
     }
+    if m and n:
+        i, j, x = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1)), data.draw(NONZERO)
+        for value in (x, 0):
+            got, want = Mat(m, n, a), [r[:] for r in a]
+            got[(i, j)] = want[i][j] = value
+            results["set %r" % value] = (got, (m, n), want)
     for name, (got, shape, want) in results.items():
-        assert (got.m, got.n) == shape and got.rows == want, name
-        assert stores_only_nonzero_fractions(got), name
+        assert matches_reference(got, shape, want), name
+    want = ref_solve(a, w, n, q)
+    if want is None:
+        assert A.solve_matrix(W) is None
+    else:
+        assert matches_reference(A.solve_matrix(W), (n, q), want)
     assert A.apply(v) == [sum((x * y for x, y in zip(r, v)), F(0)) for r in a]
     # entries that cancel in the product are not stored
     cancel = A.hstack(A) * C.vstack(C.scale(-1))
     assert cancel == Mat.zero(m, p) and cancel.items() == [] and cancel.is_zero()
     # rref is unique, so it must agree with the reference exactly
     R, pivots = A.rref()
-    assert (R.rows, pivots) == ref_rref(a, n)
-    assert stores_only_nonzero_fractions(R)
+    want, want_pivots = ref_rref(a, n)
+    assert matches_reference(R, (m, n), want) and pivots == want_pivots
     # equality and hashing see values, not how the rows were built
     sparse = Mat.from_dicts(m, n, [{j: x for j, x in enumerate(r)} for r in a])
     assert sparse == A and hash(sparse) == hash(A)
@@ -299,8 +358,28 @@ def test_inverse_matches_list_reference(data):
         with pytest.raises(ValueError):
             Mat(n, n, a).inv()
     else:
-        got = Mat(n, n, a).inv()
-        assert got.rows == want and stores_only_nonzero_fractions(got)
+        assert matches_reference(Mat(n, n, a).inv(), (n, n), want)
+
+
+def test_rows_over_different_denominators_are_stored_reduced():
+    # an hstack band: rows over 3 beside rows over 5, and over 6 beside over 4
+    left = Mat.from_rows([[F(1, 3), F(2, 3)], [F(1, 6), 0], [0, 0]])
+    right = Mat.from_rows([[F(1, 5)], [F(3, 4)], [F(1, 2)]])
+    assert matches_reference(left.hstack(right), (3, 3),
+                             [[F(1, 3), F(2, 3), F(1, 5)], [F(1, 6), 0, F(3, 4)], [0, 0, F(1, 2)]])
+    # transpose: column 0 draws on rows over 2, 3 and 6, column 1 on rows over 1
+    rows = [[F(1, 2), 1], [F(1, 3), -1], [F(1, 6), 2]]
+    assert matches_reference(Mat.from_rows(rows).transpose(), (2, 3), [list(c) for c in zip(*rows)])
+    # solve_matrix: [3, 1 | 3] is primitive with pivot value 3, and its
+    # right-hand part 3 shares that factor, so x_0 = 3/3 must be stored as 1/1
+    x = Mat.from_rows([[3, 1]]).solve_matrix(Mat.from_rows([[3]]))
+    assert matches_reference(x, (2, 1), [[F(1)], [F(0)]])
+    # sums, scaling and products whose denominators cancel
+    a = Mat.from_rows([[F(1, 6), F(5, 6)], [F(1, 4), F(3, 4)]])
+    b = Mat.from_rows([[F(1, 3), F(1, 6)], [F(-1, 4), F(1, 4)]])
+    assert matches_reference(a + b, (2, 2), [[F(1, 2), 1], [0, 1]])
+    assert matches_reference(a.scale(12), (2, 2), [[2, 10], [3, 9]])
+    assert matches_reference(a * Mat.from_rows([[6, 0], [6, 4]]), (2, 2), [[6, F(10, 3)], [6, 3]])
 
 
 def test_setting_an_entry_to_zero_removes_it():
@@ -388,7 +467,8 @@ def test_elimination_kernel_matches_list_reference(data):
     r = A.rank()
     assert r == oracle_rank(a)
     R, pivots = A.rref()
-    assert (R.rows, pivots) == ref_rref(a, n) and stores_only_nonzero_fractions(R)
+    want, want_pivots = ref_rref(a, n)
+    assert matches_reference(R, (m, n), want) and pivots == want_pivots
     kernel = A.nullspace()
     assert len(kernel) == n - r and all(A.apply(v) == [F(0)] * m for v in kernel)
     x0 = [x for [x] in data.draw(dense_rows(n, 1))]
@@ -402,7 +482,7 @@ def test_elimination_kernel_matches_list_reference(data):
             with pytest.raises(ValueError):
                 A.inv()
         else:
-            assert A.inv().rows == want
+            assert matches_reference(A.inv(), (n, n), want)
 
 
 # Runs in a fresh interpreter under a timeout, so a kernel whose integers blow
