@@ -4,19 +4,20 @@ A FreeCDGA is a free graded-commutative algebra on finitely many generators
 of degree >= 1 together with a degree +1 derivation d whose square vanishes;
 d is given on generators and extended by the graded Leibniz rule.  Bases per
 degree are enumerated monomials, so every operator has an exact matrix and
-the whole algebra restricts to a cochain complex through any window.
+the whole algebra restricts to a cochain complex through any window.  Maps
+hold generator images as int numerators over one denominator, so apply_key
+and key_matrix build no Fractions; apply divides only into its Polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .graded import GradedError, GradedSpace
 from .linalg import Mat
 from .complexes import Complex
 from .poly import (
-    Q_ONE,
-    Q_ZERO,
     Generators,
     Polynomial,
     basis_keys,
@@ -28,15 +29,36 @@ from .poly import (
 
 
 def key_matrix(src, tgt_index, image) -> Mat:
-    """Matrix whose column j holds image(src[j]), a {key: Fraction} dict.
-
-    src lists the source basis keys; tgt_index maps target keys to rows.
-    """
+    """Matrix whose column j is image(src[j]) = ({key: int}, D), put over the
+    lcm of the Ds (Mat.from_int_rows); tgt_index maps target keys to rows."""
+    cols = [image(key) for key in src]
+    L = lcm(*(D for _, D in cols))
     rows = [{} for _ in tgt_index]
-    for col, key in enumerate(src):
-        for kk, c in image(key).items():
-            rows[tgt_index[kk]][col] = c
-    return Mat.from_dicts(len(rows), len(src), rows)
+    for col, (v, D) in enumerate(cols):
+        f = L // D
+        for kk, x in v.items():
+            rows[tgt_index[kk]][col] = x * f
+    return Mat.from_int_rows(len(rows), len(src), rows, L)
+
+
+def _int_images(gens, images):
+    """({generator index: {key: int}}, den) for the nonzero images {name: Polynomial},
+    their coefficients as numerators over den, the lcm of their denominators."""
+    den = lcm(*(c.denominator for p in images.values() for c in p.terms.values()))
+    return {gens.index(n): {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
+            for n, p in images.items() if p.terms}, den
+
+
+def _apply(gens, apply_key, terms) -> Polynomial:
+    """Sum of c * apply_key(key) over terms {key: Fraction}, in ints over one lcm."""
+    parts = [(c, *apply_key(key)) for key, c in terms.items()]
+    L = lcm(*(c.denominator * D for c, _, D in parts))
+    out = {}
+    for c, v, D in parts:
+        f = c.numerator * (L // (c.denominator * D))
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + f * x
+    return Polynomial(gens, {k: Fraction(x, L) for k, x in out.items()})
 
 
 class Derivation:
@@ -45,16 +67,13 @@ class Derivation:
     Determined by generator images (homogeneous of degree |g| + r, or zero)
     and extended by D(ab) = D(a) b + (-1)^(r |a|) a D(b).  apply_key applies
     that rule to one monomial key, placing e D(g) between the keys before
-    (times g^(e-1)) and after each run g^e with poly.key_product, into a
-    {key: Fraction} dict; apply sums it over a polynomial's terms, and matrix
-    writes its coefficients into sparse rows found by basis index lookup.
+    (times g^(e-1)) and after each run g^e with poly.key_product.
     """
 
     def __init__(self, algebra: "FreeCDGA", degree: int, images):
         self.algebra = algebra
         self.degree = int(degree)
         self.images = {}
-        self._terms = {}  # generator index -> image terms
         for name, poly in images.items():
             i = algebra.gens.index(name)
             if not isinstance(poly, Polynomial):
@@ -68,34 +87,31 @@ class Derivation:
                         % (name, got, want)
                     )
                 self.images[algebra.gens.names[i]] = poly
-                self._terms[i] = poly.terms
+        self._terms, self.den = _int_images(algebra.gens, self.images)
 
     def image_of(self, name: str) -> Polynomial:
         return self.images.get(name, Polynomial.zero(self.algebra.gens))
 
-    def apply_key(self, key, coeff=Q_ONE, out=None):
-        """Add coeff * D(key) into the dict out ({key: Fraction}); return it."""
+    def apply_key(self, key):
+        """D(key) as ({key: int}, den): integer coefficients, no zeros, over den."""
         gens = self.algebra.gens
-        out = {} if out is None else out
+        out = {}
         prefix_degree = 0
         for j, (i, e) in enumerate(key):
             img = self._terms.get(i)
             if img is not None:
-                c0 = -coeff * e if self.degree % 2 and prefix_degree % 2 else coeff * e
-                left = key[:j] + (((i, e - 1),) if e > 1 else ())
+                c0 = -e if self.degree % 2 and prefix_degree % 2 else e
+                left, right = key[:j] + (((i, e - 1),) if e > 1 else ()), key[j + 1:]
                 for ikey, c in img.items():
                     s1, k1 = key_product(gens, left, ikey)
-                    s2, k2 = key_product(gens, k1, key[j + 1:]) if s1 else (0, ())
+                    s2, k2 = key_product(gens, k1, right) if s1 else (0, ())
                     if s2:
-                        out[k2] = out.get(k2, Q_ZERO) + (c0 * c if s1 == s2 else -c0 * c)
+                        out[k2] = out.get(k2, 0) + (c0 * c if s1 == s2 else -c0 * c)
             prefix_degree += e * gens.degrees[i]
-        return out
+        return {k: c for k, c in out.items() if c}, self.den
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        out = {}
-        for key, c in poly.terms.items():
-            self.apply_key(key, c, out)
-        return Polynomial(self.algebra.gens, out)
+        return _apply(self.algebra.gens, self.apply_key, poly.terms)
 
     def __call__(self, poly):
         return self.apply(poly)
@@ -108,12 +124,8 @@ class Derivation:
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [self, other] = s o - (-1)^(rs) o s, a derivation."""
         sgn = -1 if (self.degree % 2 and other.degree % 2) else 1
-        images = {}
-        for name in self.algebra.gens.names:
-            g = Polynomial.generator(self.algebra.gens, name)
-            val = self.apply(other.apply(g)) - other.apply(self.apply(g)).scale(sgn)
-            if not val.is_zero():
-                images[name] = val
+        images = {name: self.apply(other.image_of(name)) - other.apply(self.image_of(name)).scale(sgn)
+                  for name in self.algebra.gens.names}
         return Derivation(self.algebra, self.degree + other.degree, images)
 
 
@@ -224,13 +236,8 @@ class FreeCDGA:
         appending; the new images may use every generator.
         """
         gens2 = self.gens.extended(new_gens)
-        images = {}
-        for name in self.gens.names:
-            img = self.differential.image_of(name)
-            if not img.is_zero():
-                images[name] = Polynomial(gens2, dict(img.terms))
-        for name, poly in new_d_images.items():
-            images[name] = Polynomial(gens2, dict(poly.terms))
+        images = {name: Polynomial(gens2, dict(poly.terms))
+                  for name, poly in [*self.differential.images.items(), *new_d_images.items()]}
         return FreeCDGA(gens2, images, truncation=self.truncation)
 
 
@@ -238,8 +245,8 @@ class CDGAMorphism:
     """Algebra map determined by generator images, compatible with d.
 
     apply_key multiplies out the images of a monomial key's generators with
-    poly.terms_product into a {key: Fraction} dict; apply, matrix, compose and
-    is_chain_map all go through it, so none multiplies Polynomials.
+    poly.terms_product; apply, matrix, compose and is_chain_map all go
+    through it, so none multiplies Polynomials.
     """
 
     def __init__(self, source: FreeCDGA, target: FreeCDGA, images,
@@ -247,7 +254,6 @@ class CDGAMorphism:
         self.source = source
         self.target = target
         self.images = {}
-        self._terms = {}  # generator index -> image terms, nonzero images only
         for name, poly in images.items():
             i = source.gens.index(name)
             if not poly.is_zero():
@@ -260,8 +266,8 @@ class CDGAMorphism:
                     )
                 if poly.gens != target.gens:
                     raise GradedError("morphism image of %r is not over the target" % name)
-                self._terms[i] = poly.terms
             self.images[source.gens.names[i]] = poly
+        self._terms, self.den = _int_images(source.gens, self.images)
         if validate and not self.is_chain_map():
             raise GradedError("generator images do not commute with d")
 
@@ -272,26 +278,21 @@ class CDGAMorphism:
     def image_of(self, name: str) -> Polynomial:
         return self.images.get(name, Polynomial.zero(self.target.gens))
 
-    def apply_key(self, key, coeff=Q_ONE, out=None):
-        """Add coeff * f(key) into the dict out ({key: Fraction}); return it."""
+    def apply_key(self, key):
+        """f(key) as ({key: int} with no zeros, den**m), m the factors in key."""
         gens = self.target.gens
-        out = {} if out is None else out
-        terms = {(): coeff}
+        terms, m = {(): 1}, 0
         for i, e in key:
             img = self._terms.get(i)
             if img is None:
-                return out
+                return {}, 1
             for _ in range(e):
                 terms = terms_product(gens, terms, img)
-        for k, c in terms.items():
-            out[k] = out.get(k, Q_ZERO) + c
-        return out
+            m += e
+        return terms, self.den ** m
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        out = {}
-        for key, c in poly.terms.items():
-            self.apply_key(key, c, out)
-        return Polynomial(self.target.gens, out)
+        return _apply(self.target.gens, self.apply_key, poly.terms)
 
     def __call__(self, poly):
         return self.apply(poly)

@@ -298,7 +298,7 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
         if not basis:
             continue
         labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(basis)))
-        mats[k] = key_matrix(basis, alg.basis_index(k), lambda v: dict(zip(fkeys, v)))
+        mats[k] = Mat.from_rows(basis).transpose().select_rows([findex.get(key) for key in alg.basis(k)])
         if k <= hi and not (ambient.diff(k) * mats[k]).is_zero():
             raise InternalCheckError("basic subspace is not closed under d at degree %d" % k)
     basic = Complex(GradedSpace(labels), {}, validate=False)

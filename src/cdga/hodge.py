@@ -348,7 +348,7 @@ def _multiplication(alg: FreeCDGA, y: int, k: int) -> Mat:
     """Matrix of multiplication by generator y from degree k."""
     def image(key):
         sign, prod = key_product(alg.gens, ((y, 1),), key)
-        return {prod: Fraction(sign)} if sign else {}
+        return {prod: sign} if sign else {}, 1
 
     return key_matrix(alg.basis(k), alg.basis_index(k + alg.gens.degrees[y]), image)
 

@@ -4,12 +4,12 @@ A Mat stores each row as (v, D): a {column: int} dict holding no zeros over
 one positive denominator D, with gcd(D, content(v)) = 1.  That form is
 canonical, so == and hash compare the stored pairs, and every operation runs
 on ints over lcms of denominators.  Stored rows are never changed in place,
-so matrices share them.  _int_row is the one place that converts entries
-(floats are refused); Fractions are built only on the way out.  All
-elimination runs through _reduce (pivot = leftmost column), behind rank, det,
-rref (nullspace, solve, inv) and SparseEliminator: v <- a*v - b*e in ints,
-common content of D and v removed; echelon rows are primitive with a
-positive pivot, and rref returns each reduced row e as (e, e[p]).
+so matrices share them.  _int_row converts every entry (floats refused)
+but those of from_int_rows, already ints over one D; Fractions are built
+only on the way out.  All elimination runs through _reduce (pivot = leftmost
+column), behind rank, det, rref (nullspace, solve, inv) and SparseEliminator:
+v <- a*v - b*e in ints, common content of D and v removed; echelon rows are
+primitive with a positive pivot, and rref returns each row e as (e, e[p]).
 """
 
 from __future__ import annotations
@@ -43,9 +43,16 @@ class Mat:
     @classmethod
     def from_dicts(cls, m: int, n: int, rows) -> "Mat":
         """Matrix from m row dicts {column: value}; zero values are dropped."""
-        if len(rows) != m or any(r and (min(r) < 0 or max(r) >= n) for r in rows):
-            raise ValueError("row data does not match shape (%d, %d)" % (m, n))
+        _check_dicts(m, n, rows)
         return cls._new(m, n, [_int_row(r.items()) if r else _ZERO_ROW for r in rows])
+
+    @classmethod
+    def from_int_rows(cls, m: int, n: int, rows, D: int) -> "Mat":
+        """Matrix from m row dicts {column: nonzero int}, every entry over D >= 1."""
+        _check_dicts(m, n, rows)
+        if D < 1:
+            raise ValueError("denominator %d is not positive" % D)
+        return cls._new(m, n, [_canonical(r, D) if r else _ZERO_ROW for r in rows])
 
     @classmethod
     def zero(cls, m: int, n: int) -> "Mat":
@@ -70,22 +77,22 @@ class Mat:
 
     def select_rows(self, idx) -> "Mat":
         """Matrix whose i-th row is row idx[i] of self, or zero where it is None."""
-        return Mat._new(len(idx), self.n, [_ZERO_ROW if i is None else self._rows[i] for i in idx])
+        return Mat._new(len(idx), self.n, [_ZERO_ROW if i is None else self._row((i,)) for i in idx])
 
     def _row(self, ij):
-        """(the stored row i, j) for the index pair ij, both checked against the shape."""
+        """The stored row ij[0], each index in ij (row, then column) checked against the shape."""
         for k, size, name in zip(ij, (self.m, self.n), ("row", "column")):
             if not 0 <= k < size:
                 raise IndexError("%s %d out of range" % (name, k))
-        return self._rows[ij[0]], ij[1]
+        return self._rows[ij[0]]
 
     def __getitem__(self, ij):
-        (v, D), j = self._row(ij)
-        return Fraction(v[j], D) if j in v else Q_ZERO
+        v, D = self._row(ij)
+        return Fraction(v[ij[1]], D) if ij[1] in v else Q_ZERO
 
     def __setitem__(self, ij, x):
-        (v, D), j = self._row(ij)
-        self._rows[ij[0]] = _int_row({**{k: Fraction(y, D) for k, y in v.items()}, j: x}.items())
+        (v, D), (i, j) = self._row(ij), ij
+        self._rows[i] = _int_row({**{k: Fraction(y, D) for k, y in v.items()}, j: x}.items())
 
     def __eq__(self, other):
         return isinstance(other, Mat) and (self.m, self.n, self._rows) == (other.m, other.n, other._rows)
@@ -282,6 +289,12 @@ def block_matrix(blocks, row_dims, col_dims) -> Mat:
             L = lcm(*(D for _, (_, D) in pieces))
             rows.append(({j0 + j: x * (L // D) for j0, (v, D) in pieces for j, x in v.items()}, L))
     return Mat._new(sum(row_dims), sum(col_dims), rows)
+
+
+def _check_dicts(m, n, rows):
+    """Refuse row dicts that are not m rows with columns in [0, n)."""
+    if len(rows) != m or any(r and (min(r) < 0 or max(r) >= n) for r in rows):
+        raise ValueError("row data does not match shape (%d, %d)" % (m, n))
 
 
 def _int_row(pairs):

@@ -12,9 +12,9 @@ reproducible.
 
 Every product goes through key_product, which merges two canonical keys run
 by run without expanding exponents and returns the Koszul sign (0 when an
-odd generator meets itself); terms_product (behind Polynomial.__mul__ and
-CDGAMorphism.apply_key) and normalize_factors both use it, so products have
-one sign routine.
+odd generator meets itself); terms_product (behind Polynomial.__mul__ on
+Fractions and CDGAMorphism.apply_key on ints) and normalize_factors both use
+it, so products have one sign routine.
 """
 
 from __future__ import annotations
@@ -115,13 +115,14 @@ def key_product(gens: Generators, a, b):
 
 
 def terms_product(gens: Generators, a, b):
-    """Product of two term dicts {key: Fraction}, cancelled terms left out."""
+    """Product of two term dicts {key: coefficient}, cancelled terms left out;
+    the coefficients may be Fractions or ints (sums start at int 0)."""
     terms = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
             s, key = key_product(gens, k1, k2)
             if s:
-                terms[key] = terms.get(key, Q_ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
+                terms[key] = terms.get(key, 0) + (c1 * c2 if s > 0 else -c1 * c2)
     return {k: c for k, c in terms.items() if c}
 
 

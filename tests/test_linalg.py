@@ -34,6 +34,24 @@ def test_row_and_column_indices_are_checked():
     assert m == Mat.from_rows([[1, 2], [3, 4]])
 
 
+def test_select_rows_checks_row_indices_and_keeps_none_as_a_zero_row():
+    m = Mat.from_rows([[1, 0], [0, 2]])
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match="row %d out of range" % i):
+            m.select_rows([0, i])
+    assert m.select_rows([1, None, 0]) == Mat.from_rows([[0, 2], [0, 0], [1, 0]])
+    assert Mat.zero(2, 0).select_rows([None, 1]) == Mat.zero(2, 0)
+
+
+def test_from_int_rows_puts_integer_rows_over_one_denominator():
+    m = Mat.from_int_rows(3, 3, [{0: 4, 2: -6}, {}, {1: 3}], 12)
+    assert m == Mat.from_rows([[F(1, 3), 0, F(-1, 2)], [0, 0, 0], [0, F(1, 4), 0]])
+    assert hash(m) == hash(Mat.from_rows(m.rows))
+    for rows, D in (([{3: 1}, {}, {}], 1), ([{}], 1), ([{0: 1}, {}, {}], 0), ([{0: 1}, {}, {}], -2)):
+        with pytest.raises(ValueError):
+            Mat.from_int_rows(3, 3, rows, D)
+
+
 def test_floats_are_refused_wherever_entries_come_in():
     m = Mat.eye(1)
     attempts = [
