@@ -2,11 +2,12 @@
 
 One table, COMMANDS, decides each subcommand's document kinds, its flags and
 the smallest truncation it can use; one runner resolves, kind-checks, loads
-(schema, then the mathematical invariants) and truncates every input document
-before its handler computes.  Exit codes: 0 on success, 1 when the
-mathematics rejects the input (bad differential, failed Jacobi, non-nilpotent
-flow, failed audit, ...), 2 for unreadable or schema-invalid documents and
-bad arguments, 3 for internal consistency failures.
+(schema, then the mathematical invariants) and truncates every input document,
+and every command but check holds the degrees it visits to one size budget
+before it builds anything.  Exit codes: 0 on success, 1 when the mathematics
+rejects the input (bad differential, failed Jacobi, non-nilpotent flow, failed
+audit, ...), 2 for unreadable or schema-invalid documents, bad arguments and
+inputs over the budget, 3 for internal consistency failures.
 
 JSON output is canonical: sorted keys, compact separators, one trailing
 newline, rationals as "p" or "p/q" strings — byte-identical across runs.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 
 from .graded import GradedError
 from .complexes import (
@@ -24,12 +26,14 @@ from .complexes import (
     is_weak_equivalence, mapping_cone, mapping_cylinder,
 )
 from .cartan import basic_subcomplex, chevalley_eilenberg, weil_algebra
+from .free import free_gc_dims_from_counts
 from .minimal import minimal_model
 from .hodge import InnerProduct, adjoint, harmonic_space, number_operator_check
 from . import documents
 from .documents import DocumentError
 
-MAX_COMFORTABLE_TRUNCATION = 16
+# units a command may visit: max(1, basis dimension) summed over its degrees
+BUDGET = 25000
 
 # the truncation of a document kind that has one, when neither flag nor document gives it
 DEFAULT_TRUNCATION = {"cdga": 8, "glie": 6}
@@ -49,11 +53,8 @@ def _parse_window(text):
 
 
 def _truncation(args, doc, minimum, default):
-    """The --truncation flag, else the document's, else default.
-
-    Below minimum the command would check nothing, so that is an argument
-    error (exit 2); above MAX_COMFORTABLE_TRUNCATION it needs --force-truncation.
-    """
+    """The --truncation flag, else the document's, else default; below minimum
+    the command would check nothing, so that is an argument error (exit 2)."""
     t = args.truncation
     if t is None:
         t = documents.parse_integer(doc.get("truncation", default), "truncation")
@@ -62,15 +63,26 @@ def _truncation(args, doc, minimum, default):
             "truncation %d is below %d, the smallest that %s can use"
             % (t, minimum, args.command)
         )
-    if t > MAX_COMFORTABLE_TRUNCATION:
-        if not args.force_truncation:
-            raise DocumentError(
-                "truncation %d exceeds %d; pass --force-truncation to proceed"
-                % (t, MAX_COMFORTABLE_TRUNCATION)
-            )
-        print("warning: truncation %d is large; expect slow exact arithmetic" % t,
-              file=sys.stderr)
     return t
+
+
+def _budget(lo, hi, degrees=(), complexes=()):
+    """Units, max(1, dim_k) summed over lo <= k <= hi; exit 2 above BUDGET.
+
+    dim_k is the free graded-commutative algebra's on generators of these
+    degrees plus each complex's.  The degrees and the series' steps are
+    counted first, so the prediction costs no more than the budget."""
+    counts = Counter(degrees)
+    units = hi - lo + 1 + sum(c * max(0, hi - d + 1) for d, c in counts.items())
+    if units <= BUDGET:
+        dims = free_gc_dims_from_counts(counts, hi) if counts else {}
+        for c in complexes:
+            dims = {k: dims.get(k, 0) + c.dim(k) for k in {*dims, *c.support()}}
+        units = hi - lo + 1 + sum(v - 1 for k, v in dims.items() if v and lo <= k <= hi)
+    if units > BUDGET:
+        raise DocumentError("degrees %d..%d cost %d units, over the budget of %d"
+                            % (lo, hi, units, BUDGET))
+    return units
 
 
 def _betti_payload(bettis):
@@ -115,6 +127,7 @@ def cmd_homology(args, kind, value, t):
                 "window top %d is above %d, the highest degree truncation %d trusts"
                 % (window[1], t - 1, t)
             )
+        _budget(min(window[0] if window else 0, 0), t, value.gens.degrees)
         c = value.to_complex((0, t))
         window = window or (0, t - 1)
     else:
@@ -127,6 +140,7 @@ def cmd_homology(args, kind, value, t):
 
 
 def cmd_minimal_model(args, kind, algebra, t):
+    _budget(0, t + 2, algebra.gens.degrees)  # the input's complex is built on [0, t + 2]
     mm = minimal_model(algebra, t)
     gens = list(zip(mm.model.gens.names, mm.model.gens.degrees))
     diff = {
@@ -156,6 +170,7 @@ def cmd_minimal_model(args, kind, algebra, t):
 
 
 def cmd_homotopy(args, kind, algebra, t):
+    _budget(0, t + 2, algebra.gens.degrees)
     mm = minimal_model(algebra, t)
     ranks = mm.homotopy_ranks()
     payload = {
@@ -173,6 +188,7 @@ def cmd_homotopy(args, kind, algebra, t):
 
 
 def cmd_ce(args, kind, lie, t):
+    _budget(0, lie.n, [1] * lie.n)
     ops = _verified(chevalley_eilenberg(lie))
     betti = betti_numbers(ops.algebra.to_complex((0, lie.n)), (0, lie.n))
     payload = {"betti": _betti_payload(betti), "identities": "verified"}
@@ -181,6 +197,7 @@ def cmd_ce(args, kind, lie, t):
 
 def cmd_weil(args, kind, lie, t):
     window = args.window or (0, 2 * lie.n)
+    _budget(min(window[0], 0), window[1] + 1, [1, 2] * lie.n)
     data = basic_subcomplex(_verified(weil_algebra(lie)), window)
     weil = betti_numbers(data.ambient, window)
     basic = betti_numbers(data.complex, window)
@@ -259,6 +276,7 @@ def cmd_hodge(args, kind, value, t):
 
 
 def cmd_number_op(args, kind, data, t):
+    _budget(-1, t + 1, [d + e for _, d in data.elements for e in (0, 1)])  # g_v and v'
     rep = number_operator_check(data, truncation=t)
     payload = {
         "ok": rep.ok,
@@ -284,9 +302,9 @@ def cmd_number_op(args, kind, data, t):
 
 # -- the table and its runner -------------------------------------------------------
 
-ANY_KIND = {"cdga": 0, "lie": None, "glie": None, "complex": None, "gram": None}
+ANY_KIND = dict.fromkeys(("cdga", "lie", "glie", "complex", "gram"))
 
-# subcommand: (handler, help, flags besides the truncation pair,
+# subcommand: (handler, help, flags besides --truncation,
 #              {accepted kind: smallest useful truncation, or None if it has none})
 COMMANDS = {
     "check": (cmd_check, "validate a document and its mathematics", (), ANY_KIND),
@@ -314,14 +332,16 @@ def _run(args):
     if kind not in kinds:
         raise DocumentError("%s expects a %s document" % (args.command, " or ".join(kinds)))
     minimum = kinds[kind]
-    if minimum is None and (getattr(args, "truncation", None) is not None
-                            or getattr(args, "force_truncation", False)):
-        raise DocumentError("%s takes no --truncation or --force-truncation for a %s "
-                            "document" % (args.command, kind))
+    if minimum is None and getattr(args, "truncation", None) is not None:
+        raise DocumentError("%s takes no --truncation for a %s document" % (args.command, kind))
     if hasattr(args, "window"):
         args.window = _parse_window(args.window) if args.window else None
     # looked up at call time, so a wrapper set on the documents module is called
     value = getattr(documents, "load_" + kind)(doc)
+    if kind == "complex" and handler is not cmd_check:  # cones shift; Betti reads d_(lo-1)
+        parts = [value[0]] + ([value[1].target] if value[1] else [])
+        ends = [k for p in parts for k in p.support()] + list(getattr(args, "window", ()) or ())
+        _budget(min(ends, default=0) - 1, max(ends, default=0) + 1, complexes=parts)
     t = None if minimum is None else _truncation(args, doc, minimum, DEFAULT_TRUNCATION[kind])
     payload, lines = handler(args, kind, value, t)
     if args.format == "json":
@@ -349,11 +369,6 @@ def build_parser():
         p.add_argument("--format", choices=("text", "json"), default="text")
         if any(m is not None for m in kinds.values()):
             p.add_argument("--truncation", type=int, default=None)
-            p.add_argument(
-                "--force-truncation",
-                action="store_true",
-                help="allow truncations beyond %d" % MAX_COMFORTABLE_TRUNCATION,
-            )
         for flag in flags:
             p.add_argument(flag, default=None, help=FLAG_HELP[flag])
     return parser

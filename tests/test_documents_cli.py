@@ -1,7 +1,10 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 
 from fractions import Fraction as F
 
@@ -10,9 +13,13 @@ import pytest
 import cdga.documents as documents
 from cdga import (
     DocumentError,
+    FreeCDGA,
     GradedMap,
+    LieData,
     Mat,
     canonical_json,
+    chevalley_eilenberg,
+    doubled_algebra,
     load_cdga,
     load_complex,
     load_glie,
@@ -20,8 +27,10 @@ from cdga import (
     load_lie,
     resolve_input,
     validate_document,
+    weil_algebra,
 )
 from cdga.documents import builtin_names, format_rational, parse_rational, load_json
+from cdga import cli
 from cdga.cli import COMMANDS, build_parser, main
 
 
@@ -206,30 +215,34 @@ def test_cli_missing_input_resolves_to_error():
 
 
 def test_cli_truncation_guard():
+    # the size budget, not the truncation, decides: 17 answers, 100000 is refused
     rc, out, err = run_cli(
-        "homology", "--input", "cdga_sphere3", "--truncation", "17"
+        "homology", "--input", "cdga_sphere3", "--truncation", "17", "--format", "json"
     )
-    assert rc == 2
-    assert "force-truncation" in err
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"betti": {str(k): int(k in (0, 3)) for k in range(17)},
+                               "window": [0, 16]}
+    rc, out, err = run_cli("homology", "--input", "cdga_sphere3", "--truncation", "100000")
+    assert (rc, out) == (2, "")
+    assert "degrees 0..100000 cost" in err and "over the budget of 25000" in err
 
 
 FLAG_ARGS = {
     "--truncation": ["5"],
-    "--force-truncation": [],
     "--window": ["0..2"],
     "--gram": ["x"],
 }
 ACCEPTED_FLAGS = {
-    "check": {"--truncation", "--force-truncation"},
-    "homology": {"--truncation", "--force-truncation", "--window"},
-    "minimal-model": {"--truncation", "--force-truncation"},
-    "homotopy": {"--truncation", "--force-truncation"},
+    "check": set(),
+    "homology": {"--truncation", "--window"},
+    "minimal-model": {"--truncation"},
+    "homotopy": {"--truncation"},
     "ce": set(),
     "weil": {"--window"},
     "cone": set(),
     "cyl": set(),
     "hodge": {"--window", "--gram"},
-    "number-op": {"--truncation", "--force-truncation"},
+    "number-op": {"--truncation"},
 }
 
 
@@ -245,6 +258,17 @@ def test_cli_each_subcommand_parses_only_the_flags_it_reads(capsys):
                     parser.parse_args(argv)
                 assert exc.value.code == 2, argv
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[command, "--force-truncation"] for command in COMMANDS]
+                         + [["check", "--truncation", "5"]],
+                         ids=[*("%s-force" % command for command in COMMANDS), "check-truncation"])
+def test_cli_parsers_refuse_the_removed_truncation_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--input", "cdga_cp2", *argv[1:]])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: %s" % " ".join(argv[1:]) in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,12 +325,11 @@ GLIE_SMALL = {
 
 @pytest.mark.parametrize("argv, minimum", [
     (["homology", "--input", "cdga_cp2", "--truncation", "0"], 1),
-    (["check", "--input", "cdga_cp2", "--truncation", "-5"], 0),
     (["number-op", "--input", "GLIE", "--truncation", "-1"], 1),
     (["number-op", "--input", "GLIE", "--truncation", "0"], 1),
     (["minimal-model", "--input", "cdga_cp2", "--truncation", "1"], 2),
     (["homotopy", "--input", "cdga_cp2", "--truncation", "1"], 2),
-], ids=["homology-0", "check-minus5", "number-op-minus1", "number-op-0",
+], ids=["homology-0", "number-op-minus1", "number-op-0",
         "minimal-model-1", "homotopy-1"])
 def test_cli_rejects_a_truncation_that_checks_nothing(tmp_path, capsys, argv, minimum):
     glie = tmp_path / "glie.json"
@@ -320,13 +343,12 @@ def test_cli_rejects_a_truncation_that_checks_nothing(tmp_path, capsys, argv, mi
 
 
 @pytest.mark.parametrize("argv, payload", [
-    (["check", "--input", "cdga_cp2", "--truncation", "0"], {"kind": "cdga", "ok": True}),
     (["homology", "--input", "cdga_cp2", "--truncation", "1"],
      {"betti": {"0": 1}, "window": [0, 0]}),
     (["homotopy", "--input", "cdga_cp2", "--truncation", "2"],
      {"certified_through": 1, "pi": {}}),
     (["homotopy", "--input", "cdga_cp2"], {"certified_through": 8, "pi": {"2": 1, "5": 1}}),
-], ids=["check-0", "homology-1", "homotopy-2", "homotopy-default"])
+], ids=["homology-1", "homotopy-2", "homotopy-default"])
 def test_cli_accepts_the_smallest_useful_truncation(capsys, argv, payload):
     rc = main(argv + ["--format", "json"])
     assert rc == 0
@@ -340,9 +362,9 @@ def test_cli_number_op_keeps_its_default_truncation_and_guard(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["truncation"] == 1
     assert main(["number-op", "--input", str(glie), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["truncation"] == 6
-    assert main(["number-op", "--input", str(glie), "--truncation", "17"]) == 2
+    assert main(["number-op", "--input", str(glie), "--truncation", "300"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "force-truncation" in err
+    assert out == "" and "degrees -1..301 cost" in err and "over the budget of 25000" in err
 
 
 @pytest.mark.parametrize("command, doc, flag", [
@@ -355,7 +377,8 @@ def test_cli_number_op_keeps_its_default_truncation_and_guard(tmp_path, capsys):
 ], ids=["check-lie", "check-glie", "check-gram", "check-complex", "homology-complex",
         "homology-complex-force"])
 def test_cli_refuses_a_truncation_on_a_document_without_one(tmp_path, command, doc, flag):
-    # only cdga documents are truncated; the flags used to be read and ignored
+    # only cdga and glie documents are truncated, check reads no truncation at all,
+    # and --force-truncation is gone; the flags used to be read and ignored
     docs = {
         "GLIE": GLIE_SMALL,
         "GRAM": {"kind": "gram", "grams": {"1": [["2", "1"], ["1", "2"]]}},
@@ -368,8 +391,11 @@ def test_cli_refuses_a_truncation_on_a_document_without_one(tmp_path, command, d
         doc = str(path)
     rc, out, err = run_cli(command, "--input", doc, *flag)
     assert (rc, out) == (2, "")
-    assert err == ("document error: %s takes no --truncation or --force-truncation "
-                   "for a %s document\n" % (command, kind))
+    if command == "check" or flag == ["--force-truncation"]:
+        assert err.endswith("unrecognized arguments: %s\n" % " ".join(flag))
+    else:
+        assert err == "document error: %s takes no --truncation for a %s document\n" % (
+            command, kind)
     # the same documents are fine without the flag
     rc, out, _ = run_cli(command, "--input", doc)
     assert rc == 0 and out
@@ -880,3 +906,188 @@ def test_cli_refuses_a_truncation_below_the_table_minimum(
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert "below %d, the smallest that %s can use" % (minimum, command) in err
+
+
+# -- the size budget ------------------------------------------------------------------
+
+FAR_CX = {"kind": "complex", "complex": {"degrees": {"0": ["a"], "100000000": ["b"]}}}
+
+
+def _abelian(n):
+    return {"kind": "lie", "basis": ["x%d" % i for i in range(n)]}
+
+
+# the series alone would take minutes here: 20,000 generators through degree 1000
+WIDE_CDGA = {"kind": "cdga", "generators": [["g%d" % i, 1] for i in range(20000)],
+             "truncation": 1000}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["homology", "--input", "cdga_sphere3", "--window=-100000000..3"], None),
+    (["weil", "--input", "lie_cross3", "--window=-100000000..4"], None),
+    (["homology"], FAR_CX),
+    (["hodge"], FAR_CX),
+    (["cone"], FAR_CX),
+    (["number-op", "--truncation", "100000000"], GLIE_SMALL),
+    (["ce"], _abelian(20)),
+    (["weil"], _abelian(8)),
+    (["homology"], WIDE_CDGA),
+], ids=["homology-window", "weil-window", "homology-far", "hodge-far", "cone-far",
+        "number-op-truncation", "ce-abelian20", "weil-abelian8", "homology-wide"])
+def test_cli_refuses_an_input_over_the_size_budget(tmp_path, argv, doc):
+    # each of these used to run past a 10 s timeout, or would have
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv[:1] + ["--input", str(path)] + argv[1:]
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"document error: degrees -?\d+\.\.\d+ cost \d+ units, "
+                        r"over the budget of 25000\n", proc.stderr), proc.stderr
+    if doc is WIDE_CDGA:
+        # the prediction stops at the budget: its series is never built
+        assert time.monotonic() - start < 2
+
+
+def test_cli_weil_budget_counts_the_default_window(tmp_path, capsys):
+    path = tmp_path / "abelian8.json"
+    path.write_text(json.dumps(_abelian(8)))
+    assert main(["weil", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "document error: degrees 0..17 cost 1081575 units, over the budget of 25000\n")
+
+
+S2XS2_PAIR = {
+    "kind": "cdga",
+    "generators": [["a", 2], ["b", 2], ["p", 3], ["q", 3], ["u", 3], ["v", 4]],
+    "differential": {"p": "a^2", "q": "b^2", "u": "v + 3/7 a b"},
+}
+
+
+def test_cli_runs_what_the_truncation_heuristic_refused(tmp_path, capsys):
+    assert main(["check", "--input", "cdga_cp2", "--format", "json"]) == 0
+    assert capsys.readouterr() == ('{"kind":"cdga","ok":true}\n', "")
+    path = tmp_path / "s2xs2.json"
+    path.write_text(json.dumps(S2XS2_PAIR))
+    assert main(["minimal-model", "--input", str(path), "--truncation", "24",
+                 "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    model = json.loads(out)
+    assert err == ""
+    assert sorted(d for _, d in model["generators"]) == [2, 2, 3, 3]
+    assert model["certified_through"] == 23
+
+
+def _random_cdga(seed):
+    """Free generators of degrees 2..5, plus a contractible pair (u, v): not minimal."""
+    rng = random.Random(seed)
+    gens = [["x%d" % i, rng.randint(2, 5)] for i in range(rng.randint(2, 4))]
+    k = rng.randint(2, 5)
+    return {"kind": "cdga", "generators": gens + [["u", k], ["v", k + 1]],
+            "differential": {"u": "v"}, "truncation": rng.randint(4, 7)}
+
+
+def _budget_and_bases(monkeypatch, argv):
+    """Run argv; the (lo, hi, units) of its one budget call and the degrees of every
+    free algebra basis the handler built after it.  A failed audit (exit 1) counts."""
+    calls, built = [], set()
+    budget, basis = cli._budget, FreeCDGA.basis
+
+    def recorded_budget(*args, **kwargs):
+        calls.append(args[:2] + (budget(*args, **kwargs),))
+        return calls[-1][2]
+
+    def recorded_basis(self, k):
+        built.add(k)
+        return basis(self, k)
+
+    monkeypatch.setattr(cli, "_budget", recorded_budget)
+    monkeypatch.setattr(FreeCDGA, "basis", recorded_basis)
+    assert main(argv + ["--format", "json"]) in (0, 1)
+    (lo, hi, units), = calls
+    return lo, hi, units, built
+
+
+GLIE_AUDIT = {"kind": "glie", "basis": [["p", 1], ["q", 2], ["r", 2], ["s", 3]],
+              "boundary": {"p": {"q": "2/3", "r": "-2/3"}, "q": {"s": "3/4"},
+                           "r": {"s": "3/4"}}}
+GLIE_COBRACKET = {"kind": "glie", "basis": [["p", 1], ["q", 2], ["v", 2]],
+                  "cobracket": {"v": [["p", "q", "1"]]}}
+ORACLE_DOCS = {"S2XS2": S2XS2_PAIR, "GLIE_SMALL": GLIE_SMALL, "GLIE_AUDIT": GLIE_AUDIT,
+               "GLIE_COBRACKET": GLIE_COBRACKET,
+               **{"RANDOM%d" % seed: _random_cdga(seed) for seed in (3, 17, 29)}}
+LIE_ORACLES = {"lie_cross3": LieData.cross3, "lie_solvable2": LieData.solvable2,
+               "lie_abelian3": lambda: LieData.abelian(3)}
+
+
+def _oracle_algebra(argv):
+    """The free algebra argv's command builds, from the library, not the CLI."""
+    command, name = argv[0], argv[2]
+    if command == "ce":
+        return chevalley_eilenberg(LIE_ORACLES[name]()).algebra
+    if command == "weil":
+        return weil_algebra(LIE_ORACLES[name]()).algebra
+    doc = ORACLE_DOCS.get(name) or load_json(resolve_input(name))
+    if command == "number-op":
+        return doubled_algebra(load_glie(doc), int(argv[argv.index("--truncation") + 1]))
+    return load_cdga(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    *[[command, "--input", name, *extra] for name in ("cdga_sphere2", "cdga_sphere3", "cdga_cp2")
+      for command, extra in (("homology", ["--window=-2..5"]), ("minimal-model", []),
+                             ("homotopy", ["--truncation", "6"]))],
+    *[[command, "--input", "RANDOM%d" % seed] for seed in (3, 17, 29)
+      for command in ("homology", "minimal-model", "homotopy")],
+    ["minimal-model", "--input", "S2XS2", "--truncation", "9"],
+    *[["ce", "--input", name] for name in LIE_ORACLES],
+    *[["weil", "--input", name, *window] for name in LIE_ORACLES
+      for window in ([], ["--window=-1..5"], ["--window", "3..7"])],
+    *[["number-op", "--input", glie, "--truncation", "4"]
+      for glie in ("GLIE_SMALL", "GLIE_AUDIT", "GLIE_COBRACKET")],
+], ids=" ".join)
+def test_cli_budget_predicts_the_dimensions_the_handler_builds(tmp_path, monkeypatch, argv):
+    # the prediction must cover every degree whose basis the command builds (a
+    # degree with an empty basis costs nothing) and, degree by degree, equal the
+    # dimension of the algebra it builds
+    algebra = _oracle_algebra(argv)
+    if argv[2] in ORACLE_DOCS:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(ORACLE_DOCS[argv[2]]))
+        argv = argv[:2] + [str(path)] + argv[3:]
+    lo, hi, units, built = _budget_and_bases(monkeypatch, argv)
+    outside = [k for k in built if not lo <= k <= hi and algebra.dim(k)]
+    assert built and not outside, (lo, hi, outside)
+    assert units == sum(max(1, algebra.dim(k)) for k in range(lo, hi + 1))
+
+
+# a zero map into a complex that sits two degrees above the source's top
+MAP_DOC = {"kind": "complex", "map": {
+    "source": {"degrees": {"0": ["s0"], "1": ["s1"]}, "differential": {"0": [["1"]]}},
+    "target": {"degrees": {"3": ["t3"]}}}}
+
+
+@pytest.mark.parametrize("command, window, doc", [
+    (command, window, doc) for doc in ("betti", "map")
+    for command, window in (("homology", None), ("homology", (-4, 1)), ("hodge", None),
+                            ("hodge", (0, 6)), ("cone", None), ("cyl", None))
+    if command != "cyl" or doc == "map"
+])
+def test_cli_budget_counts_a_complex_document(tmp_path, monkeypatch, capsys, command, window, doc):
+    # the support span joined with the window, one degree wider on each side,
+    # and the dimensions the document gives
+    document = {"betti": BETTI_CX, "map": MAP_DOC}[doc]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    extra = ["--window=%d..%d" % window] if window else []
+    lo, hi, units, _ = _budget_and_bases(monkeypatch, [command, "--input", str(path), *extra])
+    source, f = load_complex(document)
+    parts = [source] + ([f.target] if f else [])
+    ends = [k for p in parts for k in p.support()] + list(window or ())
+    assert (lo, hi) == (min(ends) - 1, max(ends) + 1)
+    assert units == sum(max(1, sum(p.dim(k) for p in parts)) for k in range(lo, hi + 1))
+    payload = json.loads(capsys.readouterr().out)
+    degrees = payload["complex"]["degrees"] if "complex" in payload else payload["betti"]
+    assert lo <= min(map(int, degrees)) and max(map(int, degrees)) <= hi
