@@ -5,8 +5,9 @@ of degree >= 1 together with a degree +1 derivation d whose square vanishes;
 d is given on generators and extended by the graded Leibniz rule.  Bases per
 degree are enumerated monomials, so every operator has an exact matrix and
 the whole algebra restricts to a cochain complex through any window.  Maps
-hold generator images as int numerators over one denominator, so apply_key
-and key_matrix build no Fractions; apply divides only into its Polynomial.
+hold generator images as int numerators over one denominator, so apply_key,
+key_matrix and the graded commutator on a generator (bracket_image) build no
+Fractions; apply and commutator divide only into their Polynomials.
 """
 
 from __future__ import annotations
@@ -49,16 +50,21 @@ def _int_images(gens, images):
             for n, p in images.items() if p.terms}, den
 
 
-def _apply(gens, apply_key, terms) -> Polynomial:
-    """Sum of c * apply_key(key) over terms {key: Fraction}, in ints over one lcm."""
-    parts = [(c, *apply_key(key)) for key, c in terms.items()]
+def int_sum(parts):
+    """sum c v / D over parts (c, v, D), c an int or Fraction and v {key: int},
+    as ({key: int} with no zeros, L), L the lcm of the c.denominator * D."""
+    parts = list(parts)
     L = lcm(*(c.denominator * D for c, _, D in parts))
     out = {}
     for c, v, D in parts:
         f = c.numerator * (L // (c.denominator * D))
         for k, x in v.items():
             out[k] = out.get(k, 0) + f * x
-    return Polynomial(gens, {k: Fraction(x, L) for k, x in out.items()})
+    return {k: x for k, x in out.items() if x}, L
+
+
+def _polynomial(gens, v, D) -> Polynomial:
+    return Polynomial(gens, {k: Fraction(x, D) for k, x in v.items()})
 
 
 class Derivation:
@@ -92,6 +98,10 @@ class Derivation:
     def image_of(self, name: str) -> Polynomial:
         return self.images.get(name, Polynomial.zero(self.algebra.gens))
 
+    def int_image(self, i: int):
+        """The image of generator i as ({key: int}, den)."""
+        return self._terms.get(i, {}), self.den
+
     def apply_key(self, key):
         """D(key) as ({key: int}, den): integer coefficients, no zeros, over den."""
         gens = self.algebra.gens
@@ -111,7 +121,8 @@ class Derivation:
         return {k: c for k, c in out.items() if c}, self.den
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        return _apply(self.algebra.gens, self.apply_key, poly.terms)
+        return _polynomial(self.algebra.gens,
+                           *int_sum((c, *self.apply_key(key)) for key, c in poly.terms.items()))
 
     def __call__(self, poly):
         return self.apply(poly)
@@ -121,11 +132,22 @@ class Derivation:
         a = self.algebra
         return key_matrix(a.basis(k), a.basis_index(k + self.degree), self.apply_key)
 
+    def bracket_image(self, other: "Derivation", i: int):
+        """[self, other](g_i) = s(o(g_i)) - (-1)^(rs) o(s(g_i)) as ({key: int}, den),
+        from apply_key on each term of the two integer images, over s.den * o.den."""
+        sgn = -1 if (self.degree % 2 and other.degree % 2) else 1
+        out = {}
+        for s, o, f in ((self, other, 1), (other, self, -sgn)):
+            for key, c in o.int_image(i)[0].items():
+                for k, x in s.apply_key(key)[0].items():
+                    out[k] = out.get(k, 0) + f * c * x
+        return {k: x for k, x in out.items() if x}, self.den * other.den
+
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [self, other] = s o - (-1)^(rs) o s, a derivation."""
-        sgn = -1 if (self.degree % 2 and other.degree % 2) else 1
-        images = {name: self.apply(other.image_of(name)) - other.apply(self.image_of(name)).scale(sgn)
-                  for name in self.algebra.gens.names}
+        gens = self.algebra.gens
+        images = {name: _polynomial(gens, *self.bracket_image(other, i))
+                  for i, name in enumerate(gens.names)}
         return Derivation(self.algebra, self.degree + other.degree, images)
 
 
@@ -292,7 +314,8 @@ class CDGAMorphism:
         return terms, self.den ** m
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        return _apply(self.target.gens, self.apply_key, poly.terms)
+        return _polynomial(self.target.gens,
+                           *int_sum((c, *self.apply_key(key)) for key, c in poly.terms.items()))
 
     def __call__(self, poly):
         return self.apply(poly)

@@ -18,7 +18,9 @@ Conventions, with [X_i, X_j] = sum_k c^k_ij X_k:
 
 Both models are built by the same two routines: _structure_sum writes every
 structure-constant sum (quadratic d, d F^k, each theta row) and _cartan_ops
-puts iota_a and theta_a on each row of n generators.
+puts iota_a and theta_a on each row of n generators.  verify takes each
+bracket [s, o](g) from Derivation.bracket_image, on integer images, and
+compares it with sum_k c_k ops_k(g) by cross-multiplying the denominators.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .graded import GradedError, GradedSpace, lie_violation
 from .linalg import Mat
 from .complexes import Complex, ChainMap, InternalCheckError
 from .poly import Generators, Polynomial
-from .algebra import FreeCDGA, Derivation, CDGAMorphism, key_matrix
+from .algebra import FreeCDGA, Derivation, CDGAMorphism, int_sum, key_matrix
 
 
 class LieData:
@@ -109,30 +111,29 @@ class CartanOps:
         """
         failures = []
         n = self.lie.n
-        gens = self.algebra.gens
 
-        def same(op, ops, coefs, label):
-            """Record label unless op = sum_k coefs[k] ops_k on every generator."""
-            for g in gens.names:
-                want = _combination(gens, ((c, ops[k].image_of(g)) for k, c in coefs.items()))
-                if op.image_of(g) != want:
+        def same(s, o, ops, coefs, label):
+            """Record label unless [s, o] = sum_k coefs[k] ops_k on every generator,
+            comparing the integer images v / D and w / E as v E = w D."""
+            for i, g in enumerate(self.algebra.gens.names):
+                v, D = s.bracket_image(o, i)
+                w, E = int_sum((c, *ops[k].int_image(i)) for k, c in coefs.items())
+                if {k: x * E for k, x in v.items()} != {k: x * D for k, x in w.items()}:
                     failures.append("%s fails on generator %s" % (label, g))
                     return
 
         for a in range(n):
-            same(self.d.commutator(self.iota[a]), self.theta, {a: 1},
-                 "[d, iota_%d] = theta_%d" % (a, a))
+            same(self.d, self.iota[a], self.theta, {a: 1}, "[d, iota_%d] = theta_%d" % (a, a))
         for a in range(n):
             for b in range(a, n):
-                same(self.iota[a].commutator(self.iota[b]), self.iota, {},
-                     "[iota_%d, iota_%d] = 0" % (a, b))
+                same(self.iota[a], self.iota[b], self.iota, {}, "[iota_%d, iota_%d] = 0" % (a, b))
         for name, ops in (("iota", self.iota), ("theta", self.theta)):
             for a in range(n):
                 for b in range(n):
-                    same(self.theta[a].commutator(ops[b]), ops, self.lie.bracket(a, b),
+                    same(self.theta[a], ops[b], ops, self.lie.bracket(a, b),
                          "[theta_%d, %s_%d] = %s_[.,.]" % (a, name, b, name))
         for a in range(n):
-            same(self.theta[a].commutator(self.d), self.theta, {}, "[theta_%d, d] = 0" % a)
+            same(self.theta[a], self.d, self.theta, {}, "[theta_%d, d] = 0" % a)
         return failures
 
     def verify_matrices(self, window):
@@ -232,27 +233,16 @@ def weil_contraction_witness(ops: CartanOps):
     """
     if ops.kind != "weil":
         raise GradedError("contraction witness is specific to the Weil model")
-    n = ops.lie.n
-    alg = ops.algebra
-    images_k = {}
-    images_lin = {}
-    for i in range(n):
-        a_name = alg.gens.names[i]
-        f_name = alg.gens.names[n + i]
-        images_k[f_name] = alg.gen(a_name)
-        images_lin[a_name] = alg.gen(f_name)
-    K = Derivation(alg, -1, images_k)
-    d_lin = Derivation(alg, 1, images_lin)
+    n, alg = ops.lie.n, ops.algebra
+    names = alg.gens.names
+    K = Derivation(alg, -1, {names[n + i]: alg.gen(names[i]) for i in range(n)})
+    d_lin = Derivation(alg, 1, {names[i]: alg.gen(names[n + i]) for i in range(n)})
     return K, d_lin
 
 
 def length_operator(algebra: FreeCDGA) -> "Derivation":
     """Degree-0 derivation acting as (number of generator factors)."""
-    return Derivation(
-        algebra,
-        0,
-        {name: algebra.gen(name) for name in algebra.gens.names},
-    )
+    return Derivation(algebra, 0, {name: algebra.gen(name) for name in algebra.gens.names})
 
 
 # -- basic subcomplex -----------------------------------------------------------------

@@ -73,7 +73,8 @@ def _budget(lo, hi, degrees=(), complexes=()):
     degrees plus each complex's.  The degrees and the series' steps are
     counted first, so the prediction costs no more than the budget."""
     counts = Counter(degrees)
-    units = hi - lo + 1 + sum(c * max(0, hi - d + 1) for d, c in counts.items())
+    units = hi - lo + 1 + sum(min(c, max(hi, 0) // d + 1) * max(0, hi - d + 1)
+                              for d, c in counts.items())
     if units <= BUDGET:
         dims = free_gc_dims_from_counts(counts, hi) if counts else {}
         for c in complexes:

@@ -4,10 +4,13 @@ All inputs are generator lists (name, degree) with degree >= 1 so every
 graded piece is finite-dimensional.  Dimensions come from the generator
 counts per degree: _gc_series is the one generating series of the free
 graded-commutative functor.  The free graded Lie algebra is realized
-inside the tensor algebra: brackets are computed as honest tensors and a
-sparse echelon picks basis elements degree by degree, so the returned
-bracket table is correct by construction; verify_axioms re-checks it with
-graded.lie_violation.  Algebra and module presentations are checked for
+inside the tensor algebra on integer tensors: in degree k a sparse echelon
+keeps the independent right-normed brackets [g, y], g a generator and y a
+basis element of degree k - |g|.  They span: graded Jacobi gives
+[[g, u], v] = [g, [u, v]] - (-1)^(|g||u|) [u, [g, v]], u shorter than
+[g, u], so by induction right-normed brackets are closed under brackets.
+The bracket table is correct by construction; verify_axioms re-checks it
+with graded.lie_violation.  Algebra and module presentations are checked for
 indices, degrees and associativity by the same two helpers before
 bar_slice reads them.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .graded import GradedError, GradedSpace, combine, lie_violation
 from .linalg import Mat, SparseEliminator
@@ -42,12 +46,18 @@ def _gc_series(counts, n: int):
     """Coefficients of t^0..t^n in prod (1 + t^d)^c (odd d) (1 - t^d)^-c (even d).
 
     These are the dimensions of the free graded-commutative algebra on
-    counts[d] generators of each degree d: odd generators are exterior,
-    even ones polynomial.  Each factor multiplies the series in place,
-    downwards for 1 + t^d and upwards for 1/(1 - t^d).
+    counts[d] generators of each degree d (exterior odd, polynomial even).
+    A degree takes c in-place passes, or one product with the binomial
+    series of its factor when c exceeds that series' n // d + 1 terms:
+    min(c, n // d + 1) * (n - d + 1) steps, as cli._budget counts.
     """
     series = [1] + [0] * n
     for d, c in counts.items():
+        if c and c > n // d + 1 > 0:
+            b = [comb(c, j) if d % 2 else comb(c + j - 1, j) for j in range(n // d + 1)]
+            series[d:] = [sum(b[j] * series[k - d * j] for j in range(k // d + 1))
+                          for k in range(d, n + 1)]
+            continue
         for _ in range(c):
             if d % 2:
                 for k in range(n, d - 1, -1):
@@ -113,8 +123,6 @@ class FreeGradedLie:
         self._build()
 
     def _add_candidate(self, degree, vector):
-        if not vector:
-            return
         elim = self._elim.setdefault(degree, SparseEliminator())
         if elim.add(vector, tag=len(self.basis)) is None:
             return
@@ -123,22 +131,18 @@ class FreeGradedLie:
         self.basis.append(LieBasisElement("L%d_%d" % (degree, len(per) - 1), degree, vector))
 
     def _build(self):
+        gens = []  # (basis index, degree) of each generator within the bound
         for gi, (_, degree) in enumerate(self.gens):
             if degree <= self.nmax:
-                self._add_candidate(degree, {(gi,): Fraction(1)})
+                gens.append((len(self.basis), degree))
+                self._add_candidate(degree, {(gi,): 1})
+        gens.sort(key=lambda gd: gd[1])  # the order decides which candidates are kept
         for k in range(2, self.nmax + 1):
-            for i in range(1, k // 2 + 1):
-                j = k - i
-                for a in self._by_degree.get(i, []):
-                    for b in self._by_degree.get(j, []):
-                        if i == j and b < a:
-                            continue
-                        if a == b and i % 2 == 0:
-                            continue  # [x, x] = 0 for even x
-                        ea, eb = self.basis[a], self.basis[b]
-                        self._add_candidate(
-                            k, _tensor_bracket(ea.vector, ea.degree, eb.vector, eb.degree)
-                        )
+            for g, dg in gens:
+                for y in self._by_degree.get(k - dg, []):
+                    if y != g or dg % 2:  # [g, g] = 0 for even g
+                        eg, ey = self.basis[g], self.basis[y]
+                        self._add_candidate(k, _tensor_bracket(eg.vector, dg, ey.vector, ey.degree))
 
     def dims(self):
         return {

@@ -10,7 +10,7 @@ linear algebra is never used to check itself.
 from fractions import Fraction
 import random
 
-from cdga import ChainMap, Complex, GradedSpace, Mat
+from cdga import ChainMap, Complex, Derivation, GradedSpace, Mat, Polynomial
 
 
 # -- independent rank oracle ---------------------------------------------------------
@@ -62,6 +62,63 @@ def oracle_betti(c):
         dout = oracle_rank(mat_rows(c.diff(k)))
         out[k] = c.dim(k) - din - dout
     return out
+
+
+# -- reference series and operator brackets -------------------------------------------
+
+
+def gc_series_per_generator(counts, n):
+    """Coefficients of t^0..t^n in prod (1 + t^d)^c (odd d) (1 - t^d)^-c (even d),
+    one in-place pass per generator: the reference for the binomial route."""
+    series = [1] + [0] * n
+    for d, c in counts.items():
+        for _ in range(c):
+            if d % 2:
+                for k in range(n, d - 1, -1):
+                    series[k] += series[k - d]
+            else:
+                for k in range(d, n + 1):
+                    series[k] += series[k - d]
+    return dict(enumerate(series))
+
+
+def reference_commutator(s, o):
+    """[s, o] = s o - (-1)^(|s||o|) o s on every generator, by Polynomial arithmetic."""
+    sgn = -1 if (s.degree % 2 and o.degree % 2) else 1
+    images = {name: s.apply(o.image_of(name)) - o.apply(s.image_of(name)).scale(sgn)
+              for name in s.algebra.gens.names}
+    return Derivation(s.algebra, s.degree + o.degree, images)
+
+
+def reference_verify(ops):
+    """The failure list of CartanOps.verify, from reference_commutator and
+    Polynomial sums: same identities, same order, same messages."""
+    failures = []
+    n, gens = ops.lie.n, ops.algebra.gens
+
+    def same(op, group, coefs, label):
+        for g in gens.names:
+            want = sum((group[k].image_of(g).scale(c) for k, c in coefs.items()),
+                       Polynomial.zero(gens))
+            if op.image_of(g) != want:
+                failures.append("%s fails on generator %s" % (label, g))
+                return
+
+    for a in range(n):
+        same(reference_commutator(ops.d, ops.iota[a]), ops.theta, {a: 1},
+             "[d, iota_%d] = theta_%d" % (a, a))
+    for a in range(n):
+        for b in range(a, n):
+            same(reference_commutator(ops.iota[a], ops.iota[b]), ops.iota, {},
+                 "[iota_%d, iota_%d] = 0" % (a, b))
+    for name, group in (("iota", ops.iota), ("theta", ops.theta)):
+        for a in range(n):
+            for b in range(n):
+                same(reference_commutator(ops.theta[a], group[b]), group, ops.lie.bracket(a, b),
+                     "[theta_%d, %s_%d] = %s_[.,.]" % (a, name, b, name))
+    for a in range(n):
+        same(reference_commutator(ops.theta[a], ops.d), ops.theta, {}, "[theta_%d, d] = 0" % a)
+    return failures
 
 
 # -- random complexes with known homology --------------------------------------------

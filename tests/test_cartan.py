@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdga import (
     CartanOps,
@@ -21,7 +23,7 @@ from cdga import (
     weil_contraction_witness,
     weil_to_ce_projection,
 )
-from helpers import mat_rows, oracle_rank
+from helpers import mat_rows, oracle_rank, reference_commutator, reference_verify
 
 
 def test_lie_data_validation():
@@ -373,3 +375,80 @@ def test_integrate_homotopy_rejects_a_direction_outside_the_algebra(direction):
     ce = chevalley_eilenberg(LieData.solvable2())
     with pytest.raises(GradedError, match="flow direction %r " % direction):
         integrate_homotopy(ce, {direction: F(1)}, (0, 2))
+
+
+# -- the integer bracket against the Polynomial reference ------------------------------
+
+
+def _direct_sum(pieces):
+    """The direct sum of the Lie algebras in pieces, basis y1, y2, ... in order."""
+    brackets, off = {}, 0
+    for lie in pieces:
+        for i in range(lie.n):
+            for j in range(lie.n):
+                if lie.bracket(i, j):
+                    brackets[(off + i, off + j)] = {off + k: c for k, c in lie.bracket(i, j).items()}
+        off += lie.n
+    return LieData(["y%d" % (i + 1) for i in range(off)], brackets)
+
+
+def _random_lie(rng):
+    """A direct sum of signed-permuted cross3, solvable2 and abelian(k), or a
+    2-step nilpotent algebra: [x_i, x_j] lands in a central span z_1.. z_c, so
+    every double bracket, hence every Jacobiator, vanishes."""
+    if rng.random() < 0.5:
+        pieces = []
+        for _ in range(rng.randint(1, 2)):
+            lie = rng.choice([LieData.cross3(), LieData.solvable2(), LieData.abelian(rng.randint(1, 2))])
+            signs = [rng.choice((-1, 1)) for _ in range(lie.n)]
+            pieces.append(_signed_permuted(lie, rng.sample(range(lie.n), lie.n), signs))
+        return _direct_sum(pieces)
+    m, c = rng.randint(2, 3), rng.randint(1, 2)
+    brackets = {(i, j): {m + k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(c)}
+                for i in range(m) for j in range(i + 1, m)}
+    return LieData(["x%d" % (i + 1) for i in range(m)] + ["z%d" % (k + 1) for k in range(c)],
+                   brackets)
+
+
+def _mutated(ops, rng, mutation):
+    """ops with one operator changed, or None when the mutation does not apply:
+    a theta image scaled, an iota image moved to another generator, or one
+    structure constant c(a, b, k) changed in theta only (on every row)."""
+    alg, n, names = ops.algebra, ops.lie.n, ops.algebra.gens.names
+    if mutation == "scale-theta":
+        choices = [(a, g) for a in range(n) for g in sorted(ops.theta[a].images)]
+        if not choices:
+            return None
+        a, g = rng.choice(choices)
+        images = {**ops.theta[a].images, g: ops.theta[a].images[g].scale(rng.choice([-1, 2, F(1, 3)]))}
+        return replace(ops, theta=ops.theta[:a] + [Derivation(alg, 0, images)] + ops.theta[a + 1:])
+    if mutation == "move-iota":
+        if n < 2:
+            return None
+        a = rng.randrange(n)
+        b = rng.choice([x for x in range(n) if x != a])
+        return replace(ops, iota=ops.iota[:a] + [Derivation(alg, -1, {names[b]: alg.one()})]
+                       + ops.iota[a + 1:])
+    a, b, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    delta = rng.choice([-2, -1, 1, F(1, 2)])
+    images = dict(ops.theta[a].images)
+    for r in range(0, len(names), n):
+        images[names[r + k]] = ops.theta[a].image_of(names[r + k]) - alg.gen(names[r + b]).scale(delta)
+    return replace(ops, theta=ops.theta[:a] + [Derivation(alg, 0, images)] + ops.theta[a + 1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["scale-theta", "move-iota", "theta-constant"]))
+def test_verify_matches_the_polynomial_reference_on_random_lie_algebras(seed, mutation):
+    # the integer bracket in verify against [s, o] computed by Polynomial
+    # arithmetic, on the true operators (no failure) and after one mutation
+    rng = random.Random(seed)
+    lie = _random_lie(rng)
+    for ops in (chevalley_eilenberg(lie), weil_algebra(lie)):
+        assert ops.verify() == reference_verify(ops) == []
+        s, o = rng.choice([ops.d, *ops.iota, *ops.theta]), rng.choice([ops.d, *ops.iota, *ops.theta])
+        assert s.commutator(o).images == reference_commutator(s, o).images
+        bad = _mutated(ops, rng, mutation)
+        if bad is not None:
+            assert bad.verify() == reference_verify(bad)

@@ -959,6 +959,22 @@ def test_cli_weil_budget_counts_the_default_window(tmp_path, capsys):
         "", "document error: degrees 0..17 cost 1081575 units, over the budget of 25000\n")
 
 
+# 2,000 generators of degree 20: the series takes one binomial product for them,
+# so the budget counts min(2000, 39 // 20 + 1) * 20 steps, not 2000 * 20
+MANY_CDGA = {"kind": "cdga", "generators": [["g%d" % i, 20] for i in range(2000)],
+             "truncation": 39}
+
+
+def test_cli_budget_counts_one_series_product_per_degree(tmp_path, capsys):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(MANY_CDGA))
+    assert main(["homology", "--input", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and payload["window"] == [0, 38]
+    assert payload["betti"] == {str(k): {0: 1, 20: 2000}.get(k, 0) for k in range(39)}
+
+
 S2XS2_PAIR = {
     "kind": "cdga",
     "generators": [["a", 2], ["b", 2], ["p", 3], ["q", 3], ["u", 3], ["v", 4]],

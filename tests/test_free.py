@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,9 @@ from cdga import (
     tensor_algebra_dims,
 )
 from cdga.graded import GradedError, lie_violation
+from cdga.linalg import SparseEliminator
 from cdga.poly import Generators, basis_keys
+from helpers import gc_series_per_generator
 
 
 def test_tensor_algebra_dims_fibonacci():
@@ -80,6 +83,15 @@ def test_generating_series_match_brute_force_counts(degrees, n):
     assert free_gc_dims_from_counts(counts, n) == gc
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.dictionaries(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=40),
+                       max_size=4),
+       st.integers(min_value=-1, max_value=30))
+def test_generating_series_match_one_pass_per_generator(counts, n):
+    # many generators of one degree take one product with a binomial series
+    assert free_gc_dims_from_counts(counts, n) == gc_series_per_generator(counts, n)
+
+
 def test_free_functors_reject_nonpositive_degrees():
     for call in (lambda: free_gc_dims([("a", 1), ("z", 0)], 4),
                  lambda: free_gc_dims_from_counts({-1: 2}, 4),
@@ -138,6 +150,41 @@ def test_enveloping_dims_is_pbw():
     for gens in [[("a", 1)], [("x", 2)], [("a", 1), ("b", 1)], [("a", 1), ("x", 2)]]:
         L = free_graded_lie(gens, 6)
         assert enveloping_dims(L, 6) == tensor_algebra_dims(gens, 6)
+
+
+def _lie_generators(degrees):
+    """Generators g0, g1, ... of these degrees, and a top degree: 8, lowered
+    until the tensor algebra has at most 256 words there, so a run stays short."""
+    gens = [("g%d" % i, d) for i, d in enumerate(degrees)]
+    n = 8
+    while tensor_algebra_dims(gens, n)[n] > 256:
+        n -= 1
+    return gens, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+def test_free_graded_lie_right_normed_brackets_span(degrees):
+    # the brackets [g, y] of a generator g with a basis element y span each
+    # degree (PBW: U(L) = T(V)), and degree k tries exactly sum_g dim L_(k-|g|)
+    # of them, less the zero [g, g] of each even g, plus its generators
+    gens, n = _lie_generators(degrees)
+    add, tried = SparseEliminator.add, Counter()
+
+    def spy(self, vec, tag=None):
+        tried[id(self)] += 1
+        return add(self, vec, tag)
+
+    with mock.patch.object(SparseEliminator, "add", spy):
+        L = free_graded_lie(gens, n)
+    dims = L.dims()
+    assert enveloping_dims(L, n) == tensor_algebra_dims(gens, n)
+    assert L.verify_axioms() is True
+    assert all(type(c) is int for e in L.basis for c in e.vector.values())
+    for k in range(1, n + 1):
+        want = (sum(d == k for d in degrees) + sum(dims.get(k - d, 0) for d in degrees)
+                - sum(2 * d == k and d % 2 == 0 for d in degrees))
+        assert (tried[id(L._elim[k])] if k in L._elim else 0) == want, k
 
 
 def test_algebra_presentation_exterior():
