@@ -67,6 +67,11 @@ def _polynomial(gens, v, D) -> Polynomial:
     return Polynomial(gens, {k: Fraction(x, D) for k, x in v.items()})
 
 
+def _apply(gens, apply_key, terms) -> Polynomial:
+    """Sum of c * apply_key(key) over terms {key: Fraction}, in ints over one lcm."""
+    return _polynomial(gens, *int_sum((c, *apply_key(key)) for key, c in terms.items()))
+
+
 class Derivation:
     """Degree-r derivation of a free graded-commutative algebra.
 
@@ -121,8 +126,7 @@ class Derivation:
         return {k: c for k, c in out.items() if c}, self.den
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        return _polynomial(self.algebra.gens,
-                           *int_sum((c, *self.apply_key(key)) for key, c in poly.terms.items()))
+        return _apply(self.algebra.gens, self.apply_key, poly.terms)
 
     def __call__(self, poly):
         return self.apply(poly)
@@ -214,11 +218,13 @@ class FreeCDGA:
             vec[idx[key]] = c
         return vec
 
-    def from_vector(self, k: int, vec) -> Polynomial:
+    def from_rows(self, k: int, mat: Mat):
+        """The polynomials whose coordinates in the degree-k basis are mat's rows."""
         keys = self.basis(k)
-        return Polynomial(
-            self.gens, {keys[i]: Fraction(v) for i, v in enumerate(vec)}
-        )
+        terms = [{} for _ in range(mat.m)]
+        for i, j, x in mat.items():
+            terms[i][keys[j]] = x
+        return [Polynomial(self.gens, t) for t in terms]
 
     def d_matrix(self, k: int) -> Mat:
         return self.differential.matrix(k)
@@ -314,8 +320,7 @@ class CDGAMorphism:
         return terms, self.den ** m
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        return _polynomial(self.target.gens,
-                           *int_sum((c, *self.apply_key(key)) for key, c in poly.terms.items()))
+        return _apply(self.target.gens, self.apply_key, poly.terms)
 
     def __call__(self, poly):
         return self.apply(poly)

@@ -233,16 +233,27 @@ def weil_contraction_witness(ops: CartanOps):
     """
     if ops.kind != "weil":
         raise GradedError("contraction witness is specific to the Weil model")
-    n, alg = ops.lie.n, ops.algebra
-    names = alg.gens.names
-    K = Derivation(alg, -1, {names[n + i]: alg.gen(names[i]) for i in range(n)})
-    d_lin = Derivation(alg, 1, {names[i]: alg.gen(names[n + i]) for i in range(n)})
+    n = ops.lie.n
+    alg = ops.algebra
+    images_k = {}
+    images_lin = {}
+    for i in range(n):
+        a_name = alg.gens.names[i]
+        f_name = alg.gens.names[n + i]
+        images_k[f_name] = alg.gen(a_name)
+        images_lin[a_name] = alg.gen(f_name)
+    K = Derivation(alg, -1, images_k)
+    d_lin = Derivation(alg, 1, images_lin)
     return K, d_lin
 
 
 def length_operator(algebra: FreeCDGA) -> "Derivation":
     """Degree-0 derivation acting as (number of generator factors)."""
-    return Derivation(algebra, 0, {name: algebra.gen(name) for name in algebra.gens.names})
+    return Derivation(
+        algebra,
+        0,
+        {name: algebra.gen(name) for name in algebra.gens.names},
+    )
 
 
 # -- basic subcomplex -----------------------------------------------------------------

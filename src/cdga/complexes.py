@@ -236,12 +236,13 @@ def betti_numbers(c: Complex, window=None) -> dict:
 class HomologySpace:
     """Cohomology of one degree, with canonical representatives.
 
-    The cycle space gets its echelon nullspace basis.  One rref of [the
-    columns of d_(k-1) | the cycles] then gives both bases: its pivots among
-    the columns of d_(k-1) (that matrix's own pivot columns) span the
-    boundaries, and its pivots among the cycles, the first cycles in basis
-    order completing the boundaries, are the class representatives.
-    Everything is exact, so coordinates of a class are computed by solving
+    The cycle space gets its echelon kernel basis, kept as sparse rows.  One
+    rref of [the columns of d_(k-1) | the cycles] then gives both bases: its
+    pivots among the columns of d_(k-1) (that matrix's own pivot columns)
+    span the boundaries, and its pivots among the cycles, the first cycles in
+    basis order completing the boundaries, are the class representatives
+    (the rows of reps; representatives lists them densely).  Everything is
+    exact, so the coordinates of any number of classes come from one solve
     against [boundaries | representatives].  Betti numbers alone come
     cheaper from betti_numbers.
     """
@@ -249,45 +250,53 @@ class HomologySpace:
     def __init__(self, c: Complex, k: int):
         self.complex = c
         self.k = k
-        n = c.dim(k)
         d_in = c.diff(k - 1)
-        cycles = c.diff(k).nullspace() if n else []
+        cycles = c.diff(k).kernel()
         # rows: the columns of d_(k-1), then the cycles
-        stacked = d_in.transpose().vstack(Mat(len(cycles), n, cycles))
+        stacked = d_in.transpose().vstack(cycles)
         _, piv = stacked.transpose().rref()
         self.boundary_rank = sum(j < d_in.n for j in piv)
-        self.betti = len(cycles) - self.boundary_rank
-        self.representatives = [cycles[j - d_in.n] for j in piv if j >= d_in.n]
-        if len(self.representatives) != self.betti:
+        self.betti = cycles.m - self.boundary_rank
+        self.reps = cycles.select_rows([j - d_in.n for j in piv if j >= d_in.n])
+        if self.reps.m != self.betti:
             raise InternalCheckError(
                 "homology basis completion failed at degree %d" % k
             )
         # columns: the boundary basis, then the representatives
         self._decomp = stacked.select_rows(piv).transpose()
 
+    @cached_property
+    def representatives(self):
+        """The class representatives as column vectors (lists of Fraction)."""
+        return self.reps.rows
+
     def is_cycle(self, vec) -> bool:
         return all(x == 0 for x in self.complex.diff(self.k).apply(vec))
 
     def coords(self, vec):
         """Coordinates of the class [vec] in the representative basis."""
-        if not self.is_cycle(vec):
+        return [row[0] for row in self.class_matrix(Mat(len(vec), 1, [[x] for x in vec])).rows]
+
+    def class_matrix(self, B: Mat) -> Mat:
+        """Coordinates of the classes of B's columns, cocycles of degree k, as
+        columns: one solve against [boundaries | representatives] for all."""
+        if not B.n:
+            return Mat.zero(self.betti, 0)
+        if not (self.complex.diff(self.k) * B).is_zero():
             raise ComplexError("vector at degree %d is not a cocycle" % self.k)
-        x = self._decomp.solve(list(vec))
-        if x is None:
+        X = self._decomp.solve_matrix(B)
+        if X is None:
             raise InternalCheckError(
                 "cocycle outside cycle space at degree %d" % self.k
             )
-        return x[self.boundary_rank:]
+        return X.select_rows(range(self.boundary_rank, X.m))
 
 
 def induced_on_homology(f: ChainMap, k: int, hs=None, ht=None) -> Mat:
     """Matrix of H^k(f) in the canonical representative bases."""
     hs = hs or HomologySpace(f.source, k)
     ht = ht or HomologySpace(f.target, k)
-    cols = []
-    for rep in hs.representatives:
-        cols.append(ht.coords(f.comp(k).apply(rep)))
-    return Mat(hs.betti, ht.betti, cols).transpose()
+    return ht.class_matrix(f.comp(k) * hs.reps.transpose())
 
 
 # -- shift / dual ---------------------------------------------------------------

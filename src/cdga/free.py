@@ -51,7 +51,7 @@ def _gc_series(counts, n: int):
     series of its factor when c exceeds that series' n // d + 1 terms:
     min(c, n // d + 1) * (n - d + 1) steps, as cli._budget counts.
     """
-    series = [1] + [0] * n
+    series = [1] + [0] * n if n >= 0 else []
     for d, c in counts.items():
         if c and c > n // d + 1 > 0:
             b = [comb(c, j) if d % 2 else comb(c + j - 1, j) for j in range(n // d + 1)]

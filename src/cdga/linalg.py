@@ -7,7 +7,7 @@ on ints over lcms of denominators.  Stored rows are never changed in place,
 so matrices share them.  _int_row converts every entry (floats refused)
 but those of from_int_rows, already ints over one D; Fractions are built
 only on the way out.  All elimination runs through _reduce (pivot = leftmost
-column), behind rank, det, rref (nullspace, solve, inv) and SparseEliminator:
+column), behind rank, det, rref (kernel, nullspace, solve, inv) and SparseEliminator:
 v <- a*v - b*e in ints, common content of D and v removed; echelon rows are
 primitive with a positive pivot, and rref returns each row e as (e, e[p]).
 """
@@ -215,17 +215,25 @@ class Mat:
                 echelon[p] = (_primitive(v, p), None)
         return echelon, values
 
-    def nullspace(self):
-        """Basis of ker(self) as a list of column vectors (lists of Fraction)."""
+    def kernel(self) -> "Mat":
+        """Basis of ker(self) as the rows of a matrix: the row of free column f
+        is 1 at f and -R[p, f] at each pivot p of the rref R, in ints."""
         R, pivots = self.rref()
-        basis = {f: [Q_ZERO] * self.n for f in range(self.n) if f not in set(pivots)}
-        for f, v in basis.items():
-            v[f] = Q_ONE
+        parts = dict.fromkeys(range(self.n), ())
         for p, (v, D) in zip(pivots, R._rows):
+            del parts[p]
             for f, x in v.items():
                 if f != p:
-                    basis[f][p] = Fraction(-x, D)
-        return list(basis.values())
+                    parts[f] += ((p, -x, D),)
+        rows = []
+        for f, ps in parts.items():
+            L = lcm(*(D for _, _, D in ps))
+            rows.append(_canonical({f: L, **{p: x * (L // D) for p, x, D in ps}}, L))
+        return Mat._new(len(rows), self.n, rows)
+
+    def nullspace(self):
+        """Basis of ker(self) as a list of column vectors (lists of Fraction)."""
+        return self.kernel().rows
 
     def solve(self, b):
         """One solution x of self @ x = b, or None when inconsistent."""

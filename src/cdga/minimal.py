@@ -19,7 +19,6 @@ what `MinimalModel.homotopy_ranks` reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graded import GradedError
 from .linalg import Mat
@@ -137,53 +136,29 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
             probe_mat = induced.hstack(Mat.eye(ha_k.betti))
             _, pivots = probe_mat.rref()
             missing = [j - width for j in pivots if j >= width]
-            new_gens = []
-            new_images = {}
-            start = 0
-            for idx in missing:
-                name = "v%d_%d" % (k, start)
-                start += 1
-                new_gens.append((name, k))
-                rep = ha_k.representatives[idx]
-                new_images[name] = a.from_vector(k, rep)
-                closed_names.append(name)
-            if new_gens:
-                model = model.extended(new_gens, {})
-                rho_images.update(new_images)
+            closed_names = ["v%d_%d" % (k, i) for i in range(len(missing))]
+            if missing:
+                model = model.extended([(name, k) for name in closed_names], {})
+                rho_images.update(zip(closed_names, a.from_rows(k, ha_k.reps.select_rows(missing))))
                 comparison = None
 
         # kill the kernel at degree k + 1
-        rho, f, hm_k1, _, induced = compare(k + 1)
-        kernel = induced.nullspace()
+        _, f, hm_k1, _, induced = compare(k + 1)
+        kernel = induced.kernel()
         closing_names = []
-        if kernel:
-            new_gens = []
-            new_d = {}
-            new_images = {}
-            start = len(closed_names)
-            for u in kernel:
-                name = "v%d_%d" % (k, start)
-                start += 1
-                new_gens.append((name, k))
-                z_vec = [Fraction(0)] * f.source.dim(k + 1)
-                for i, coeff in enumerate(u):
-                    if coeff:
-                        rep = hm_k1.representatives[i]
-                        for r in range(len(z_vec)):
-                            z_vec[r] += coeff * rep[r]
-                z_poly = model.from_vector(k + 1, z_vec)
-                new_d[name] = z_poly
-                target_vec = a.vector(rho.apply(z_poly), k + 1)
-                sol = a.d_matrix(k).solve(target_vec)
-                if sol is None:
-                    raise InternalCheckError(
-                        "kernel class at degree %d is not a coboundary downstairs"
-                        % (k + 1)
-                    )
-                new_images[name] = a.from_vector(k, sol)
-                closing_names.append(name)
-            model = model.extended(new_gens, new_d)
-            rho_images.update(new_images)
+        if kernel.m:
+            # row r of z is the cocycle sum_i kernel[r, i] rep_i; each rho(z_r) = d(sol_r)
+            z = kernel * hm_k1.reps
+            sol = a.d_matrix(k).solve_matrix(f.comp(k + 1) * z.transpose())
+            if sol is None:
+                raise InternalCheckError(
+                    "kernel class at degree %d is not a coboundary downstairs"
+                    % (k + 1)
+                )
+            closing_names = ["v%d_%d" % (k, len(closed_names) + r) for r in range(kernel.m)]
+            model = model.extended([(name, k) for name in closing_names],
+                                   dict(zip(closing_names, model.from_rows(k + 1, z))))
+            rho_images.update(zip(closing_names, a.from_rows(k, sol.transpose())))
             comparison = None
         stages.append(
             StageRecord(

@@ -68,7 +68,7 @@ class Generators:
         return Generators(list(zip(self.names, self.degrees)) + list(more))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Generators)
             and self.names == other.names
             and self.degrees == other.degrees
@@ -292,26 +292,31 @@ def render_key(gens: Generators, key) -> str:
 def basis_keys(gens: Generators, degree: int):
     """All canonical monomial keys of the given total degree, sorted.
 
-    Degree 0 has the single empty key; negative degrees are empty.
+    Degree 0 has the single empty key; negative degrees are empty.  The
+    recursion takes generators in order of degree (then index) and stops at
+    the first one too large, so its work is bounded by the keys of degree
+    <= degree, however many generators do not fit; each key's pairs are put
+    back in index order.
     """
     if degree < 0:
         return []
     out = []
+    order = sorted(range(len(gens.degrees)), key=gens.degrees.__getitem__)
+    degrees = [gens.degrees[i] for i in order]
 
-    def rec(start, remaining, acc):
+    def rec(pos, remaining, acc):
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append(tuple(sorted(acc)))
             return
-        for i in range(start, len(gens.names)):
-            d = gens.degrees[i]
+        for p in range(pos, len(order)):
+            d = degrees[p]
             if d > remaining:
-                continue
+                break
             cap = 1 if d % 2 else remaining // d
             for e in range(1, cap + 1):
-                if d * e <= remaining:
-                    acc.append((i, e))
-                    rec(i + 1, remaining - d * e, acc)
-                    acc.pop()
+                acc.append((order[p], e))
+                rec(p + 1, remaining - d * e, acc)
+                acc.pop()
 
     rec(0, degree, [])
     out.sort()

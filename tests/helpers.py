@@ -70,7 +70,7 @@ def oracle_betti(c):
 def gc_series_per_generator(counts, n):
     """Coefficients of t^0..t^n in prod (1 + t^d)^c (odd d) (1 - t^d)^-c (even d),
     one in-place pass per generator: the reference for the binomial route."""
-    series = [1] + [0] * n
+    series = [1] + [0] * n if n >= 0 else []
     for d, c in counts.items():
         for _ in range(c):
             if d % 2:

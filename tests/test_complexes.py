@@ -120,7 +120,7 @@ def test_betti_routes_refuse_a_nonzero_d_squared():
 def _logged_eliminations(monkeypatch):
     """The Mat eliminations called while patched, in order, nested ones included."""
     log = []
-    for name in ("rank", "rref", "nullspace", "_echelon"):
+    for name in ("rank", "rref", "nullspace", "kernel", "_echelon"):
         def logged(self, *args, _name=name, _original=getattr(Mat, name)):
             log.append(_name)
             return _original(self, *args)
@@ -139,8 +139,8 @@ def test_betti_and_homology_space_elimination_counts(monkeypatch):
     for k in sup:
         log.clear()
         HomologySpace(c, k)
-        # the nullspace of d_k (an rref inside), then one rref of [d_(k-1) | cycles]
-        assert log == ["nullspace", "rref", "_echelon", "rref", "_echelon"]
+        # the kernel of d_k (an rref inside), then one rref of [d_(k-1) | cycles]
+        assert log == ["kernel", "rref", "_echelon", "rref", "_echelon"]
 
 
 def test_induced_on_homology_identity():

@@ -492,6 +492,15 @@ def test_cli_weil_window_is_a_slice_of_the_window_from_zero(lo, hi):
     assert full["basic_betti"] == {str(k): int(k % 4 == 0) for k in range(hi + 1)}
 
 
+@pytest.mark.parametrize("source", ["lie_cross3", "lie_abelian1"])
+def test_cli_weil_window_below_degree_zero_is_all_zero(source):
+    # the budget's series then runs to degree -1 and has no terms
+    rc, out, err = run_cli("weil", "--input", source, "--window=-3..-2", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"basic_betti": {"-3": 0, "-2": 0},
+                               "weil_betti": {"-3": 0, "-2": 0}, "window": [-3, -2]}
+
+
 @pytest.mark.parametrize("command", ["weil", "homology"])
 def test_cli_negative_window_parses_as_a_separate_argument(command):
     source = "lie_cross3" if command == "weil" else "cdga_sphere3"
@@ -973,6 +982,31 @@ def test_cli_budget_counts_one_series_product_per_degree(tmp_path, capsys):
     payload = json.loads(out)
     assert err == "" and payload["window"] == [0, 38]
     assert payload["betti"] == {str(k): {0: 1, 20: 2000}.get(k, 0) for k in range(39)}
+
+
+def _many(nx, ny, t):
+    """nx generators x_i of degree 20 and ny of degree 19 with d y_i = x_i."""
+    return {"kind": "cdga", "truncation": t,
+            "generators": [["x%d" % i, 20] for i in range(nx)] + [["y%d" % i, 19] for i in range(ny)],
+            "differential": {"y%d" % i: "x%d" % i for i in range(ny)}}
+
+
+@pytest.mark.parametrize("command, doc, check", [
+    ("homology", _many(20000, 0, 39),
+     lambda p: p["betti"] == {str(k): {0: 1, 20: 20000}.get(k, 0) for k in range(39)}),
+    ("minimal-model", _many(20000, 0, 37),
+     lambda p: p["already_minimal"] and len(p["generators"]) == 20000),
+    ("homotopy", _many(8000, 4000, 35), lambda p: p["pi"] == {"20": 4000}),
+], ids=["homology", "minimal-model", "homotopy-staged"])
+def test_cli_many_generators_of_one_degree_run_inside_a_timeout(tmp_path, command, doc, check):
+    # the budget takes these (about 20,000 units each); bases, homology classes
+    # and the minimal model's stages stay sparse, so none is quadratic in them
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", command, "--input", str(path),
+                           "--format", "json"], capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert check(json.loads(proc.stdout))
 
 
 S2XS2_PAIR = {

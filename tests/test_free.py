@@ -4,7 +4,7 @@ from math import prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdga import (
     AlgebraPresentation,
@@ -87,9 +87,13 @@ def test_generating_series_match_brute_force_counts(degrees, n):
 @given(st.dictionaries(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=40),
                        max_size=4),
        st.integers(min_value=-1, max_value=30))
+@example({1: 1}, -1)
 def test_generating_series_match_one_pass_per_generator(counts, n):
-    # many generators of one degree take one product with a binomial series
-    assert free_gc_dims_from_counts(counts, n) == gc_series_per_generator(counts, n)
+    # many generators of one degree take one product with a binomial series;
+    # the series has the degrees 0..n and nothing else, so none when n < 0
+    series = free_gc_dims_from_counts(counts, n)
+    assert series == gc_series_per_generator(counts, n)
+    assert sorted(series) == list(range(n + 1))
 
 
 def test_free_functors_reject_nonpositive_degrees():
