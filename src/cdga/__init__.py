@@ -81,6 +81,7 @@ from .cartan import (
     integrate_homotopy,
     length_operator,
     weil_algebra,
+    weil_contraction_failures,
     weil_contraction_witness,
     weil_to_ce_projection,
 )
@@ -196,6 +197,7 @@ __all__ = [
     "tensor_complex",
     "validate_document",
     "weil_algebra",
+    "weil_contraction_failures",
     "weil_contraction_witness",
     "weil_to_ce_projection",
 ]

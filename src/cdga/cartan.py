@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graded import GradedError, GradedSpace, lie_violation
 from .linalg import Mat
 from .complexes import Complex, ChainMap, InternalCheckError
-from .poly import Generators, Polynomial
+from .poly import Generators, Polynomial, basis_keys
 from .algebra import FreeCDGA, Derivation, CDGAMorphism, int_sum, key_matrix
 
 
@@ -77,6 +78,38 @@ class LieData:
     def solvable2(cls) -> "LieData":
         """The nonabelian 2-dimensional algebra: [x1, x2] = x2."""
         return cls(["x1", "x2"], {(0, 1): {1: 1}})
+
+    @classmethod
+    def sl(cls, n: int) -> "LieData":
+        """sl(n) on the matrix units E_ij (i != j), then H_i = E_ii - E_(i+1)(i+1)."""
+        units = [(i, j) for i in range(n) for j in range(n) if i != j]
+        mats = [{u: 1} for u in units] + [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+
+        def coords(m):
+            """A traceless matrix {(row, column): int} in that basis: the
+            coefficient of H_i is the sum of the first i diagonal entries."""
+            out = {b: m[u] for b, u in enumerate(units) if m.get(u)}
+            h = 0
+            for i in range(n - 1):
+                h += m.get((i, i), 0)
+                if h:
+                    out[len(units) + i] = h
+            return out
+
+        def commutator(x, y):
+            out = {}
+            for (r, s), u in x.items():
+                for (t, v), w in y.items():
+                    if s == t:
+                        out[(r, v)] = out.get((r, v), 0) + u * w
+                    if v == r:
+                        out[(t, s)] = out.get((t, s), 0) - u * w
+            return out
+
+        brackets = {(i, j): coords(commutator(mats[i], mats[j]))
+                    for i in range(len(mats)) for j in range(i + 1, len(mats))}
+        names = ["E%d_%d" % (i + 1, j + 1) for i, j in units] + ["H%d" % i for i in range(1, n)]
+        return cls(names, {ij: c for ij, c in brackets.items() if c})
 
     @classmethod
     def cross3(cls) -> "LieData":
@@ -225,11 +258,11 @@ def weil_algebra(lie: LieData, truncation: int = 8) -> CartanOps:
 
 
 def weil_contraction_witness(ops: CartanOps):
-    """Odd derivation K with K(a) = 0, K(F^k) = a^k.
+    """Odd derivation K with K(a) = 0, K(F^k) = a^k, and the linear part of d.
 
-    Against the linear part of the Weil differential (a -> F, F -> 0) its
-    anticommutator is the generator-length operator, which exhibits the
-    Weil algebra as contractible onto Q in positive degrees.
+    Against the linear part of the Weil differential (a -> F, F -> 0) the
+    anticommutator of K is the generator-length operator in (a, F); against
+    the full d it is the word length in (a, da) (weil_contraction_failures).
     """
     if ops.kind != "weil":
         raise GradedError("contraction witness is specific to the Weil model")
@@ -247,6 +280,34 @@ def weil_contraction_witness(ops: CartanOps):
     return K, d_lin
 
 
+def weil_contraction_failures(ops: CartanOps):
+    """Certify that the Weil complex is Q in degree 0 and acyclic above; returns failures.
+
+    With K from weil_contraction_witness and C = [d, K] = dK + Kd for the
+    full d, three checks on each connection generator a^k:
+    * d a^k = F^k plus terms in the a alone, so (a, da) are free generators;
+    * C(a^k) = a^k and C(d a^k) = d a^k, so the derivation C is the word
+      length in (a, da), and [d, C] = [[d, d], K] / 2 = 0.
+    A cocycle x of degree > 0 is then d(K C^-1 x), every word in it having
+    positive length, so the only cohomology is the constants.
+    """
+    K, _ = weil_contraction_witness(ops)
+    alg, d, n = ops.algebra, ops.d, ops.lie.n
+    C = d.commutator(K)
+    failures = []
+    for k, a in enumerate(alg.gens.names[:n]):
+        da, curvature = d.image_of(a), ((n + k, 1),)
+        if da.terms.get(curvature) != 1 or any(i >= n for key in da.terms if key != curvature
+                                                for i, _ in key):
+            failures.append("d %s is not %s plus terms in the connection alone"
+                            % (a, alg.gens.names[n + k]))
+        elif C.image_of(a) != alg.gen(a):
+            failures.append("[d, K] does not fix %s" % a)
+        elif C.apply(da) != da:
+            failures.append("[d, K] does not fix d %s" % a)
+    return failures
+
+
 def length_operator(algebra: FreeCDGA) -> "Derivation":
     """Degree-0 derivation acting as (number of generator factors)."""
     return Derivation(
@@ -261,9 +322,27 @@ def length_operator(algebra: FreeCDGA) -> "Derivation":
 
 @dataclass
 class BasicComplexData:
+    """The basic complex; the Weil complex on [0, top] (ambient) and the
+    inclusion into it are built when first read.  invariants holds, per
+    degree, the curvature keys and the invariant rows over them."""
+
     complex: Complex
-    inclusion: ChainMap
-    ambient: Complex
+    algebra: FreeCDGA
+    top: int
+    invariants: dict
+
+    @cached_property
+    def ambient(self) -> Complex:
+        return self.algebra.to_complex(window=(0, self.top))
+
+    @cached_property
+    def inclusion(self) -> ChainMap:
+        mats = {}
+        for k, (fkeys, rows) in self.invariants.items():
+            findex = {key: i for i, key in enumerate(fkeys)}
+            columns = Mat.from_rows(rows).transpose()
+            mats[k] = columns.select_rows([findex.get(key) for key in self.algebra.basis(k)])
+        return ChainMap(self.complex, self.ambient, mats, validate=False)
 
 
 def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
@@ -271,10 +350,10 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
 
     iota_a sends a^b to delta_ab and kills every curvature F, so the joint
     kernel of the iota_a is the polynomial algebra S(F); the basic part is
-    the joint kernel of the theta_a on S(F), taken degreewise on [lo, hi+1].
-    On S(F), d = sum_i a^i theta_i, so d vanishes exactly on the invariants;
-    that is certified on [lo, hi] against the Weil complex, which is built
-    once, on [0, hi+1], and returned as ambient.
+    the joint kernel of the theta_a on S(F), taken degreewise on [lo, hi+1]
+    on the keys of the n curvatures alone.  On S(F), d = sum_i a^i theta_i,
+    so d vanishes exactly on the invariants; that is certified on [lo, hi]
+    by applying d to each invariant key by key.
     """
     if ops.kind != "weil":
         raise GradedError("the basic subcomplex is computed in the Weil model")
@@ -289,22 +368,23 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
             if b >= n and any(i < n for key in ops.theta[a].image_of(name).terms
                               for i, _ in key):
                 raise InternalCheckError("theta_%d sends %s out of S(F)" % (a, name))
-    ambient = alg.to_complex(window=(0, hi + 1))
-    labels, mats = {}, {}
+    curvatures = Generators(zip(names[n:], alg.gens.degrees[n:]))
+    labels, invariants = {}, {}
     for k in range(lo, hi + 2):
-        fkeys = [key for key in alg.basis(k) if all(i >= n for i, _ in key)]
+        fkeys = [tuple((i + n, e) for i, e in key) for key in basis_keys(curvatures, k)]
         findex = {key: i for i, key in enumerate(fkeys)}
         blocks = [key_matrix(fkeys, findex, op.apply_key) for op in ops.theta]
         basis = Mat.zero(0, len(fkeys)).vstack(*blocks).nullspace()
         if not basis:
             continue
-        labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(basis)))
-        mats[k] = Mat.from_rows(basis).transpose().select_rows([findex.get(key) for key in alg.basis(k)])
-        if k <= hi and not (ambient.diff(k) * mats[k]).is_zero():
+        images = (int_sum((c, *ops.d.apply_key(key)) for key, c in zip(fkeys, row) if c)[0]
+                  for row in basis)
+        if k <= hi and any(images):
             raise InternalCheckError("basic subspace is not closed under d at degree %d" % k)
+        labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(basis)))
+        invariants[k] = (fkeys, basis)
     basic = Complex(GradedSpace(labels), {}, validate=False)
-    inclusion = ChainMap(basic, ambient, mats, validate=False)
-    return BasicComplexData(complex=basic, inclusion=inclusion, ambient=ambient)
+    return BasicComplexData(complex=basic, algebra=alg, top=hi + 1, invariants=invariants)
 
 
 # -- classifying maps ----------------------------------------------------------------

@@ -25,7 +25,9 @@ from .complexes import (
     ComplexError, InternalCheckError, betti_numbers, cone, is_contractible,
     is_weak_equivalence, mapping_cone, mapping_cylinder,
 )
-from .cartan import basic_subcomplex, chevalley_eilenberg, weil_algebra
+from .cartan import (
+    basic_subcomplex, chevalley_eilenberg, weil_algebra, weil_contraction_failures,
+)
 from .free import free_gc_dims_from_counts
 from .minimal import minimal_model
 from .hodge import InnerProduct, adjoint, harmonic_space, number_operator_check
@@ -95,9 +97,10 @@ def _betti_lines(betti, *title):
     return [*title, "degree  betti"] + ["%6d  %d" % kv for kv in sorted(betti.items())]
 
 
-def _verified(ops):
-    """A Cartan model whose operator identities all hold, else InternalCheckError."""
-    failures = ops.verify()
+def _verified(ops, *checks):
+    """A Cartan model whose operator identities and every check(ops) hold, else
+    InternalCheckError."""
+    failures = ops.verify() + [f for check in checks for f in check(ops)]
     if failures:
         raise InternalCheckError("; ".join(failures))
     return ops
@@ -199,9 +202,11 @@ def cmd_ce(args, kind, lie, t):
 def cmd_weil(args, kind, lie, t):
     window = args.window or (0, 2 * lie.n)
     _budget(min(window[0], 0), window[1] + 1, [1, 2] * lie.n)
-    data = basic_subcomplex(_verified(weil_algebra(lie)), window)
-    weil = betti_numbers(data.ambient, window)
-    basic = betti_numbers(data.complex, window)
+    # the contraction certificate makes the Weil column 1 in degree 0 and 0
+    # elsewhere, and the basic complex has d = 0: no rank is needed for either
+    data = basic_subcomplex(_verified(weil_algebra(lie), weil_contraction_failures), window)
+    weil = {k: int(k == 0) for k in range(window[0], window[1] + 1)}
+    basic = {k: data.complex.dim(k) for k in weil}
     payload = {
         "weil_betti": _betti_payload(weil),
         "basic_betti": _betti_payload(basic),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cdga import (
     CartanOps,
     Derivation,
+    FreeCDGA,
     GradedError,
     InternalCheckError,
     LieData,
@@ -20,6 +21,7 @@ from cdga import (
     is_contractible,
     length_operator,
     weil_algebra,
+    weil_contraction_failures,
     weil_contraction_witness,
     weil_to_ce_projection,
 )
@@ -130,6 +132,36 @@ def test_weil_contraction_witness_identities():
         comm = d_lin.commutator(K)
         for name in ops.algebra.gens.names:
             assert comm.image_of(name) == N.image_of(name)
+        # against the full d, [d, K] fixes each a and each d a: the word length in (a, da)
+        alg, full = ops.algebra, ops.d.commutator(K)
+        for name in alg.gens.names[:lie.n]:
+            assert full.image_of(name) == alg.gen(name)
+            assert full.apply(alg.d(alg.gen(name))) == alg.d(alg.gen(name))
+
+
+def test_lie_data_sl3_brackets_and_cochains():
+    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, with the H_i read off the diagonal;
+    # the cochains of sl(3) are Lambda(x3, x5): Betti 1 at 0, 3, 5 and 8
+    lie = LieData.sl(3)
+    assert lie.names == ["E1_2", "E1_3", "E2_1", "E2_3", "E3_1", "E3_2", "H1", "H2"]
+    assert sum(1 for i in range(8) for j in range(i + 1, 8) if lie.bracket(i, j)) == 21
+    assert lie.bracket(0, 2) == {6: 1}                  # [E12, E21] = H1
+    assert lie.bracket(1, 4) == {6: 1, 7: 1}            # [E13, E31] = H1 + H2
+    assert lie.bracket(6, 0) == {0: 2}                  # [H1, E12] = 2 E12
+    assert lie.bracket(7, 0) == {0: -1}                 # [H2, E12] = -E12
+    ops = chevalley_eilenberg(lie)
+    assert ops.verify() == []
+    betti = betti_numbers(ops.algebra.to_complex((0, 8)), (0, 8))
+    assert betti == {k: int(k in (0, 3, 5, 8)) for k in range(9)}
+
+
+def test_basic_subcomplex_sl3_is_the_ring_of_c2_and_c3():
+    # Chevalley restriction: S(sl3*)^sl3 = Q[c2, c3] with c2, c3 in degrees 4 and 6,
+    # so the dimension in degree k counts the (i, j) with 4i + 6j = k
+    data = basic_subcomplex(weil_algebra(LieData.sl(3)), (0, 12))
+    want = [sum(1 for i in range(4) for j in range(3) if 4 * i + 6 * j == k) for k in range(13)]
+    assert [data.complex.dim(k) for k in range(13)] == want
+    assert want == [1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2]
 
 
 def test_basic_subcomplex_cross3():
@@ -188,6 +220,36 @@ def test_basic_subcomplex_spans_the_joint_kernel_of_iota_and_theta(name):
         got = mat_rows(data.inclusion.comp(k).transpose())
         assert data.complex.dim(k) == len(got) == len(ref)
         assert oracle_rank(got) == oracle_rank(ref) == oracle_rank(ref + got) == len(ref)
+
+
+GL2 = LieData(["x1", "x2", "x3", "z"], {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
+CERTIFIED_LIES = {"abelian1": LieData.abelian(1), "abelian3": LieData.abelian(3),
+                  "gl2": GL2}
+
+
+@pytest.mark.parametrize("name", ["abelian1", "abelian3", "gl2", *sorted(BASIC_LIES)])
+def test_weil_contraction_certificate_agrees_with_the_ranks(name):
+    # the certificate's column, 1 in degree 0 and 0 above, against the ranks of the
+    # whole Weil complex
+    ops = weil_algebra({**BASIC_LIES, **CERTIFIED_LIES}[name])
+    assert weil_contraction_failures(ops) == []
+    betti = betti_numbers(ops.algebra.to_complex((0, 11)), (0, 10))
+    assert betti == {k: int(k == 0) for k in range(11)}
+
+
+def test_weil_contraction_certificate_refuses_a_mixed_curvature():
+    # d a1 = F1 + F2 still squares to zero, but a1 and d a1 are not free
+    # generators against K: [d, K] sends a1 to a1 + a2
+    w = weil_algebra(LieData.abelian(2))
+    gen = w.algebra.gen
+    alg = FreeCDGA(w.algebra.gens, {"a1": gen("F1") + gen("F2"), "a2": gen("F2")})
+    assert weil_contraction_failures(replace(w, algebra=alg)) == [
+        "d a1 is not F1 plus terms in the connection alone"]
+
+
+def test_weil_contraction_certificate_is_specific_to_the_weil_model():
+    with pytest.raises(GradedError, match="Weil model"):
+        weil_contraction_failures(chevalley_eilenberg(LieData.cross3()))
 
 
 def test_basic_subcomplex_refuses_a_model_other_than_weil():

@@ -30,7 +30,7 @@ from cdga import (
     weil_algebra,
 )
 from cdga.documents import builtin_names, format_rational, parse_rational, load_json
-from cdga import cli
+from cdga import cli, poly
 from cdga.cli import COMMANDS, build_parser, main
 
 
@@ -499,6 +499,39 @@ def test_cli_weil_window_below_degree_zero_is_all_zero(source):
     assert (rc, err) == (0, "")
     assert json.loads(out) == {"basic_betti": {"-3": 0, "-2": 0},
                                "weil_betti": {"-3": 0, "-2": 0}, "window": [-3, -2]}
+
+
+def _lie_document(lie):
+    """The lie document of a LieData, its brackets listed for i < j."""
+    return {"kind": "lie", "basis": lie.names, "brackets": {
+        "%s,%s" % (lie.names[i], lie.names[j]): {lie.names[k]: str(c) for k, c in b.items()}
+        for i in range(lie.n) for j in range(i + 1, lie.n) if (b := lie.bracket(i, j))}}
+
+
+def test_cli_weil_sl3_answers_within_ten_seconds(tmp_path):
+    # the 8-dimensional sl(3), 21 brackets: Q[c2, c3] through degree 8, W(g) acyclic
+    path = tmp_path / "sl3.json"
+    path.write_text(json.dumps(_lie_document(LieData.sl(3))))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", "weil", "--input", str(path),
+                           "--window", "0..8", "--format", "json"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "basic_betti": {str(k): int(k in (0, 4, 6, 8)) for k in range(9)},
+        "weil_betti": {str(k): int(k == 0) for k in range(9)}, "window": [0, 8]}
+
+
+@pytest.mark.parametrize("source", ["lie_cross3", "lie_solvable2", "lie_abelian3"])
+def test_cli_weil_builds_no_weil_complex_and_takes_no_rank(monkeypatch, capsys, source):
+    # the Weil column comes from the contraction certificate and the basic column
+    # from the invariant dimensions (d = 0 there), so neither needs a rank
+    called = []
+    monkeypatch.setattr(FreeCDGA, "to_complex", lambda *a, **k: called.append("to_complex"))
+    monkeypatch.setattr(Mat, "rank", lambda *a, **k: called.append("rank"))
+    assert main(["weil", "--input", source, "--window", "0..8", "--format", "json"]) == 0
+    assert called == []
+    assert json.loads(capsys.readouterr().out)["weil_betti"] == {str(k): int(k == 0)
+                                                                 for k in range(9)}
 
 
 @pytest.mark.parametrize("command", ["weil", "homology"])
@@ -1041,9 +1074,10 @@ def _random_cdga(seed):
 
 def _budget_and_bases(monkeypatch, argv):
     """Run argv; the (lo, hi, units) of its one budget call and the degrees of every
-    free algebra basis the handler built after it.  A failed audit (exit 1) counts."""
+    basis the handler built after it: each free algebra's, and each one enumerated
+    by poly.basis_keys directly (S(F) in weil).  A failed audit (exit 1) counts."""
     calls, built = [], set()
-    budget, basis = cli._budget, FreeCDGA.basis
+    budget, basis, keys = cli._budget, FreeCDGA.basis, poly.basis_keys
 
     def recorded_budget(*args, **kwargs):
         calls.append(args[:2] + (budget(*args, **kwargs),))
@@ -1053,8 +1087,16 @@ def _budget_and_bases(monkeypatch, argv):
         built.add(k)
         return basis(self, k)
 
+    def recorded_keys(gens, k):
+        built.add(k)
+        return keys(gens, k)
+
     monkeypatch.setattr(cli, "_budget", recorded_budget)
     monkeypatch.setattr(FreeCDGA, "basis", recorded_basis)
+    # every module that imported basis_keys holds its own reference
+    for module in [m for name, m in sys.modules.items() if name.startswith("cdga.")]:
+        if getattr(module, "basis_keys", None) is keys:
+            monkeypatch.setattr(module, "basis_keys", recorded_keys)
     assert main(argv + ["--format", "json"]) in (0, 1)
     (lo, hi, units), = calls
     return lo, hi, units, built
