@@ -156,7 +156,10 @@ class Derivation:
 
 
 class FreeCDGA:
-    """Free graded-commutative algebra with a square-zero degree +1 derivation."""
+    """Free graded-commutative algebra with a square-zero degree +1 derivation.
+
+    Immutable (extended() returns a new one): bases and d matrices are built once per degree.
+    """
 
     def __init__(self, gens, d_images, truncation: int = 8, validate: bool = True):
         self.gens = gens if isinstance(gens, Generators) else Generators(gens)
@@ -168,6 +171,7 @@ class FreeCDGA:
         self.differential = Derivation(self, 1, images)
         self._basis_cache = {}
         self._index_cache = {}
+        self._d_cache = {}
         if validate:
             self.validate()
 
@@ -227,7 +231,9 @@ class FreeCDGA:
         return [Polynomial(self.gens, t) for t in terms]
 
     def d_matrix(self, k: int) -> Mat:
-        return self.differential.matrix(k)
+        if k not in self._d_cache:
+            self._d_cache[k] = self.differential.matrix(k)
+        return self._d_cache[k]
 
     def to_complex(self, window=None) -> Complex:
         """Degreewise complex of the algebra on [0, n] (default truncation)."""
@@ -274,7 +280,8 @@ class CDGAMorphism:
 
     apply_key multiplies out the images of a monomial key's generators with
     poly.terms_product; apply, matrix, compose and is_chain_map all go
-    through it, so none multiplies Polynomials.
+    through it, so none multiplies Polynomials.  Immutable after
+    construction, so each degree's matrix is built once.
     """
 
     def __init__(self, source: FreeCDGA, target: FreeCDGA, images,
@@ -296,6 +303,7 @@ class CDGAMorphism:
                     raise GradedError("morphism image of %r is not over the target" % name)
             self.images[source.gens.names[i]] = poly
         self._terms, self.den = _int_images(source.gens, self.images)
+        self._matrix_cache = {}
         if validate and not self.is_chain_map():
             raise GradedError("generator images do not commute with d")
 
@@ -334,7 +342,9 @@ class CDGAMorphism:
         return True
 
     def matrix(self, k: int) -> Mat:
-        return key_matrix(self.source.basis(k), self.target.basis_index(k), self.apply_key)
+        if k not in self._matrix_cache:
+            self._matrix_cache[k] = key_matrix(self.source.basis(k), self.target.basis_index(k), self.apply_key)
+        return self._matrix_cache[k]
 
     def compose(self, other: "CDGAMorphism") -> "CDGAMorphism":
         """self o other."""

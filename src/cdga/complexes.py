@@ -236,15 +236,16 @@ def betti_numbers(c: Complex, window=None) -> dict:
 class HomologySpace:
     """Cohomology of one degree, with canonical representatives.
 
-    The cycle space gets its echelon kernel basis, kept as sparse rows.  One
-    rref of [the columns of d_(k-1) | the cycles] then gives both bases: its
-    pivots among the columns of d_(k-1) (that matrix's own pivot columns)
-    span the boundaries, and its pivots among the cycles, the first cycles in
-    basis order completing the boundaries, are the class representatives
-    (the rows of reps; representatives lists them densely).  Everything is
-    exact, so the coordinates of any number of classes come from one solve
-    against [boundaries | representatives].  Betti numbers alone come
-    cheaper from betti_numbers.
+    The cycle space gets its echelon kernel basis, kept as sparse rows.  The
+    pivot columns of [d_(k-1) | the cycles as columns], from one forward
+    elimination (Mat.pivots), then give both bases: those among the columns
+    of d_(k-1) (that matrix's own pivot columns) span the boundaries, and
+    those among the cycles, the first cycles in basis order completing the
+    boundaries, are the class representatives (the rows of reps;
+    representatives lists them densely).  Everything is exact, so the
+    coordinates of any number of classes come from one solve against
+    [boundaries | representatives], built on the first class_matrix call.
+    Betti numbers alone come cheaper from betti_numbers.
     """
 
     def __init__(self, c: Complex, k: int):
@@ -252,18 +253,21 @@ class HomologySpace:
         self.k = k
         d_in = c.diff(k - 1)
         cycles = c.diff(k).kernel()
-        # rows: the columns of d_(k-1), then the cycles
-        stacked = d_in.transpose().vstack(cycles)
-        _, piv = stacked.transpose().rref()
-        self.boundary_rank = sum(j < d_in.n for j in piv)
+        piv = d_in.hstack(cycles.transpose()).pivots()
+        self._boundary_cols = [j for j in piv if j < d_in.n]
+        self.boundary_rank = len(self._boundary_cols)
         self.betti = cycles.m - self.boundary_rank
         self.reps = cycles.select_rows([j - d_in.n for j in piv if j >= d_in.n])
         if self.reps.m != self.betti:
             raise InternalCheckError(
                 "homology basis completion failed at degree %d" % k
             )
-        # columns: the boundary basis, then the representatives
-        self._decomp = stacked.select_rows(piv).transpose()
+
+    @cached_property
+    def _decomp(self):
+        """The boundary basis, then the representatives, as columns."""
+        d_in = self.complex.diff(self.k - 1)
+        return d_in.transpose().select_rows(self._boundary_cols).vstack(self.reps).transpose()
 
     @cached_property
     def representatives(self):
@@ -552,10 +556,7 @@ def contracting_homotopy(c: Complex):
     unique preimage supported on W_{k-1}.
     """
     sup = c.support()
-    pivots = {}
-    for k in sup:
-        _, piv = c.diff(k).rref()
-        pivots[k] = piv
+    pivots = {k: c.diff(k).pivots() for k in sup}
     comps = {}
     for k in sup:
         n = c.dim(k)

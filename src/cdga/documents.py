@@ -143,17 +143,21 @@ def parse_integer(value, field) -> int:
     return value
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational, found a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", value):
+        match = _RATIONAL.fullmatch(value)
+        if not match:
             raise DocumentError(
                 "bad rational %r: expected 'p' or 'p/q' with positive q" % value
             )
-        return Fraction(value)
+        return Fraction(int(match[1]), int(match[2])) if match[2] else Fraction(int(match[1]))
     raise DocumentError("expected a rational, found %r" % (value,))
 
 

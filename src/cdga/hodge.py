@@ -151,10 +151,10 @@ def hodge_decomposition(c: Complex, ip: InnerProduct, k: int) -> HodgeDecomposit
     adj = adjoint(c, ip)
     harms = harmonic_space(c, ip, k, adj)
     d_in = c.diff(k - 1)
-    _, piv_in = d_in.rref()
+    piv_in = d_in.pivots()
     exact = [[d_in[(i, j)] for i in range(c.dim(k))] for j in piv_in]
     a_in = adj.comp(k + 1)
-    _, piv_co = a_in.rref()
+    piv_co = a_in.pivots()
     coexact = [[a_in[(i, j)] for i in range(c.dim(k))] for j in piv_co]
     g = ip.gram(k, c.dim(k))
 

@@ -7,7 +7,7 @@ on ints over lcms of denominators.  Stored rows are never changed in place,
 so matrices share them.  _int_row converts every entry (floats refused)
 but those of from_int_rows, already ints over one D; Fractions are built
 only on the way out.  All elimination runs through _reduce (pivot = leftmost
-column), behind rank, det, rref (kernel, nullspace, solve, inv) and SparseEliminator:
+column), behind rank, pivots, det, rref (kernel, nullspace, solve, inv) and SparseEliminator:
 v <- a*v - b*e in ints, common content of D and v removed; echelon rows are
 primitive with a positive pivot, and rref returns each row e as (e, e[p]).
 """
@@ -168,6 +168,10 @@ class Mat:
 
     def rank(self) -> int:
         return len(self._echelon()[0])
+
+    def pivots(self):
+        """The pivot columns of the rref, in order, from one forward elimination."""
+        return sorted(self._echelon()[0])
 
     def det(self) -> Fraction:
         """Determinant: the signed product of the elimination's pivot values."""

@@ -7,9 +7,10 @@ map extends at every step.  After stage k the induced map on cohomology is
 an isomorphism through degree k and injective at k+1, so generator counts
 in degrees <= n are final once stages 2..n have run.  The input's complex
 and cohomology are built once per call, and the comparison chain map only
-when a stage has extended the model.  The finished map is re-certified
-from scratch as a weak equivalence by the two-route check on the window
-where the truncated complexes are trustworthy.
+when a stage has extended the model.  The finished map is re-certified as
+a weak equivalence by the two-route check on the window where the truncated
+complexes are trustworthy; that check shares only the operator matrices
+and rebuilds every complex, chain map, cohomology space and induced map.
 
 The rank of the degree-k generator space of a minimal model is the rank of
 the k-th rational homotopy group of the geometric realization, which is
@@ -76,9 +77,10 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     are certified through n - 1 by the final weak-equivalence check.  The
     input's complex on [0, n + 2] and each of its cohomology spaces are
     built once per call; the comparison morphism, the model's complex and
-    the chain map between them (with the model's cohomology spaces) are
-    rebuilt only after a stage has adjoined generators.  `certify` shares
-    none of this and recomputes from scratch.
+    the chain map between them (with the model's cohomology spaces and the
+    induced maps) are rebuilt only after a stage has adjoined generators,
+    and the result keeps the last comparison's morphism.  `certify` shares
+    only the operator matrices, cached on the algebras and the morphism.
     """
     n = a.truncation if truncation is None else int(truncation)
     if n < 2:
@@ -110,32 +112,33 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     stages = []
     target = a.to_complex((0, margin))
     ha = {}  # degree -> HomologySpace of the input, built once
-    # (rho, chain map, degree -> model HomologySpace); None once the model grows
+    # (rho, chain map, degree -> (model HomologySpace, induced map)); None once the model grows
     comparison = None
 
     def compare(k):
-        """rho, f, H^k(model), H^k(input) and the induced map H^k(f)."""
+        """f, H^k(model), H^k(input) and the induced map H^k(f)."""
         nonlocal comparison
         if comparison is None:
             rho = CDGAMorphism(model, a, dict(rho_images), validate=True)
             comparison = (rho, _comparison_chain_map(model, rho, target, margin), {})
-        rho, f, hm = comparison
-        if k not in hm:
-            hm[k] = HomologySpace(f.source, k)
+        _, f, hm = comparison
         if k not in ha:
             ha[k] = HomologySpace(target, k)
-        return rho, f, hm[k], ha[k], induced_on_homology(f, k, hm[k], ha[k])
+        if k not in hm:
+            hs = HomologySpace(f.source, k)
+            hm[k] = hs, induced_on_homology(f, k, hs, ha[k])
+        hs, induced = hm[k]
+        return f, hs, ha[k], induced
 
     for k in range(2, n + 1):
-        _, _, _, ha_k, induced = compare(k)
+        _, _, ha_k, induced = compare(k)
 
         # close the cokernel at degree k
         closed_names = []
         if ha_k.betti:
             width = induced.n
             probe_mat = induced.hstack(Mat.eye(ha_k.betti))
-            _, pivots = probe_mat.rref()
-            missing = [j - width for j in pivots if j >= width]
+            missing = [j - width for j in probe_mat.pivots() if j >= width]
             closed_names = ["v%d_%d" % (k, i) for i in range(len(missing))]
             if missing:
                 model = model.extended([(name, k) for name in closed_names], {})
@@ -143,7 +146,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
                 comparison = None
 
         # kill the kernel at degree k + 1
-        _, f, hm_k1, _, induced = compare(k + 1)
+        f, hm_k1, _, induced = compare(k + 1)
         kernel = induced.kernel()
         closing_names = []
         if kernel.m:
@@ -168,7 +171,8 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
             )
         )
 
-    rho = CDGAMorphism(model, a, dict(rho_images), validate=True)
+    # the last comparison's morphism, unless a stage has extended the model since
+    rho = comparison[0] if comparison else CDGAMorphism(model, a, dict(rho_images), validate=True)
     mm = MinimalModel(
         model=model,
         morphism=rho,
@@ -193,7 +197,10 @@ def certify(mm: MinimalModel):
 
     The complexes carry data through truncation + 2, so isomorphism of
     cohomology is checked on [0, n] and vanishing of the cone on [0, n-1];
-    that certifies homotopy ranks through n - 1.
+    that certifies homotopy ranks through n - 1.  Only the operator matrices
+    (d of both algebras, mm.morphism's) come cached on those immutable objects;
+    the complexes, the chain map (checked against d), every cohomology space,
+    every induced map and the mapping cone are built afresh.
     """
     n = mm.truncation
     target = mm.input_algebra.to_complex((0, n + 2))

@@ -120,7 +120,7 @@ def test_betti_routes_refuse_a_nonzero_d_squared():
 def _logged_eliminations(monkeypatch):
     """The Mat eliminations called while patched, in order, nested ones included."""
     log = []
-    for name in ("rank", "rref", "nullspace", "kernel", "_echelon"):
+    for name in ("rank", "pivots", "rref", "nullspace", "kernel", "_echelon"):
         def logged(self, *args, _name=name, _original=getattr(Mat, name)):
             log.append(_name)
             return _original(self, *args)
@@ -139,8 +139,9 @@ def test_betti_and_homology_space_elimination_counts(monkeypatch):
     for k in sup:
         log.clear()
         HomologySpace(c, k)
-        # the kernel of d_k (an rref inside), then one rref of [d_(k-1) | cycles]
-        assert log == ["kernel", "rref", "_echelon", "rref", "_echelon"]
+        # the kernel of d_k (an rref inside), then the pivots of [d_(k-1) | cycles],
+        # one forward elimination with no back-substitution
+        assert log == ["kernel", "rref", "_echelon", "pivots", "_echelon"]
 
 
 def test_induced_on_homology_identity():
@@ -402,6 +403,42 @@ def test_composites_match_dense_references(seed):
     _same_map(data.collapse, cyl, data.cone, lambda m: _placed([a.dim(m + 1), b.dim(m)], sizes(m), {
         (0, 1): _eye(a.dim(m + 1)), (1, 2): _eye(b.dim(m)),
     }), degrees)
+
+
+def _reference_homology(c, k):
+    """(boundary rank, reps, [boundaries | reps] as columns) from the full rref
+    of [d_(k-1) | cycles^T], its pivot columns taken as the decomposition."""
+    d_in = c.diff(k - 1)
+    cycles = c.diff(k).kernel()
+    stacked = d_in.hstack(cycles.transpose())
+    _, piv = stacked.rref()
+    reps = cycles.select_rows([j - d_in.n for j in piv if j >= d_in.n])
+    return sum(j < d_in.n for j in piv), reps, stacked.transpose().select_rows(piv).transpose()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_homology_space_matches_the_rref_reference_route(seed):
+    # the minimal-model output is written from these representatives
+    rng = random.Random(seed)
+    a, _ = random_complex(rng, max_span=4, max_dim=4)
+    lo = min(a.support(), default=0)
+    b, _ = random_complex(rng, max_span=4, max_dim=4, lo_range=(lo - 1, lo))
+    f = random_chain_map(rng, a, b)
+    sup = a.support() + b.support()
+    for k in range(min(sup) - 1, max(sup) + 2):
+        hs, ht = HomologySpace(a, k), HomologySpace(b, k)
+        for h, c in ((hs, a), (ht, b)):
+            boundary_rank, reps, _ = _reference_homology(c, k)
+            assert (h.boundary_rank, h.betti, h.reps) == (boundary_rank, reps.m, reps)
+        _, _, decomp = _reference_homology(b, k)
+        B = f.comp(k) * hs.reps.transpose()
+        X = decomp.solve_matrix(B)
+        want = X.select_rows(range(ht.boundary_rank, X.m))
+        assert induced_on_homology(f, k, hs, ht) == ht.class_matrix(B) == want
+        # the source side is only read for its representatives
+        assert "_decomp" not in hs.__dict__
+        assert ht.class_matrix(ht.reps.transpose()) == Mat.eye(ht.betti)
 
 
 def test_tensor_complex_kunneth_on_spheres():

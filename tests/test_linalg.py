@@ -193,6 +193,8 @@ def test_elimination_properties_on_random_sparse_matrices(a, rng):
     assert all(a.apply(v) == [F(0)] * a.m for v in kernel)
     u = random_unimodular(rng, a.m)
     assert (u * a).rref() == a.rref()
+    # one forward elimination finds the rref's pivot columns
+    assert a.pivots() == a.rref()[1] and len(a.pivots()) == r
     if a.m == a.n:
         assert (u * a).det() == a.det()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdga.minimal as minimal_module
+from cdga.algebra import key_matrix
 from cdga import (
     CDGAMorphism,
     ChainMap,
@@ -288,6 +289,52 @@ def minimal_with_contractible_pair(draw):
     pair_gens = gens.extended(pair)
     du = Polynomial.generator(pair_gens, "v") + Polynomial(pair_gens, w.scale(c).terms)
     return minimal_part, minimal_part.extended(pair, {"u": du})
+
+
+def _assert_sharing_changes_no_verdict(mm):
+    """certify on fresh objects rebuilt from the generator images gives
+    mm.certificate, and every cached operator matrix is a fresh key_matrix."""
+    a, model = mm.input_algebra, mm.model
+    fresh_a, fresh_model = (FreeCDGA(alg.gens, dict(alg.differential.images),
+                                     truncation=alg.truncation) for alg in (a, model))
+    fresh_rho = CDGAMorphism(fresh_model, fresh_a, dict(mm.morphism.images))
+    fresh = certify(dataclasses.replace(mm, model=fresh_model, input_algebra=fresh_a,
+                                        morphism=fresh_rho))
+    for name in ("is_equivalence", "iso_degrees", "cone_betti"):
+        assert getattr(fresh, name) == getattr(mm.certificate, name)
+    for k in range(mm.truncation + 3):
+        for alg in (a, model):
+            d = alg.d_matrix(k)
+            assert d is alg.d_matrix(k)
+            assert d == key_matrix(alg.basis(k), alg.basis_index(k + 1), alg.differential.apply_key)
+        f = mm.morphism.matrix(k)
+        assert f is mm.morphism.matrix(k)
+        assert f == key_matrix(model.basis(k), a.basis_index(k), mm.morphism.apply_key)
+
+
+def test_sharing_changes_no_verdict_on_s2xs2(monkeypatch):
+    morphisms = []
+    morphism_init = CDGAMorphism.__init__
+
+    def counting_morphism_init(self, *args, **kwargs):
+        morphisms.append(self)
+        morphism_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CDGAMorphism, "__init__", counting_morphism_init)
+    mm = minimal_model(s2xs2_contractible())
+    # one morphism per distinct model (0, 2 and 4 generators), the last one kept
+    assert [len(rho.source.gens.names) for rho in morphisms] == [0, 2, 4]
+    assert mm.morphism is morphisms[-1]
+    monkeypatch.undo()
+    _assert_sharing_changes_no_verdict(mm)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(minimal_with_contractible_pair())
+def test_sharing_changes_no_verdict_on_contractible_pairs(pair):
+    # the minimal part takes the already-minimal path, through the identity
+    for alg in pair:
+        _assert_sharing_changes_no_verdict(minimal_model(alg))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
