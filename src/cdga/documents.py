@@ -1,7 +1,7 @@
 """JSON document formats: loading, validation, canonical serialization.
 
 Five document kinds are supported, each with a versioned schema shipped in
-cdga/schemas and enforced by the interpreter below before any mathematics runs:
+cdga/schemas and enforced by the checker below before any mathematics runs:
 
 * ``cdga``    - generator/differential presentation of a free CDGA,
 * ``lie``     - a Lie algebra by structure constants over named basis vectors,
@@ -36,10 +36,12 @@ class DocumentError(ValueError):
     """Malformed input document: bad JSON, bad schema, or bad expression."""
 
 
-# -- the schema interpreter: the part of JSON Schema Draft 2020-12 the schemas use --
-# _compile refuses anything else and resolves a schema ($refs, patterns) once per
-# kind; _errors lists an instance's errors as (path, keyword, instance, value, the
-# node's type, anyOf context); _message words the one best_match would pick.
+# -- the schema checker: the part of JSON Schema Draft 2020-12 the schemas use --
+# _compile refuses anything else and resolves a schema ($refs, patterns); _build
+# makes the result one closure per node, once per kind and process (_CHECKS).  A
+# closure returns an instance's errors as (path, keyword, instance, value, the
+# node's type, anyOf context), and () when it passes; _message words the one
+# best_match would pick.
 
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
@@ -48,38 +50,30 @@ _TYPES = {
     "integer": lambda x: type(x) is int or type(x) is float and x.is_integer(),
     "number": lambda x: type(x) in (int, float),
 }
-# keyword: (the instance type it constrains or None, its failures' values, message)
+# keyword: (the instance type it constrains or None, its check from the keyword's
+# value and fail(x, failure value), message)
 _LEAVES = {
-    "type": (None, lambda x, v: () if _TYPES[v](x) else (v,),
+    "type": (None, lambda v, fail: lambda x, ok=_TYPES[v]: () if ok(x) else fail(x, v),
              lambda x, v: "%r is not of type %r" % (x, v)),
-    "const": (None, lambda x, v: () if x == v else (v,), lambda x, v: "%r was expected" % (v,)),
-    "required": ("object", lambda x, v: [p for p in v if p not in x],
+    "const": (None, lambda v, fail: lambda x: () if x == v else fail(x, v),
+              lambda x, v: "%r was expected" % (v,)),
+    "required": ("object", lambda v, fail: lambda x: sum((fail(x, p) for p in v if p not in x), ()),
                  lambda x, v: "%r is a required property" % (v,)),
-    "pattern": ("string", lambda x, v: () if v.search(x) else (v.pattern,),
+    "pattern": ("string", lambda v, fail: lambda x: () if v.search(x) else fail(x, v.pattern),
                 lambda x, v: "%r does not match %r" % (x, v)),
-    "minItems": ("array", lambda x, v: (v,) if len(x) < v else (),
+    "minItems": ("array", lambda v, fail: lambda x: fail(x, v) if len(x) < v else (),
                  lambda x, v: "%r %s" % (x, "should be non-empty" if v == 1 else "is too short")),
-    "maxItems": ("array", lambda x, v: (v,) if len(x) > v else (),
+    "maxItems": ("array", lambda v, fail: lambda x: fail(x, v) if len(x) > v else (),
                  lambda x, v: "%r %s" % (x, "is expected to be empty" if v == 0 else "is too long")),
-    "minimum": ("number", lambda x, v: (v,) if x < v else (),
+    "minimum": ("number", lambda v, fail: lambda x: fail(x, v) if x < v else (),
                 lambda x, v: "%r is less than the minimum of %r" % (x, v)),
     "anyOf": (None, None, lambda x, v: "%r is not valid under any of the given schemas" % (x,)),
-}
-# keyword: (the instance type it constrains, its (path step, value, subschema) triples)
-_DESCENTS = {
-    "properties": ("object", lambda x, v, s: [((k,), x[k], t) for k, t in v.items() if k in x]),
-    "additionalProperties": ("object", lambda x, v, s: [
-        ((k,), y, v) for k, y in x.items() if k not in s.get("properties", ())]),
-    "propertyNames": ("object", lambda x, v, s: [((), k, v) for k in x]),
-    "items": ("array", lambda x, v, s: [
-        ((i,), x[i], v) for i in range(len(s.get("prefixItems", ())), len(x))]),
-    "prefixItems": ("array", lambda x, v, s: [((i,), y, t) for i, (y, t) in enumerate(zip(x, v))]),
 }
 _CHECKS = {}
 
 
 def _compile(schema, defs=None, refs=()):
-    """A schema resolved for _errors; ValueError for anything outside the subset."""
+    """A schema resolved for _build; ValueError for anything outside the subset."""
     if not isinstance(schema, dict):
         raise ValueError("schema %r is not an object" % (schema,))
     defs = schema.get("$defs", {}) if defs is None else defs
@@ -94,7 +88,7 @@ def _compile(schema, defs=None, refs=()):
             out[kw] = {k: _compile(t, defs, refs) for k, t in v.items()}
         elif kw in ("anyOf", "prefixItems"):
             out[kw] = [_compile(t, defs, refs) for t in v]
-        elif kw in _DESCENTS:
+        elif kw in ("additionalProperties", "propertyNames", "items"):
             out[kw] = _compile(v, defs, refs)
         elif kw == "type" and v not in list(_TYPES) or kw == "const" and type(v) is not str:
             raise ValueError("unsupported %s %r" % (kw, v))
@@ -105,23 +99,73 @@ def _compile(schema, defs=None, refs=()):
     return out
 
 
+def _build(s):
+    """The check of a compiled schema node: its keywords' checks in schema order."""
+    checks = [_keyword(kw, v, s) for kw, v in s.items()]
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        out = ()
+        for c in checks:
+            e = c(x)
+            if e:
+                out += e
+        return out
+    return check
+
+
+def _keyword(kw, v, s):
+    """The check of one keyword of the node s; parts of the wrong type pass."""
+    if kw == "$ref":
+        return _build(v)
+    if kw == "anyOf":
+        branches, typ = [_build(t) for t in v], s.get("type")
+
+        def any_of(x):
+            context = ()
+            for b in branches:
+                e = b(x)
+                if not e:
+                    return ()
+                context += e
+            return (((), kw, x, None, typ, context),)
+        return any_of
+    if kw in _LEAVES:
+        on, make, _ = _LEAVES[kw]
+        check = make(v, lambda x, m, typ=s.get("type"): (((), kw, x, m, typ, ()),))
+        return check if on is None else lambda x, ok=_TYPES[on]: check(x) if ok(x) else ()
+    # the others descend: parts(x) gives (path step or None, part, its check)
+    if kw == "properties":
+        subs = [(k, _build(t)) for k, t in v.items()]
+        on, parts = dict, lambda x: ((k, x[k], c) for k, c in subs if k in x)
+    elif kw == "prefixItems":
+        subs = [_build(t) for t in v]
+        on, parts = list, lambda x: ((i, y, c) for i, (y, c) in enumerate(zip(x, subs)))
+    elif kw == "items":
+        c, start = _build(v), len(s.get("prefixItems", ()))
+        on, parts = list, lambda x: ((i, x[i], c) for i in range(start, len(x)))
+    elif kw == "propertyNames":
+        c = _build(v)
+        on, parts = dict, lambda x: ((None, k, c) for k in x)
+    else:
+        c, known = _build(v), s.get("properties", ())
+        on, parts = dict, lambda x: ((k, y, c) for k, y in x.items() if k not in known)
+
+    def descend(x):
+        out = ()
+        if isinstance(x, on):
+            for step, y, c in parts(x):
+                e = c(y)
+                if e:
+                    out += e if step is None else tuple(((step,) + f[0],) + f[1:] for f in e)
+        return out
+    return descend
+
+
 def _errors(s, x):
-    out = []
-    for kw, v in s.items():
-        if kw in _DESCENTS:
-            on, triples = _DESCENTS[kw]
-            if _TYPES[on](x):
-                for step, y, t in triples(x, v, s):
-                    out += [(step + e[0],) + e[1:] for e in _errors(t, y)]
-        elif kw == "$ref":
-            out += _errors(v, x)
-        elif kw == "anyOf":
-            context = [_errors(t, x) for t in v]
-            if all(context):
-                out.append(((), kw, x, None, s.get("type"), sum(context, [])))
-        elif _LEAVES[kw][0] is None or _TYPES[_LEAVES[kw][0]](x):
-            out += [((), kw, x, m, s.get("type"), ()) for m in _LEAVES[kw][1](x, v)]
-    return out
+    """The errors of x against the compiled schema s, () when it passes."""
+    return _build(s)(x)
 
 
 def _message(errors):
@@ -217,8 +261,8 @@ def validate_document(doc) -> str:
     kind = document_kind(doc)
     if kind not in _CHECKS:
         path = "schemas/%s.v1.json" % kind
-        _CHECKS[kind] = _compile(json.loads(resources.files("cdga").joinpath(path).read_text()))
-    errors = _errors(_CHECKS[kind], doc)
+        _CHECKS[kind] = _build(_compile(json.loads(resources.files("cdga").joinpath(path).read_text())))
+    errors = _CHECKS[kind](doc)
     if errors:
         raise DocumentError(
             "document does not match the %s schema: %s" % (kind, _message(errors))

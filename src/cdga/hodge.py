@@ -4,7 +4,9 @@ Given positive-definite rational Gram matrices per degree, the adjoint of
 the differential is (d_k)* = G_k^{-1} d_k^T G_{k+1}, the Laplacian is
 H_k = (d_k)* d_k + d_{k-1} (d_{k-1})*, and every degree splits orthogonally
 into harmonic (+) exact (+) coexact parts with dim ker H_k equal to the
-Betti number — all over Q, no square roots needed.
+Betti number — all over Q, no square roots needed.  One elimination of
+[G | I] per stored Gram gives Sylvester's test (the left block's pivots are
+G's own) and G^{-1}, which InnerProduct keeps for the adjoints.
 
 The second half implements the oscillator picture for a graded space with a
 degree +1 boundary and (optionally) a cobracket: generators are doubled
@@ -34,10 +36,12 @@ from .algebra import FreeCDGA, Derivation, key_matrix
 
 
 class InnerProduct:
-    """Per-degree symmetric positive-definite Gram matrices (default identity)."""
+    """Per-degree symmetric positive-definite Gram matrices (default identity);
+    check_grams keeps each checked Gram's inverse in `inverses` for adjoint()."""
 
     def __init__(self, grams=None):
         self.grams = {}
+        self.inverses = {}
         for k, g in (grams or {}).items():
             if not isinstance(g, Mat):
                 g = Mat.from_rows(g)
@@ -68,20 +72,22 @@ class InnerProduct:
                 g = self.gram(k, dim(k))
             if g != g.transpose():
                 raise GradedError("Gram matrix at degree %d is not symmetric" % k)
-            if not g.is_positive_definite():
+            inverse = g.positive_definite_inverse()
+            if inverse is None:
                 raise GradedError("Gram matrix at degree %d is not positive definite" % k)
+            self.inverses[k] = inverse
 
     def validate_for(self, c: Complex):
         self.check_grams(c.dim)
 
 
-def _adjoints(grams, *ops):
+def _adjoints(grams, *ops, inverses=()):
     """Adjoints G_k^{-1} op_k^T G_{k+1} of dicts {k: op_k} of degree +1 maps.
 
-    grams maps degrees to Gram matrices; each inverse is computed once and
-    shared by all the dicts.  Returns one dict {k: adjoint of op_k} per dict.
+    grams maps degrees to Gram matrices; each inverse not in inverses is made
+    once and shared by all the dicts.  Returns one dict {k: adjoint} per dict.
     """
-    inverses = {}
+    inverses = dict(inverses)
     out = []
     for op in ops:
         adj = {}
@@ -106,7 +112,7 @@ def adjoint(c: Complex, ip: InnerProduct) -> GradedMap:
     """Degree -1 map with component (d_k)* = G_k^{-1} d_k^T G_{k+1} at k+1."""
     ds = {k - 1: c.diff(k - 1) for k in c.support() if c.dim(k - 1)}
     grams = {j: ip.gram(j, c.dim(j)) for k in ds for j in (k, k + 1)}
-    (adj,) = _adjoints(grams, ds)
+    (adj,) = _adjoints(grams, ds, inverses=ip.inverses)
     return GradedMap(c, c, -1, {k + 1: m for k, m in adj.items()})
 
 
@@ -257,12 +263,13 @@ class GradedChainData:
         for n, d in self.elements:
             by_degree.setdefault(d, []).append(n)
         space = GradedSpace(by_degree)
-        diffs = {}
+        rows = {}  # degree p: the row dicts of d_p
         for v, combo in self.boundary.items():
             p = self.degree_of(v)
-            m = diffs.setdefault(p, Mat.zero(space.dim(p + 1), space.dim(p)))
+            d_rows = rows.setdefault(p, [{} for _ in range(space.dim(p + 1))])
             for w, coeff in combo.items():
-                m[(space.index(p + 1, w), space.index(p, v))] = coeff
+                d_rows[space.index(p + 1, w)][space.index(p, v)] = coeff
+        diffs = {p: Mat.from_dicts(space.dim(p + 1), space.dim(p), r) for p, r in rows.items()}
         self.complex = Complex(space, diffs, validate=False)
         self.inner = InnerProduct(grams)
         self._validate()

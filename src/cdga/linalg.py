@@ -7,7 +7,8 @@ on ints over lcms of denominators.  Stored rows are never changed in place,
 so matrices share them.  _int_row converts every entry (floats refused)
 but those of from_int_rows, already ints over one D; Fractions are built
 only on the way out.  All elimination runs through _reduce (pivot = leftmost
-column), behind rank, pivots, det, rref (kernel, nullspace, solve, inv) and SparseEliminator:
+column), behind rank, pivots, det, rref (kernel, nullspace, solve, inv),
+positive_definite_inverse and SparseEliminator:
 v <- a*v - b*e in ints, common content of D and v removed; echelon rows are
 primitive with a positive pivot, and rref returns each row e as (e, e[p]).
 """
@@ -89,10 +90,6 @@ class Mat:
     def __getitem__(self, ij):
         v, D = self._row(ij)
         return Fraction(v[ij[1]], D) if ij[1] in v else Q_ZERO
-
-    def __setitem__(self, ij, x):
-        (v, D), (i, j) = self._row(ij), ij
-        self._rows[i] = _int_row({**{k: Fraction(y, D) for k, y in v.items()}, j: x}.items())
 
     def __eq__(self, other):
         return isinstance(other, Mat) and (self.m, self.n, self._rows) == (other.m, other.n, other._rows)
@@ -186,16 +183,30 @@ class Mat:
         inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
         return prod(values, start=Fraction(-1 if inversions % 2 else 1))
 
-    def is_positive_definite(self) -> bool:
-        """Sylvester, for a symmetric matrix: eliminating the rows in order, the
-        s-th leading minor is the product of the first s pivot values, so row s
-        must pivot in column s with a positive value for every s."""
-        echelon, values = self._echelon()
-        return self.m == self.n and list(echelon) == list(range(self.n)) and all(v > 0 for v in values)
+    def positive_definite_inverse(self):
+        """The inverse of a symmetric self if it is positive definite, else None, from
+        one forward elimination of [self | I].  While self is nonsingular the left
+        block's pivots and pivot values are self's own; by Sylvester the s-th leading
+        minor is the product of the first s, so row s must pivot in column s with a
+        positive value.  Back-substitution gives X, checked by self * X = I."""
+        n = self.n
+        if self.m != n:
+            return None
+        A = self.hstack(Mat.eye(n))
+        echelon, values = A._echelon()
+        if list(echelon) != list(range(n)) or any(v <= 0 for v in values):
+            return None
+        X = _solution(*A._rref(echelon), n)
+        if self * X != Mat.eye(n):
+            raise ArithmeticError("elimination of [G | I] gave X with G X != I")
+        return X
 
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
-        echelon, _ = self._echelon()
+        return self._rref(self._echelon()[0])
+
+    def _rref(self, echelon):
+        """The rref of self from its forward elimination echelon, which it consumes."""
         pivots = sorted(echelon)
         # integer back-substitution from the last pivot up (rows below are reduced,
         # so no other pivot column is disturbed), then each row's content is dropped
@@ -250,15 +261,7 @@ class Mat:
         """Solve self @ X = B; returns X (free coordinates zero) or None."""
         if B.m != self.m:
             raise ValueError("shape mismatch in solve")
-        n = self.n
-        R, pivots = self.hstack(B).rref()
-        # a pivot right of the coefficient columns is a row 0 = b != 0
-        if pivots and pivots[-1] >= n:
-            return None
-        X = Mat.zero(n, B.n)
-        for p, (v, D) in zip(pivots, R._rows):
-            X._rows[p] = _canonical({j - n: x for j, x in v.items() if j >= n}, D)
-        return X
+        return _solution(*self.hstack(B).rref(), self.n)
 
     def inv(self) -> "Mat":
         if self.m != self.n:
@@ -301,6 +304,18 @@ def block_matrix(blocks, row_dims, col_dims) -> Mat:
             L = lcm(*(D for _, (_, D) in pieces))
             rows.append(({j0 + j: x * (L // D) for j0, (v, D) in pieces for j, x in v.items()}, L))
     return Mat._new(sum(row_dims), sum(col_dims), rows)
+
+
+def _solution(R, pivots, n):
+    """X with M X = B (free coordinates zero), or None when inconsistent, from
+    the rref R of [M | B] and its pivots, M having n columns."""
+    # a pivot right of the coefficient columns is a row 0 = b != 0
+    if pivots and pivots[-1] >= n:
+        return None
+    X = Mat.zero(n, R.n - n)
+    for p, (v, D) in zip(pivots, R._rows):
+        X._rows[p] = _canonical({j - n: x for j, x in v.items() if j >= n}, D)
+    return X
 
 
 def _check_dicts(m, n, rows):

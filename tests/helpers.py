@@ -50,6 +50,32 @@ def oracle_rank(rows):
     return rank
 
 
+def oracle_leading_minors(rows):
+    """The leading principal minors of a square matrix given as a list of lists.
+
+    Each minor is a determinant by its own Fraction elimination (a row swap
+    flips the sign), independent of cdga.linalg.
+    """
+    minors = []
+    for s in range(1, len(rows) + 1):
+        a = [[Fraction(x) for x in row[:s]] for row in rows[:s]]
+        det = Fraction(1)
+        for c in range(s):
+            r = next((r for r in range(c, s) if a[r][c]), None)
+            if r is None:
+                det = Fraction(0)
+                break
+            if r != c:
+                a[c], a[r] = a[r], a[c]
+                det = -det
+            det *= a[c][c]
+            for i in range(c + 1, s):
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        minors.append(det)
+    return minors
+
+
 def mat_rows(m):
     return [[m[(i, j)] for j in range(m.n)] for i in range(m.m)]
 
@@ -126,13 +152,13 @@ def reference_verify(ops):
 
 def random_unimodular(rng, n):
     """Product of a random unit upper and unit lower triangular integer matrix."""
-    u = Mat.eye(n)
-    lo = Mat.eye(n)
+    u = [{i: 1} for i in range(n)]
+    lo = [{i: 1} for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            u[(i, j)] = Fraction(rng.randint(-2, 2))
-            lo[(j, i)] = Fraction(rng.randint(-2, 2))
-    return u * lo
+            u[i][j] = Fraction(rng.randint(-2, 2))
+            lo[j][i] = Fraction(rng.randint(-2, 2))
+    return Mat.from_dicts(n, n, u) * Mat.from_dicts(n, n, lo)
 
 
 def random_complex(rng, max_span=6, max_dim=5, lo_range=(-2, 3)):
@@ -172,11 +198,12 @@ def random_complex(rng, max_span=6, max_dim=5, lo_range=(-2, 3)):
     for k in degrees:
         if k + 1 not in dims or dims[k] == 0 or dims[k + 1] == 0:
             continue
-        d = Mat.zero(dims[k + 1], dims[k])
+        rows = [{} for _ in range(dims[k + 1])]
         heads_start = free[k]
         tails_start = free[k + 1] + pairs.get(k + 1, 0)
         for i in range(pairs.get(k, 0)):
-            d[(tails_start + i, heads_start + i)] = Fraction(1)
+            rows[tails_start + i][heads_start + i] = Fraction(1)
+        d = Mat.from_dicts(dims[k + 1], dims[k], rows)
         if not d.is_zero():
             diffs[k] = d
     base = Complex(space, diffs)
@@ -245,26 +272,16 @@ def random_chain_map(rng, a, b):
     for k in ks:
         if b.dim(k) == 0 or a.dim(k) == 0:
             continue
-        mat = Mat.zero(b.dim(k), a.dim(k))
-        nonzero = False
-        for i in range(b.dim(k)):
-            for j in range(a.dim(k)):
-                v = sol[var(k, i, j)]
-                if v:
-                    mat[(i, j)] = v
-                    nonzero = True
-        if nonzero:
-            comps[k] = mat
+        rows = [{j: sol[var(k, i, j)] for j in range(a.dim(k)) if sol[var(k, i, j)]}
+                for i in range(b.dim(k))]
+        if any(rows):
+            comps[k] = Mat.from_dicts(b.dim(k), a.dim(k), rows)
     return ChainMap(a, b, comps)
 
 
 def random_posdef_gram(rng, n):
     """M^T M plus a positive diagonal: symmetric positive definite."""
-    m = Mat.zero(n, n)
-    for i in range(n):
-        for j in range(n):
-            m[(i, j)] = Fraction(rng.randint(-2, 2))
-    g = m.transpose() * m
-    for i in range(n):
-        g[(i, i)] = g[(i, i)] + Fraction(rng.randint(1, 3))
-    return g
+    m = Mat.from_dicts(n, n, [{j: Fraction(rng.randint(-2, 2)) for j in range(n)}
+                              for _ in range(n)])
+    diagonal = Mat.from_dicts(n, n, [{i: Fraction(rng.randint(1, 3))} for i in range(n)])
+    return m.transpose() * m + diagonal

@@ -27,7 +27,7 @@ from cdga.graded import koszul_sign
 from cdga.hodge import FockInnerProduct
 from cdga.poly import Polynomial
 
-from helpers import random_complex, random_posdef_gram
+from helpers import oracle_leading_minors, random_complex, random_posdef_gram, random_unimodular
 
 
 def test_inner_product_validation():
@@ -213,6 +213,56 @@ def test_positive_definite_check_agrees_with_leading_minors():
     assert seen == {True, False}
     # -I_2 has a positive determinant and is still refused
     assert Mat.eye(2).scale(-1).det() > 0
+
+
+def _congruent_gram(rng, signs):
+    """P^T diag P for a random unimodular P and a diagonal of these signs: by
+    Sylvester's law of inertia it is positive definite, indefinite or singular
+    exactly as the signs say."""
+    n = len(signs)
+    p = random_unimodular(rng, n)
+    diagonal = Mat.from_dicts(n, n, [{i: s * rng.randint(1, 3)} for i, s in enumerate(signs)])
+    return p.transpose() * diagonal * p
+
+
+def test_gram_elimination_agrees_with_leading_minors_and_keeps_the_inverse():
+    rng = random.Random(53)
+    cases = [("positive definite", Mat.eye(0))]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        cases.append(("positive definite", random_posdef_gram(rng, n)))
+        cases.append(("positive definite", _congruent_gram(rng, [1] * n)))
+        cases.append(("singular", _congruent_gram(rng, [1] * (n - 1) + [0])))
+        if n > 1:
+            cases.append(("indefinite", _congruent_gram(rng, [1] * (n - 1) + [-1])))
+    for kind, g in cases:
+        assert g == g.transpose()
+        verdict = all(m > 0 for m in oracle_leading_minors(g.rows))
+        assert verdict == (kind == "positive definite")
+        ip = InnerProduct({0: g})
+        if not verdict:
+            with pytest.raises(GradedError) as exc:
+                ip.check_grams()
+            assert str(exc.value) == "Gram matrix at degree 0 is not positive definite"
+            assert ip.inverses == {}
+            continue
+        ip.check_grams()
+        assert ip.inverses[0] == g.inv()
+        # the adjoint read through the kept inverse is G_0^-1 d^T G_1, built afresh
+        h = random_posdef_gram(rng, rng.randint(1, 3))
+        d = Mat(h.n, g.n, [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(g.n)]
+                           for _ in range(h.n)])
+        c = Complex(GradedSpace({0: ["a%d" % i for i in range(g.n)],
+                                 1: ["b%d" % i for i in range(h.n)]}), {0: d})
+        ip = InnerProduct({0: g, 1: h})
+        ip.validate_for(c)
+        assert set(ip.inverses) == {0, 1}
+        assert adjoint(c, ip).comp(1) == g.inv() * d.transpose() * h
+    assert {kind for kind, _ in cases} == {"positive definite", "indefinite", "singular"}
+    with pytest.raises(GradedError) as exc:
+        InnerProduct({2: Mat.from_rows([[1, 2], [0, 1]])}).check_grams()
+    assert str(exc.value) == "Gram matrix at degree 2 is not symmetric"
+    assert Mat.from_rows([[1, 0]]).positive_definite_inverse() is None
 
 
 def test_number_operator_report_with_a_cobracket():

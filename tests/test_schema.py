@@ -1,8 +1,9 @@
-"""The schema interpreter of cdga.documents against jsonschema as the oracle.
+"""The schema checker of cdga.documents against jsonschema as the oracle.
 
 Every packaged example and every benchmark document is mutated (keys dropped
 and added, types changed, bad rationals and integral floats written, arrays
-shortened and lengthened); the interpreter must accept and reject exactly as
+shortened and lengthened); the checker, called through _errors and through
+validate_document's cached closures, must accept and reject exactly as
 jsonschema's Draft 2020-12 validator does, and report the message of the error
 its best_match picks.
 """
@@ -114,6 +115,28 @@ def test_the_corpus_covers_every_kind_and_agrees_unmutated():
 @given(mutated())
 def test_interpreter_agrees_with_jsonschema_on_mutated_documents(case):
     _agree(*case)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutated())
+def test_validate_document_agrees_with_jsonschema_on_mutated_documents(case):
+    # the production path: the closures built once per kind and kept in _CHECKS
+    _, doc = case
+    kind = doc.get("kind")
+    if kind not in KINDS:
+        with pytest.raises(DocumentError, match="unknown document kind"):
+            validate_document(doc)
+        return
+    errors = list(ORACLES[kind].iter_errors(doc))
+    if errors:
+        with pytest.raises(DocumentError) as exc:
+            validate_document(doc)
+        assert str(exc.value) == "document does not match the %s schema: %s" % (
+            kind, best_match(errors).message)
+    else:
+        assert validate_document(doc) == kind
+    assert bool(documents._CHECKS[kind](doc)) == bool(errors)
 
 
 @pytest.mark.parametrize("schema,instance", [
