@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .graded import GradedError, GradedSpace, lie_violation
 from .linalg import Mat
@@ -324,7 +326,7 @@ def length_operator(algebra: FreeCDGA) -> "Derivation":
 class BasicComplexData:
     """The basic complex; the Weil complex on [0, top] (ambient) and the
     inclusion into it are built when first read.  invariants holds, per
-    degree, the curvature keys and the invariant rows over them."""
+    degree, the curvature keys and a Mat of the invariant rows over them."""
 
     complex: Complex
     algebra: FreeCDGA
@@ -338,9 +340,9 @@ class BasicComplexData:
     @cached_property
     def inclusion(self) -> ChainMap:
         mats = {}
-        for k, (fkeys, rows) in self.invariants.items():
+        for k, (fkeys, basis) in self.invariants.items():
             findex = {key: i for i, key in enumerate(fkeys)}
-            columns = Mat.from_rows(rows).transpose()
+            columns = basis.transpose()
             mats[k] = columns.select_rows([findex.get(key) for key in self.algebra.basis(k)])
         return ChainMap(self.complex, self.ambient, mats, validate=False)
 
@@ -374,14 +376,14 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
         fkeys = [tuple((i + n, e) for i, e in key) for key in basis_keys(curvatures, k)]
         findex = {key: i for i, key in enumerate(fkeys)}
         blocks = [key_matrix(fkeys, findex, op.apply_key) for op in ops.theta]
-        basis = Mat.zero(0, len(fkeys)).vstack(*blocks).nullspace()
-        if not basis:
+        basis = Mat.zero(0, len(fkeys)).vstack(*blocks).kernel()
+        if not basis.m:
             continue
-        images = (int_sum((c, *ops.d.apply_key(key)) for key, c in zip(fkeys, row) if c)[0]
-                  for row in basis)
+        images = (int_sum((x, *ops.d.apply_key(fkeys[j])) for _, j, x in row)[0]
+                  for _, row in groupby(basis.items(), itemgetter(0)))
         if k <= hi and any(images):
             raise InternalCheckError("basic subspace is not closed under d at degree %d" % k)
-        labels[k] = tuple("b%d_%d" % (k, i) for i in range(len(basis)))
+        labels[k] = tuple("b%d_%d" % (k, i) for i in range(basis.m))
         invariants[k] = (fkeys, basis)
     basic = Complex(GradedSpace(labels), {}, validate=False)
     return BasicComplexData(complex=basic, algebra=alg, top=hi + 1, invariants=invariants)

@@ -201,7 +201,7 @@ def cmd_ce(args, kind, lie, t):
 
 def cmd_weil(args, kind, lie, t):
     window = args.window or (0, 2 * lie.n)
-    _budget(min(window[0], 0), window[1] + 1, [1, 2] * lie.n)
+    _budget(min(window[0], 0), window[1] + 1, [2] * lie.n)  # S(F), all the path enumerates
     # the contraction certificate makes the Weil column 1 in degree 0 and 0
     # elsewhere, and the basic complex has d = 0: no rank is needed for either
     data = basic_subcomplex(_verified(weil_algebra(lie), weil_contraction_failures), window)

@@ -37,11 +37,11 @@ class DocumentError(ValueError):
 
 
 # -- the schema checker: the part of JSON Schema Draft 2020-12 the schemas use --
-# _compile refuses anything else and resolves a schema ($refs, patterns); _build
-# makes the result one closure per node, once per kind and process (_CHECKS).  A
-# closure returns an instance's errors as (path, keyword, instance, value, the
-# node's type, anyOf context), and () when it passes; _message words the one
-# best_match would pick.
+# _build makes a schema one closure per node and keyword in one pass, once per kind
+# and process (_CHECKS): it resolves each $ref and compiles each pattern as it goes,
+# and refuses anything outside the subset.  A closure returns an instance's errors
+# as (path, keyword, instance, value, the node's type, anyOf context), and () when
+# it passes; _message words the one best_match would pick.
 
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
@@ -72,36 +72,16 @@ _LEAVES = {
 _CHECKS = {}
 
 
-def _compile(schema, defs=None, refs=()):
-    """A schema resolved for _build; ValueError for anything outside the subset."""
+def _build(schema, defs=None, refs=()):
+    """The check of a schema node: its keywords' checks in schema order.
+
+    defs are the root's $defs and refs the $refs followed to reach the node;
+    ValueError for anything outside the subset."""
     if not isinstance(schema, dict):
         raise ValueError("schema %r is not an object" % (schema,))
     defs = schema.get("$defs", {}) if defs is None else defs
-    out = {}
-    for kw, v in schema.items():
-        if kw == "$ref":
-            name = v[len("#/$defs/"):]
-            if not v.startswith("#/$defs/") or name not in defs or name in refs:
-                raise ValueError("unsupported $ref %r" % v)
-            out[kw] = _compile(defs[name], defs, refs + (name,))
-        elif kw == "properties":
-            out[kw] = {k: _compile(t, defs, refs) for k, t in v.items()}
-        elif kw in ("anyOf", "prefixItems"):
-            out[kw] = [_compile(t, defs, refs) for t in v]
-        elif kw in ("additionalProperties", "propertyNames", "items"):
-            out[kw] = _compile(v, defs, refs)
-        elif kw == "type" and v not in list(_TYPES) or kw == "const" and type(v) is not str:
-            raise ValueError("unsupported %s %r" % (kw, v))
-        elif kw in _LEAVES:
-            out[kw] = re.compile(v) if kw == "pattern" else v
-        elif kw not in ("$defs", "$id", "$schema", "title"):
-            raise ValueError("schema keyword %r is outside the supported subset" % kw)
-    return out
-
-
-def _build(s):
-    """The check of a compiled schema node: its keywords' checks in schema order."""
-    checks = [_keyword(kw, v, s) for kw, v in s.items()]
+    checks = [_keyword(kw, v, schema, defs, refs) for kw, v in schema.items()
+              if kw not in ("$defs", "$id", "$schema", "title")]
     if len(checks) == 1:
         return checks[0]
 
@@ -115,12 +95,15 @@ def _build(s):
     return check
 
 
-def _keyword(kw, v, s):
+def _keyword(kw, v, s, defs, refs):
     """The check of one keyword of the node s; parts of the wrong type pass."""
     if kw == "$ref":
-        return _build(v)
+        name = v[len("#/$defs/"):]
+        if not v.startswith("#/$defs/") or name not in defs or name in refs:
+            raise ValueError("unsupported $ref %r" % v)
+        return _build(defs[name], defs, refs + (name,))
     if kw == "anyOf":
-        branches, typ = [_build(t) for t in v], s.get("type")
+        branches, typ = [_build(t, defs, refs) for t in v], s.get("type")
 
         def any_of(x):
             context = ()
@@ -131,26 +114,31 @@ def _keyword(kw, v, s):
                 context += e
             return (((), kw, x, None, typ, context),)
         return any_of
+    if kw == "type" and v not in list(_TYPES) or kw == "const" and type(v) is not str:
+        raise ValueError("unsupported %s %r" % (kw, v))
     if kw in _LEAVES:
         on, make, _ = _LEAVES[kw]
+        v = re.compile(v) if kw == "pattern" else v
         check = make(v, lambda x, m, typ=s.get("type"): (((), kw, x, m, typ, ()),))
         return check if on is None else lambda x, ok=_TYPES[on]: check(x) if ok(x) else ()
     # the others descend: parts(x) gives (path step or None, part, its check)
     if kw == "properties":
-        subs = [(k, _build(t)) for k, t in v.items()]
+        subs = [(k, _build(t, defs, refs)) for k, t in v.items()]
         on, parts = dict, lambda x: ((k, x[k], c) for k, c in subs if k in x)
     elif kw == "prefixItems":
-        subs = [_build(t) for t in v]
+        subs = [_build(t, defs, refs) for t in v]
         on, parts = list, lambda x: ((i, y, c) for i, (y, c) in enumerate(zip(x, subs)))
     elif kw == "items":
-        c, start = _build(v), len(s.get("prefixItems", ()))
+        c, start = _build(v, defs, refs), len(s.get("prefixItems", ()))
         on, parts = list, lambda x: ((i, x[i], c) for i in range(start, len(x)))
     elif kw == "propertyNames":
-        c = _build(v)
+        c = _build(v, defs, refs)
         on, parts = dict, lambda x: ((None, k, c) for k in x)
-    else:
-        c, known = _build(v), s.get("properties", ())
+    elif kw == "additionalProperties":
+        c, known = _build(v, defs, refs), s.get("properties", ())
         on, parts = dict, lambda x: ((k, y, c) for k, y in x.items() if k not in known)
+    else:
+        raise ValueError("schema keyword %r is outside the supported subset" % kw)
 
     def descend(x):
         out = ()
@@ -161,11 +149,6 @@ def _keyword(kw, v, s):
                     out += e if step is None else tuple(((step,) + f[0],) + f[1:] for f in e)
         return out
     return descend
-
-
-def _errors(s, x):
-    """The errors of x against the compiled schema s, () when it passes."""
-    return _build(s)(x)
 
 
 def _message(errors):
@@ -261,7 +244,7 @@ def validate_document(doc) -> str:
     kind = document_kind(doc)
     if kind not in _CHECKS:
         path = "schemas/%s.v1.json" % kind
-        _CHECKS[kind] = _build(_compile(json.loads(resources.files("cdga").joinpath(path).read_text())))
+        _CHECKS[kind] = _build(json.loads(resources.files("cdga").joinpath(path).read_text()))
     errors = _CHECKS[kind](doc)
     if errors:
         raise DocumentError(

@@ -6,21 +6,35 @@ Grammar (whitespace separates tokens but is otherwise ignored):
     term       := rational ('*'? factor)*  |  factor ('*'? factor)*
     factor     := NAME ('^' NATURAL)?
     rational   := NATURAL ('/' NATURAL)?
-    NAME       := [A-Za-z_][A-Za-z0-9_]*
+    NATURAL    := [0-9]+
+    NAME       := a letter or '_', then letters, digits and '_'
 
-Both ASCII '-' and the unicode minus sign are accepted.  Names are matched
-after NFC normalization.  A bare rational denotes a constant (degree 0)
-term, so "0" is the zero polynomial.  Errors carry 1-based line and column.
+NATURAL is ASCII digits only.  A name runs as long as it can, so two names
+side by side need a space or '*' between them: with generators x and y,
+"2x y^2" is 2 * x * y^2, while "2xy^2" names a generator "xy".  Both ASCII '-'
+and the unicode minus sign are accepted.  Names are matched after NFC
+normalization.  A bare rational denotes a constant (degree 0) term, so "0" is
+the zero polynomial.
+
+One regex splits the text into tokens; a character that starts no token is
+reported before anything else.  Each term is folded into one {key:
+coefficient} dict and the polynomial is built once, so parsing is linear in
+the number of terms.  Errors carry 1-based line and column.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from fractions import Fraction
 
-from .poly import Generators, Polynomial
+from .graded import GradedError
+from .poly import Generators, Polynomial, normalize_factors
 
-MINUS_CHARS = {"-", "−"}
+# one group per token kind: number, name, sign, operator (told apart by its
+# text), a bad character; END marks the end of the text
+NUMBER, NAME, SIGN, BAD, END = 1, 2, 3, 5, 0
+_TOKEN = re.compile(r"([0-9]+)|([^\W\d]\w*)|([-−+])|([*/^])|(\S)")
 
 
 class ParseError(ValueError):
@@ -30,168 +44,75 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in MINUS_CHARS:
-            tokens.append(_Token("minus", "-", line, start_col))
-        elif ch == "+":
-            tokens.append(_Token("plus", "+", line, start_col))
-        elif ch == "*":
-            tokens.append(_Token("star", "*", line, start_col))
-        elif ch == "/":
-            tokens.append(_Token("slash", "/", line, start_col))
-        elif ch == "^":
-            tokens.append(_Token("caret", "^", line, start_col))
-        else:
-            raise ParseError("unexpected character %r" % ch, line, start_col)
-        col += 1
-        i += 1
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, gens: Generators, tokens):
-        self.gens = gens
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def parse(self) -> Polynomial:
-        out = self.parse_term(self.parse_sign(allow_none=True))
-        while self.peek().kind in ("plus", "minus"):
-            sign = self.parse_sign(allow_none=False)
-            out = out + self.parse_term(sign)
-        if self.peek().kind != "end":
-            self.fail("expected '+', '-' or end of expression")
-        return out
-
-    def parse_sign(self, allow_none: bool) -> int:
-        tok = self.peek()
-        if tok.kind == "plus":
-            self.take()
-            return 1
-        if tok.kind == "minus":
-            self.take()
-            return -1
-        if allow_none:
-            return 1
-        self.fail("expected '+' or '-'")
-
-    def parse_rational(self) -> Fraction:
-        tok = self.take()
-        num = int(tok.text)
-        if self.peek().kind == "slash":
-            self.take()
-            den_tok = self.peek()
-            if den_tok.kind != "number":
-                self.fail("expected a denominator after '/'")
-            self.take()
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_term(self, sign: int) -> Polynomial:
-        coeff = Fraction(sign)
-        saw_number = False
-        if self.peek().kind == "number":
-            saw_number = True
-            coeff *= self.parse_rational()
-        factors = []
-        expect_factor = False
-        while True:
-            tok = self.peek()
-            if tok.kind == "star":
-                self.take()
-                expect_factor = True
-                continue
-            if tok.kind == "name":
-                self.take()
-                name = unicodedata.normalize("NFC", tok.text)
-                try:
-                    idx = self.gens.index(name)
-                except Exception:
-                    raise ParseError(
-                        "unknown generator %r" % tok.text, tok.line, tok.col
-                    )
-                exp = 1
-                if self.peek().kind == "caret":
-                    self.take()
-                    etok = self.peek()
-                    if etok.kind != "number":
-                        self.fail("expected an exponent after '^'")
-                    self.take()
-                    exp = int(etok.text)
-                    if exp < 1:
-                        raise ParseError(
-                            "exponent must be positive", etok.line, etok.col
-                        )
-                factors.append((idx, exp))
-                expect_factor = False
-                continue
-            break
-        if expect_factor:
-            self.fail("expected a generator after '*'")
-        if not factors and not saw_number:
-            self.fail("expected a term")
-        return Polynomial.monomial(self.gens, factors, coeff)
-
-
 def parse_polynomial(gens: Generators, text: str) -> Polynomial:
     """Parse an expression into a polynomial over the given generators."""
     text = unicodedata.normalize("NFC", text)
-    return _Parser(gens, _tokenize(text)).parse()
+    tokens = [(m.lastindex, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append((END, "", len(text)))
+    i = 0
+
+    def fail(message, at=None):
+        at = tokens[i][2] if at is None else at
+        raise ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+    for kind, tok, at in tokens:
+        if kind == BAD:
+            fail("unexpected character %r" % tok, at)
+    terms = {}
+    while True:
+        # the leading sign is optional; every later term starts at a sign
+        kind, tok, _ = tokens[i]
+        sign = -1 if kind == SIGN and tok != "+" else 1
+        i += kind == SIGN
+        kind, tok, _ = tokens[i]
+        coeff, number = Fraction(sign), kind == NUMBER
+        if number:
+            i += 1
+            den = 1
+            if tokens[i][1] == "/":
+                i += 1
+                kind, den_tok, at = tokens[i]
+                if kind != NUMBER:
+                    fail("expected a denominator after '/'")
+                i += 1
+                den = int(den_tok)
+                if not den:
+                    fail("zero denominator", at)
+            coeff = Fraction(sign * int(tok), den)
+        factors, star = [], False
+        while True:
+            kind, tok, at = tokens[i]
+            if tok == "*":
+                i += 1
+                star = True
+                continue
+            if kind != NAME:
+                break
+            i += 1
+            try:
+                index = gens.index(tok)
+            except GradedError:
+                fail("unknown generator %r" % tok, at)
+            exp = 1
+            if tokens[i][1] == "^":
+                i += 1
+                kind, exp_tok, at = tokens[i]
+                if kind != NUMBER:
+                    fail("expected an exponent after '^'")
+                i += 1
+                exp = int(exp_tok)
+                if exp < 1:
+                    fail("exponent must be positive", at)
+            factors.append((index, exp))
+            star = False
+        if star:
+            fail("expected a generator after '*'")
+        if not factors and not number:
+            fail("expected a term")
+        c, key = normalize_factors(gens, factors, coeff)
+        terms[key] = terms.get(key, 0) + c
+        kind = tokens[i][0]
+        if kind == END:
+            return Polynomial(gens, terms)
+        if kind != SIGN:
+            fail("expected '+', '-' or end of expression")

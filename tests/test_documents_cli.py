@@ -7,6 +7,7 @@ import sys
 import time
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -521,6 +522,21 @@ def test_cli_weil_sl3_answers_within_ten_seconds(tmp_path):
         "weil_betti": {str(k): int(k == 0) for k in range(9)}, "window": [0, 8]}
 
 
+def test_cli_weil_sl3_reaches_degree_twelve_inside_a_timeout(tmp_path):
+    # the budget prices S(F), all the path enumerates: 3,010 units through
+    # degree 13.  The basic Betti numbers are the coefficients of
+    # 1/((1 - t^4)(1 - t^6))
+    path = tmp_path / "sl3.json"
+    path.write_text(json.dumps(_lie_document(LieData.sl(3))))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", "weil", "--input", str(path),
+                           "--window", "0..12", "--format", "json"],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    basic = {k: 0 for k in range(13)}
+    basic.update({0: 1, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2})
+    assert json.loads(proc.stdout)["basic_betti"] == {str(k): v for k, v in basic.items()}
+
+
 @pytest.mark.parametrize("source", ["lie_cross3", "lie_solvable2", "lie_abelian3"])
 def test_cli_weil_builds_no_weil_complex_and_takes_no_rank(monkeypatch, capsys, source):
     # the Weil column comes from the contraction certificate and the basic column
@@ -780,23 +796,23 @@ def test_cli_schema_checks_each_document_once(tmp_path, capsys, monkeypatch):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"kind": "gram", "grams": {"0": [["2"]], "1": [["3"]]}}))
     calls, compiled = [], []
-    validate, compile_ = documents.validate_document, documents._compile
+    validate, build = documents.validate_document, documents._build
     monkeypatch.setattr(
         documents, "validate_document", lambda doc: calls.append(doc["kind"]) or validate(doc)
     )
 
-    def counting_compile(schema, defs=None, refs=()):
+    def counting_build(schema, defs=None, refs=()):
         if defs is None:  # a whole schema, not one of its nodes
             compiled.append(schema["$id"])
-        return compile_(schema, defs, refs)
+        return build(schema, defs, refs)
 
-    # a fresh process: no schema compiled yet
+    # a fresh process: no schema built yet
     monkeypatch.setattr(documents, "_CHECKS", {})
-    monkeypatch.setattr(documents, "_compile", counting_compile)
+    monkeypatch.setattr(documents, "_build", counting_build)
     assert main(["number-op", "--input", str(glie), "--truncation", "2", "--format", "json"]) == 0
     assert main(["hodge", "--input", str(cx), "--gram", str(gram), "--format", "json"]) == 0
     assert calls == ["glie", "complex", "gram"]
-    # each kind's schema is compiled once per process
+    # each kind's schema is built into closures once per process
     assert compiled == ["cdga.glie/1", "cdga.complex/1", "cdga.gram/1"]
     assert main(["number-op", "--input", str(glie), "--truncation", "2", "--format", "json"]) == 0
     assert calls == ["glie", "complex", "gram", "glie"]
@@ -879,6 +895,21 @@ def test_cli_glie_gram_degrees_are_schema_checked(tmp_path, capsys):
     assert main(["check", "--input", str(path)]) == 2
     assert capsys.readouterr() == ("", "document error: document does not match the glie "
                                    "schema: 'x' does not match '^-?[0-9]+$'\n")
+
+
+@pytest.mark.parametrize("expr, shown", [
+    ("x^\u00b2", "line 1, column 3: expected an exponent after '^'"),
+    ("\u0663 x^2", "line 1, column 1: unexpected character '\u0663'"),
+], ids=["superscript-exponent", "arabic-indic-digit"])
+def test_cli_a_non_ascii_digit_in_a_differential_is_a_document_error(tmp_path, expr, shown):
+    # numbers are ASCII digits, so neither is read as a number
+    path = tmp_path / "cdga.json"
+    path.write_text(json.dumps({"kind": "cdga", "generators": [["x", 2], ["u", 3]],
+                                "differential": {"u": expr}}))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", "check", "--input", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "document error: bad differential for 'u': %s\n" % shown
 
 
 @pytest.mark.parametrize("doc, command, field, value", [
@@ -972,10 +1003,10 @@ WIDE_CDGA = {"kind": "cdga", "generators": [["g%d" % i, 1] for i in range(20000)
     (["cone"], FAR_CX),
     (["number-op", "--truncation", "100000000"], GLIE_SMALL),
     (["ce"], _abelian(20)),
-    (["weil"], _abelian(8)),
+    (["weil"], _abelian(12)),
     (["homology"], WIDE_CDGA),
 ], ids=["homology-window", "weil-window", "homology-far", "hodge-far", "cone-far",
-        "number-op-truncation", "ce-abelian20", "weil-abelian8", "homology-wide"])
+        "number-op-truncation", "ce-abelian20", "weil-abelian12", "homology-wide"])
 def test_cli_refuses_an_input_over_the_size_budget(tmp_path, argv, doc):
     # each of these used to run past a 10 s timeout, or would have
     if doc is not None:
@@ -994,11 +1025,20 @@ def test_cli_refuses_an_input_over_the_size_budget(tmp_path, argv, doc):
 
 
 def test_cli_weil_budget_counts_the_default_window(tmp_path, capsys):
-    path = tmp_path / "abelian8.json"
-    path.write_text(json.dumps(_abelian(8)))
+    # S(F) on 12 curvatures through degree 25: C(24, 12) even units and 13 odd
+    path = tmp_path / "abelian12.json"
+    path.write_text(json.dumps(_abelian(12)))
     assert main(["weil", "--input", str(path)]) == 2
     assert capsys.readouterr() == (
-        "", "document error: degrees 0..17 cost 1081575 units, over the budget of 25000\n")
+        "", "document error: degrees 0..25 cost 2704169 units, over the budget of 25000\n")
+    # on 8 curvatures through degree 17 it is 12,879 units, and the 6,435
+    # invariants of degree 16 stay sparse, so the answer comes inside a timeout
+    path.write_text(json.dumps(_abelian(8)))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", "weil", "--input", str(path),
+                           "--format", "json"], capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["basic_betti"] == {
+        str(k): 0 if k % 2 else comb(k // 2 + 7, 7) for k in range(17)}
 
 
 # 2,000 generators of degree 20: the series takes one binomial product for them,
@@ -1040,6 +1080,24 @@ def test_cli_many_generators_of_one_degree_run_inside_a_timeout(tmp_path, comman
                            "--format", "json"], capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert check(json.loads(proc.stdout))
+
+
+# d(u) sums all 11,325 products of 150 generators of degree 2: 140 KB of expression
+LONG_DIFFERENTIAL = {
+    "kind": "cdga", "generators": [["x%d" % i, 2] for i in range(150)] + [["u", 3]],
+    "differential": {"u": " + ".join("%d x%d x%d" % (i + j + 1, i, j)
+                                     for i in range(150) for j in range(i, 150))}}
+
+
+def test_cli_check_reads_a_long_differential_inside_a_timeout(tmp_path):
+    # parsing is linear in the number of terms, so 140 KB of expression is quick
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_DIFFERENTIAL))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", "check", "--input", str(path),
+                           "--format", "json"], capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"kind":"cdga","ok":true}\n', "")
+    d = load_cdga(LONG_DIFFERENTIAL).differential.image_of("u")
+    assert len(d.terms) == 11325 and d.terms[((0, 1), (149, 1))] == 150
 
 
 S2XS2_PAIR = {
@@ -1120,7 +1178,9 @@ def _oracle_algebra(argv):
     if command == "ce":
         return chevalley_eilenberg(LIE_ORACLES[name]()).algebra
     if command == "weil":
-        return weil_algebra(LIE_ORACLES[name]()).algebra
+        # the path enumerates S(F), the free algebra on the n curvatures of degree 2
+        n = LIE_ORACLES[name]().n
+        return FreeCDGA([("F%d" % i, 2) for i in range(n)], {}, truncation=0)
     doc = ORACLE_DOCS.get(name) or load_json(resolve_input(name))
     if command == "number-op":
         return doubled_algebra(load_glie(doc), int(argv[argv.index("--truncation") + 1]))

@@ -113,19 +113,33 @@ def test_parser_juxtaposition_and_powers():
     assert parse_polynomial(g, "-z") == z.scale(-1)
 
 
-def test_parser_errors_carry_position():
-    g = gens_xy()
+@pytest.mark.parametrize("text, message, line, col", [
+    ("x ? y", "unexpected character '?'", 1, 3),
+    # a bad character anywhere is reported before an error earlier in the text
+    ("x + + y\n  $", "unexpected character '$'", 2, 3),
+    ("x y 2", "expected '+', '-' or end of expression", 1, 5),
+    ("x/2", "expected '+', '-' or end of expression", 1, 2),
+    ("1/x", "expected a denominator after '/'", 1, 3),
+    ("x +\n 1/0", "zero denominator", 2, 4),
+    ("x + w", "unknown generator 'w'", 1, 5),
+    ("2xy", "unknown generator 'xy'", 1, 2),
+    ("x ^", "expected an exponent after '^'", 1, 4),
+    ("z^0", "exponent must be positive", 1, 3),
+    ("x * 2", "expected a generator after '*'", 1, 5),
+    ("x *", "expected a generator after '*'", 1, 4),
+    ("", "expected a term", 1, 1),
+    ("x + ", "expected a term", 1, 5),
+    ("x +\n\t- y", "expected a term", 2, 2),
+    # NATURAL is ASCII digits: a superscript two starts a name, an Arabic-Indic
+    # three starts no token
+    ("x^\u00b2", "expected an exponent after '^'", 1, 3),
+    ("\u0663 x^2", "unexpected character '\u0663'", 1, 1),
+])
+def test_parser_errors_carry_position(text, message, line, col):
     with pytest.raises(ParseError) as ei:
-        parse_polynomial(g, "x + w")
-    assert ei.value.line == 1 and ei.value.col == 5
-    with pytest.raises(ParseError):
-        parse_polynomial(g, "x ^")
-    with pytest.raises(ParseError):
-        parse_polynomial(g, "")
-    with pytest.raises(ParseError):
-        parse_polynomial(g, "x + ")
-    with pytest.raises(ParseError):
-        parse_polynomial(g, "1/0")
+        parse_polynomial(gens_xy(), text)
+    assert (str(ei.value), ei.value.line, ei.value.col) == (
+        "line %d, column %d: %s" % (line, col, message), line, col)
 
 
 def test_parser_odd_square_is_zero():

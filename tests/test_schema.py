@@ -2,10 +2,10 @@
 
 Every packaged example and every benchmark document is mutated (keys dropped
 and added, types changed, bad rationals and integral floats written, arrays
-shortened and lengthened); the checker, called through _errors and through
-validate_document's cached closures, must accept and reject exactly as
-jsonschema's Draft 2020-12 validator does, and report the message of the error
-its best_match picks.
+shortened and lengthened); the checker, called as the closure _build makes of
+each schema and through validate_document's cached closures, must accept and
+reject exactly as jsonschema's Draft 2020-12 validator does, and report the
+message of the error its best_match picks.
 """
 
 import copy
@@ -32,7 +32,7 @@ SCHEMAS = {
     for kind in KINDS
 }
 ORACLES = {kind: Draft202012Validator(schema) for kind, schema in SCHEMAS.items()}
-CHECKS = {kind: documents._compile(schema) for kind, schema in SCHEMAS.items()}
+CHECKS = {kind: documents._build(schema) for kind, schema in SCHEMAS.items()}
 
 
 def _corpus():
@@ -96,7 +96,7 @@ def mutated(draw):
 
 def _agree(kind, doc):
     errors = list(ORACLES[kind].iter_errors(doc))
-    ours = documents._errors(CHECKS[kind], doc)
+    ours = CHECKS[kind](doc)
     assert bool(ours) == bool(errors), (doc, [e.message for e in errors])
     if errors:
         assert documents._message(ours) == best_match(errors).message, doc
@@ -107,7 +107,7 @@ def test_the_corpus_covers_every_kind_and_agrees_unmutated():
     for kind, doc in CORPUS:
         _agree(kind, doc)
     # docs-mix ships one schema-invalid document on purpose
-    assert sum(1 for kind, doc in CORPUS if documents._errors(CHECKS[kind], doc)) == 1
+    assert sum(1 for kind, doc in CORPUS if CHECKS[kind](doc)) == 1
 
 
 @settings(max_examples=400, derandomize=True, deadline=None,
@@ -163,7 +163,7 @@ def test_validate_document_agrees_with_jsonschema_on_mutated_documents(case):
 ])
 def test_each_keyword_agrees_with_jsonschema(schema, instance):
     errors = list(Draft202012Validator(schema).iter_errors(instance))
-    ours = documents._errors(documents._compile(schema), instance)
+    ours = documents._build(schema)(instance)
     assert bool(ours) == bool(errors)
     if errors:
         assert documents._message(ours) == best_match(errors).message
@@ -193,7 +193,7 @@ def test_a_bad_rational_names_the_pattern():
 ])
 def test_a_schema_outside_the_subset_is_refused_when_compiled(schema, refused):
     with pytest.raises(ValueError) as exc:
-        documents._compile(schema)
+        documents._build(schema)
     assert refused in str(exc.value)
 
 
@@ -203,4 +203,4 @@ def test_every_packaged_schema_compiles():
     assert names == sorted("%s.v1.json" % kind for kind in KINDS)
     for name in names:
         schema = json.loads(resources.files("cdga").joinpath("schemas/" + name).read_text())
-        assert documents._compile(schema)["type"] == "object"
+        assert documents._message(documents._build(schema)([])) == "[] is not of type 'object'"
