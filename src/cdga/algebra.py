@@ -4,10 +4,13 @@ A FreeCDGA is a free graded-commutative algebra on finitely many generators
 of degree >= 1 together with a degree +1 derivation d whose square vanishes;
 d is given on generators and extended by the graded Leibniz rule.  Bases per
 degree are enumerated monomials, so every operator has an exact matrix and
-the whole algebra restricts to a cochain complex through any window.  Maps
-hold generator images as int numerators over one denominator, so apply_key,
-key_matrix and the graded commutator on a generator (bracket_image) build no
-Fractions; apply and commutator divide only into their Polynomials.
+the whole algebra restricts to a cochain complex through any window.
+Derivation and CDGAMorphism are the two kinds of generator map: one base
+checks their images, holds them as int numerators over one denominator and
+caches one matrix per degree, and each adds only its own apply_key.  So
+apply_key, key_matrix and the graded commutator on a generator
+(bracket_image) build no Fractions; apply and commutator divide only into
+their Polynomials.
 """
 
 from __future__ import annotations
@@ -42,14 +45,6 @@ def key_matrix(src, tgt_index, image) -> Mat:
     return Mat.from_int_rows(len(rows), len(src), rows, L)
 
 
-def _int_images(gens, images):
-    """({generator index: {key: int}}, den) for the nonzero images {name: Polynomial},
-    their coefficients as numerators over den, the lcm of their denominators."""
-    den = lcm(*(c.denominator for p in images.values() for c in p.terms.values()))
-    return {gens.index(n): {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
-            for n, p in images.items() if p.terms}, den
-
-
 def int_sum(parts):
     """sum c v / D over parts (c, v, D), c an int or Fraction and v {key: int},
     as ({key: int} with no zeros, L), L the lcm of the c.denominator * D."""
@@ -67,12 +62,62 @@ def _polynomial(gens, v, D) -> Polynomial:
     return Polynomial(gens, {k: Fraction(x, D) for k, x in v.items()})
 
 
-def _apply(gens, apply_key, terms) -> Polynomial:
-    """Sum of c * apply_key(key) over terms {key: Fraction}, in ints over one lcm."""
-    return _polynomial(gens, *int_sum((c, *apply_key(key)) for key, c in terms.items()))
+class _GeneratorMap:
+    """Map from source to target fixed by its generator images, of degree r.
+
+    Each image must be a Polynomial over target's table, homogeneous of
+    degree |g| + r; zero images are dropped.  The images are kept once more
+    as int numerators over one denominator den (the lcm of their
+    coefficients' denominators), which a subclass's apply_key extends to one
+    monomial key; apply and the per-degree matrix both go through it.
+    Immutable, so each degree's matrix is built once.
+    """
+
+    def __init__(self, source, target, degree: int, images, what: str):
+        self.source = source
+        self.target = target
+        self.degree = int(degree)
+        self.images = {}
+        gens = source.gens
+        for name, poly in images.items():
+            i = gens.index(name)
+            if not isinstance(poly, Polynomial):
+                raise GradedError("%s image of %r must be a Polynomial" % (what, name))
+            if poly.gens != target.gens:
+                raise GradedError("%s image of %r is not over the target" % (what, name))
+            if poly.terms:
+                got, want = poly.is_homogeneous(), gens.degrees[i] + self.degree
+                if got != want:
+                    raise GradedError(
+                        "%s image of %r has degree %s, expected %d" % (what, name, got, want)
+                    )
+                self.images[gens.names[i]] = poly
+        self.den = lcm(*(c.denominator for p in self.images.values() for c in p.terms.values()))
+        self._terms = {gens.index(n): {k: c.numerator * (self.den // c.denominator)
+                                       for k, c in p.terms.items()}
+                       for n, p in self.images.items()}
+        self._matrices = {}
+
+    def image_of(self, name: str) -> Polynomial:
+        return self.images.get(name, Polynomial.zero(self.target.gens))
+
+    def apply(self, poly: Polynomial) -> Polynomial:
+        """Sum of c * apply_key(key) over poly's terms, in ints over one lcm."""
+        return _polynomial(self.target.gens,
+                           *int_sum((c, *self.apply_key(key)) for key, c in poly.terms.items()))
+
+    def __call__(self, poly):
+        return self.apply(poly)
+
+    def _matrix(self, k: int) -> Mat:
+        """Matrix from degree k to degree k + r, built once per degree."""
+        if k not in self._matrices:
+            self._matrices[k] = key_matrix(self.source.basis(k),
+                                           self.target.basis_index(k + self.degree), self.apply_key)
+        return self._matrices[k]
 
 
-class Derivation:
+class Derivation(_GeneratorMap):
     """Degree-r derivation of a free graded-commutative algebra.
 
     Determined by generator images (homogeneous of degree |g| + r, or zero)
@@ -83,25 +128,7 @@ class Derivation:
 
     def __init__(self, algebra: "FreeCDGA", degree: int, images):
         self.algebra = algebra
-        self.degree = int(degree)
-        self.images = {}
-        for name, poly in images.items():
-            i = algebra.gens.index(name)
-            if not isinstance(poly, Polynomial):
-                raise GradedError("derivation image of %r must be a Polynomial" % name)
-            if not poly.is_zero():
-                got = poly.is_homogeneous()
-                want = algebra.gens.degrees[i] + self.degree
-                if got != want:
-                    raise GradedError(
-                        "derivation image of %r has degree %s, expected %d"
-                        % (name, got, want)
-                    )
-                self.images[algebra.gens.names[i]] = poly
-        self._terms, self.den = _int_images(algebra.gens, self.images)
-
-    def image_of(self, name: str) -> Polynomial:
-        return self.images.get(name, Polynomial.zero(self.algebra.gens))
+        super().__init__(algebra, algebra, degree, images, "derivation")
 
     def int_image(self, i: int):
         """The image of generator i as ({key: int}, den)."""
@@ -125,16 +152,9 @@ class Derivation:
             prefix_degree += e * gens.degrees[i]
         return {k: c for k, c in out.items() if c}, self.den
 
-    def apply(self, poly: Polynomial) -> Polynomial:
-        return _apply(self.algebra.gens, self.apply_key, poly.terms)
-
-    def __call__(self, poly):
-        return self.apply(poly)
-
     def matrix(self, k: int) -> Mat:
         """Matrix of the derivation from degree k to degree k + r."""
-        a = self.algebra
-        return key_matrix(a.basis(k), a.basis_index(k + self.degree), self.apply_key)
+        return self._matrix(k)
 
     def bracket_image(self, other: "Derivation", i: int):
         """[self, other](g_i) = s(o(g_i)) - (-1)^(rs) o(s(g_i)) as ({key: int}, den),
@@ -161,29 +181,20 @@ class FreeCDGA:
     Immutable (extended() returns a new one): bases and d matrices are built once per degree.
     """
 
-    def __init__(self, gens, d_images, truncation: int = 8, validate: bool = True):
+    def __init__(self, gens, d_images, truncation: int = 8):
         self.gens = gens if isinstance(gens, Generators) else Generators(gens)
         self.truncation = int(truncation)
-        images = {}
-        for name, poly in (d_images or {}).items():
-            idx = self.gens.index(name)
-            images[self.gens.names[idx]] = poly
-        self.differential = Derivation(self, 1, images)
+        self.differential = Derivation(self, 1, d_images or {})
         self._basis_cache = {}
         self._index_cache = {}
-        self._d_cache = {}
-        if validate:
-            self.validate()
-
-    # -- structure ---------------------------------------------------------
-
-    def validate(self):
         for name in self.gens.names:
             dd = self.differential.apply(self.differential.image_of(name))
             if not dd.is_zero():
                 raise GradedError(
                     "d o d is nonzero on generator %r: %s" % (name, dd)
                 )
+
+    # -- structure ---------------------------------------------------------
 
     def zero(self):
         return Polynomial.zero(self.gens)
@@ -231,9 +242,7 @@ class FreeCDGA:
         return [Polynomial(self.gens, t) for t in terms]
 
     def d_matrix(self, k: int) -> Mat:
-        if k not in self._d_cache:
-            self._d_cache[k] = self.differential.matrix(k)
-        return self._d_cache[k]
+        return self.differential.matrix(k)
 
     def to_complex(self, window=None) -> Complex:
         """Degreewise complex of the algebra on [0, n] (default truncation)."""
@@ -275,44 +284,23 @@ class FreeCDGA:
         return FreeCDGA(gens2, images, truncation=self.truncation)
 
 
-class CDGAMorphism:
+class CDGAMorphism(_GeneratorMap):
     """Algebra map determined by generator images, compatible with d.
 
     apply_key multiplies out the images of a monomial key's generators with
     poly.terms_product; apply, matrix, compose and is_chain_map all go
-    through it, so none multiplies Polynomials.  Immutable after
-    construction, so each degree's matrix is built once.
+    through it, so none multiplies Polynomials.
     """
 
     def __init__(self, source: FreeCDGA, target: FreeCDGA, images,
                  validate: bool = True):
-        self.source = source
-        self.target = target
-        self.images = {}
-        for name, poly in images.items():
-            i = source.gens.index(name)
-            if not poly.is_zero():
-                got = poly.is_homogeneous()
-                want = source.gens.degrees[i]
-                if got != want:
-                    raise GradedError(
-                        "morphism image of %r has degree %s, expected %d"
-                        % (name, got, want)
-                    )
-                if poly.gens != target.gens:
-                    raise GradedError("morphism image of %r is not over the target" % name)
-            self.images[source.gens.names[i]] = poly
-        self._terms, self.den = _int_images(source.gens, self.images)
-        self._matrix_cache = {}
+        super().__init__(source, target, 0, images, "morphism")
         if validate and not self.is_chain_map():
             raise GradedError("generator images do not commute with d")
 
     @classmethod
     def identity(cls, a: FreeCDGA) -> "CDGAMorphism":
         return cls(a, a, {n: a.gen(n) for n in a.gens.names}, validate=False)
-
-    def image_of(self, name: str) -> Polynomial:
-        return self.images.get(name, Polynomial.zero(self.target.gens))
 
     def apply_key(self, key):
         """f(key) as ({key: int} with no zeros, den**m), m the factors in key."""
@@ -327,12 +315,6 @@ class CDGAMorphism:
             m += e
         return terms, self.den ** m
 
-    def apply(self, poly: Polynomial) -> Polynomial:
-        return _apply(self.target.gens, self.apply_key, poly.terms)
-
-    def __call__(self, poly):
-        return self.apply(poly)
-
     def is_chain_map(self) -> bool:
         for name in self.source.gens.names:
             lhs = self.apply(self.source.differential.image_of(name))
@@ -342,9 +324,7 @@ class CDGAMorphism:
         return True
 
     def matrix(self, k: int) -> Mat:
-        if k not in self._matrix_cache:
-            self._matrix_cache[k] = key_matrix(self.source.basis(k), self.target.basis_index(k), self.apply_key)
-        return self._matrix_cache[k]
+        return self._matrix(k)
 
     def compose(self, other: "CDGAMorphism") -> "CDGAMorphism":
         """self o other."""

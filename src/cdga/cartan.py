@@ -441,7 +441,7 @@ def classifying_map(weil_ops: CartanOps, target_ops: CartanOps,
     for k in range(n):
         images[weil_ops.algebra.gens.names[k]] = connection[k]
         images[weil_ops.algebra.gens.names[n + k]] = curvatures[k]
-    morphism = CDGAMorphism(weil_ops.algebra, tgt, images, validate=True)
+    morphism = CDGAMorphism(weil_ops.algebra, tgt, images)
     failures = []
     for i in range(n):
         for k in range(n):

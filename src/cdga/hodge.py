@@ -112,7 +112,9 @@ def adjoint(c: Complex, ip: InnerProduct) -> GradedMap:
     """Degree -1 map with component (d_k)* = G_k^{-1} d_k^T G_{k+1} at k+1."""
     ds = {k - 1: c.diff(k - 1) for k in c.support() if c.dim(k - 1)}
     grams = {j: ip.gram(j, c.dim(j)) for k in ds for j in (k, k + 1)}
-    (adj,) = _adjoints(grams, ds, inverses=ip.inverses)
+    # a degree with no stored Gram has the identity, its own inverse
+    identities = {j: g for j, g in grams.items() if j not in ip.grams}
+    (adj,) = _adjoints(grams, ds, inverses={**identities, **ip.inverses})
     return GradedMap(c, c, -1, {k + 1: m for k, m in adj.items()})
 
 
@@ -137,7 +139,7 @@ def harmonic_space(c: Complex, ip: InnerProduct, k: int, adj: GradedMap = None):
                 "harmonic vector escapes ker d or ker d* at degree %d" % k
             )
     stacked = dk.vstack(ak)
-    if len(stacked.nullspace()) != len(harms):
+    if stacked.n - stacked.rank() != len(harms):
         raise InternalCheckError(
             "ker Laplacian and ker d (intersect) ker d* differ at degree %d" % k
         )
@@ -390,14 +392,11 @@ class FockInnerProduct:
         one = Polynomial.one(algebra.gens)
         self._iotas = [Derivation(algebra, -deg, {name: one})
                        for name, deg in zip(algebra.gens.names, algebra.gens.degrees)]
-        self._iota_cache = {}
         self._gram_cache = {}
 
     def contraction(self, y: int, k: int) -> Mat:
         """Matrix of the contraction iota_y from degree k, built once."""
-        if (y, k) not in self._iota_cache:
-            self._iota_cache[y, k] = self._iotas[y].matrix(k)
-        return self._iota_cache[y, k]
+        return self._iotas[y].matrix(k)
 
     def gram(self, k: int) -> Mat:
         if k not in self._gram_cache:

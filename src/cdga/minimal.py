@@ -119,7 +119,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
         """f, H^k(model), H^k(input) and the induced map H^k(f)."""
         nonlocal comparison
         if comparison is None:
-            rho = CDGAMorphism(model, a, dict(rho_images), validate=True)
+            rho = CDGAMorphism(model, a, dict(rho_images))
             comparison = (rho, _comparison_chain_map(model, rho, target, margin), {})
         _, f, hm = comparison
         if k not in ha:
@@ -172,7 +172,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
         )
 
     # the last comparison's morphism, unless a stage has extended the model since
-    rho = comparison[0] if comparison else CDGAMorphism(model, a, dict(rho_images), validate=True)
+    rho = comparison[0] if comparison else CDGAMorphism(model, a, dict(rho_images))
     mm = MinimalModel(
         model=model,
         morphism=rho,

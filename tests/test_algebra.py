@@ -6,6 +6,8 @@ multiplies the images out with Polynomial products, term by term, and reads
 each column with FreeCDGA.vector, so every coefficient stays a Fraction.
 The images are drawn with several distinct denominators, over odd and even
 generators, and the source degrees include powers and keys of mixed length.
+Both kinds of map also go through one image check and keep one matrix per
+degree, which the last tests pin.
 """
 
 from fractions import Fraction as F
@@ -13,7 +15,18 @@ import random
 
 import pytest
 
-from cdga import CDGAMorphism, Derivation, FreeCDGA, Generators, Mat, Polynomial
+from cdga import (
+    CDGAMorphism,
+    Derivation,
+    FockInnerProduct,
+    FreeCDGA,
+    GradedChainData,
+    GradedError,
+    Generators,
+    Mat,
+    Polynomial,
+    doubled_algebra,
+)
 
 # distinct denominators, so the lcm of an image set is never one of them
 COEFFS = [F(1, 2), F(2, 3), F(5, 6), F(-3, 4), F(7, 5), F(-1), F(2)]
@@ -143,3 +156,43 @@ def test_morphism_columns_over_den_and_den_squared_share_one_matrix():
     assert f.apply_key(((1, 1),)) == ({((0, 2),): 4, ((1, 1),): 5}, 6)
     # basis of degree 4: a^2, c; target z^2, t
     assert f.matrix(4) == Mat.from_rows([[F(1, 4), F(2, 3)], [0, F(5, 6)]])
+
+
+# each kind of generator map on one algebra, with the degree r of its images
+MAPS = {
+    "derivation": (lambda a, images: Derivation(a, 1, images), 1),
+    "morphism": (lambda a, images: CDGAMorphism(a, a, images, validate=False), 0),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MAPS))
+def test_derivations_and_morphisms_share_one_image_check(what):
+    make, r = MAPS[what]
+    a = algebra(Generators([("x", 2), ("y", 3)]))
+    # an image of the right degree over another table is refused, not re-indexed
+    foreign = Polynomial.generator(Generators([("z", 2 + r), ("w", 2 + r)]), "w")
+    with pytest.raises(GradedError, match="^%s image of 'x' is not over the target$" % what):
+        make(a, {"x": foreign})
+    with pytest.raises(GradedError, match="^%s image of 'y' must be a Polynomial$" % what):
+        make(a, {"y": "x"})
+    with pytest.raises(GradedError, match="^%s image of 'x' has degree 4, expected %d$" % (what, 2 + r)):
+        make(a, {"x": a.gen("x") * a.gen("x")})
+    image = Polynomial(a.gens, {a.basis(3 + r)[0]: F(1, 2)})
+    f = make(a, {"x": a.zero(), "y": image})
+    assert f.images == {"y": image} and f.den == 2
+    assert f.image_of("x") == a.zero()
+
+
+def test_operator_matrices_are_cached_once_on_their_map():
+    gens = Generators([("x", 2), ("y", 3)])
+    x = Polynomial.generator(gens, "x")
+    a = FreeCDGA(gens, {"y": x * x}, truncation=8)
+    for k in range(-1, 9):
+        assert a.d_matrix(k) is a.differential.matrix(k)
+    f = CDGAMorphism.identity(a)
+    assert f.matrix(4) is f.matrix(4) and f.matrix(4) == Mat.eye(a.dim(4))
+    data = GradedChainData(elements=[("p", 1), ("q", 2)], boundary={"p": {"q": F(1, 2)}})
+    fock = FockInnerProduct(data, doubled_algebra(data, truncation=5))
+    for y in range(4):
+        for k in range(6):
+            assert fock.contraction(y, k) is fock.contraction(y, k)

@@ -70,6 +70,25 @@ def test_harmonic_dimension_is_betti():
             assert len(hs) == expected.get(k, HomologySpace(c, k).betti)
 
 
+def test_identity_grams_are_not_inverted_and_only_the_laplacian_kernel_is_listed(monkeypatch):
+    # an identity Gram is its own inverse, and ker d (intersect) ker d* is
+    # counted by a rank, so the harmonic basis is the one nullspace built
+    rng = random.Random(31)
+    for _ in range(10):
+        c, expected = random_complex(rng)
+        betti = {k: expected.get(k, HomologySpace(c, k).betti) for k in c.support()}
+        calls = []
+        with monkeypatch.context() as m:
+            inv, nullspace = Mat.inv, Mat.nullspace
+            m.setattr(Mat, "inv", lambda self: calls.append("inv") or inv(self))
+            m.setattr(Mat, "nullspace", lambda self: calls.append("nullspace") or nullspace(self))
+            ip = InnerProduct.identity()
+            adj = adjoint(c, ip)
+            for k in c.support():
+                assert len(harmonic_space(c, ip, k, adj)) == betti[k]
+        assert calls == ["nullspace"] * len(betti)
+
+
 def test_hodge_decomposition_three_way():
     rng = random.Random(31)
     for _ in range(15):

@@ -113,14 +113,8 @@ def test_the_corpus_covers_every_kind_and_agrees_unmutated():
 @settings(max_examples=400, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mutated())
-def test_interpreter_agrees_with_jsonschema_on_mutated_documents(case):
+def test_checker_and_validate_document_agree_with_jsonschema_on_mutated_documents(case):
     _agree(*case)
-
-
-@settings(max_examples=400, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(mutated())
-def test_validate_document_agrees_with_jsonschema_on_mutated_documents(case):
     # the production path: the closures built once per kind and kept in _CHECKS
     _, doc = case
     kind = doc.get("kind")
