@@ -144,7 +144,9 @@ def cmd_homology(args, kind, value, t):
 
 
 def cmd_minimal_model(args, kind, algebra, t):
-    _budget(0, t + 2, algebra.gens.degrees)  # the input's complex is built on [0, t + 2]
+    # a non-minimal input's complex is built on [0, t + 2]; an already-minimal
+    # one is certified without it, but is priced the same
+    _budget(0, t + 2, algebra.gens.degrees)
     mm = minimal_model(algebra, t)
     gens = list(zip(mm.model.gens.names, mm.model.gens.degrees))
     diff = {

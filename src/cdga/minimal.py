@@ -7,10 +7,14 @@ map extends at every step.  After stage k the induced map on cohomology is
 an isomorphism through degree k and injective at k+1, so generator counts
 in degrees <= n are final once stages 2..n have run.  The input's complex
 and cohomology are built once per call, and the comparison chain map only
-when a stage has extended the model.  The finished map is re-certified as
-a weak equivalence by the two-route check on the window where the truncated
-complexes are trustworthy; that check shares only the operator matrices
-and rebuilds every complex, chain map, cohomology space and induced map.
+when a stage has extended the model.  The finished map is certified as a
+weak equivalence on the window where the truncated complexes are
+trustworthy, and a failed certificate raises on both paths.  An input that
+is already minimal is its own model through the identity, whose mapping
+cone has an explicit contraction, so its certificate needs no complex and
+no elimination; any other map gets the two-route check, which shares only
+the operator matrices and rebuilds every complex, chain map, cohomology
+space and induced map.
 
 The rank of the degree-k generator space of a minimal model is the rank of
 the k-th rational homotopy group of the geometric realization, which is
@@ -28,6 +32,7 @@ from .complexes import (
     Complex,
     HomologySpace,
     InternalCheckError,
+    WeakEquivalenceReport,
     betti_numbers,
     induced_on_homology,
     is_weak_equivalence,
@@ -104,8 +109,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
             stages=[],
             already_minimal=True,
         )
-        mm.certificate = certify(mm)
-        return mm
+        return _certified(mm)
 
     model = FreeCDGA(Generators([]), {}, truncation=n)
     rho_images = {}
@@ -184,6 +188,10 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     )
     if not model.is_minimal():
         raise InternalCheckError("constructed model is not minimal")
+    return _certified(mm)
+
+
+def _certified(mm: MinimalModel) -> MinimalModel:
     mm.certificate = certify(mm)
     if not mm.certificate.is_equivalence:
         raise InternalCheckError(
@@ -193,18 +201,26 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
 
 
 def certify(mm: MinimalModel):
-    """Two-route weak-equivalence check of the comparison map.
+    """Weak-equivalence certificate of the comparison map on [0, n].
 
     The complexes carry data through truncation + 2, so isomorphism of
     cohomology is checked on [0, n] and vanishing of the cone on [0, n-1];
-    that certifies homotopy ranks through n - 1.  Only the operator matrices
-    (d of both algebras, mm.morphism's) come cached on those immutable objects;
-    the complexes, the chain map (checked against d), every cohomology space,
-    every induced map and the mapping cone are built afresh.
+    that certifies homotopy ranks through n - 1.  When the model is the input
+    and mm.morphism's matrices are the identity on [0, n + 1], the cone's
+    contraction h_m = [[0, (-1)^(m-1)], [0, 0]] satisfies dh + hd = 1 exactly
+    (docs/conventions.md), so the report is returned with nothing built.
+    Every other map takes the two-route check: only the operator matrices
+    (d of both algebras, mm.morphism's) come cached on those immutable
+    objects; the complexes, the chain map (checked against d), every
+    cohomology space, every induced map and the mapping cone are built afresh.
     """
     n = mm.truncation
-    target = mm.input_algebra.to_complex((0, n + 2))
-    f = _comparison_chain_map(mm.model, mm.morphism, target, n + 2)
+    a, rho = mm.input_algebra, mm.morphism
+    if (mm.model is a and rho.source is a and rho.target is a
+            and all(rho.matrix(k) == Mat.eye(len(a.basis(k))) for k in range(n + 2))):
+        return WeakEquivalenceReport(True, (0, n), {k: True for k in range(n + 1)},
+                                     {m: 0 for m in range(n)}, True)
+    f = _comparison_chain_map(mm.model, rho, a.to_complex((0, n + 2)), n + 2)
     return is_weak_equivalence(f, window=(0, n))
 
 

@@ -10,7 +10,7 @@ linear algebra is never used to check itself.
 from fractions import Fraction
 import random
 
-from cdga import ChainMap, Complex, Derivation, GradedSpace, Mat, Polynomial
+from cdga import ChainMap, Complex, Derivation, GradedSpace, Mat, Polynomial, is_weak_equivalence
 
 
 # -- independent rank oracle ---------------------------------------------------------
@@ -285,3 +285,15 @@ def random_posdef_gram(rng, n):
                               for _ in range(n)])
     diagonal = Mat.from_dicts(n, n, [{i: Fraction(rng.randint(1, 3))} for i in range(n)])
     return m.transpose() * m + diagonal
+
+
+# -- minimal-model certificates -------------------------------------------------------
+
+
+def recomputed_certificate(mm):
+    """The two-route check of mm's comparison map on the window (0, n), from a
+    chain map built afresh on [0, n + 2]: the oracle for `certify`'s witness."""
+    n = mm.truncation
+    f = ChainMap(mm.model.to_complex((0, n + 2)), mm.input_algebra.to_complex((0, n + 2)),
+                 {k: mm.morphism.matrix(k) for k in range(n + 3)})
+    return is_weak_equivalence(f, window=(0, n))

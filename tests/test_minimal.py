@@ -1,9 +1,14 @@
 import dataclasses
 from fractions import Fraction as F
+import json
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdga.complexes as complexes_module
 import cdga.minimal as minimal_module
 from cdga.algebra import key_matrix
 from cdga import (
@@ -13,11 +18,14 @@ from cdga import (
     FreeCDGA,
     Generators,
     GradedError,
+    InternalCheckError,
     Polynomial,
+    WeakEquivalenceReport,
     certify,
     minimal_model,
     quadratic_part,
 )
+from helpers import recomputed_certificate
 
 
 def odd_sphere(n, truncation=9):
@@ -252,6 +260,119 @@ def test_certify_recomputes_from_the_stored_morphism():
     assert not certify(dataclasses.replace(mm, morphism=bad)).is_equivalence
 
 
+def _assert_certificate_is_the_recompute(mm):
+    """mm.certificate and certify(mm) equal the two-route check field for field."""
+    oracle = recomputed_certificate(mm)
+    assert oracle.window == (0, mm.truncation)
+    for rep in (mm.certificate, certify(mm)):
+        for field in dataclasses.fields(WeakEquivalenceReport):
+            assert getattr(rep, field.name) == getattr(oracle, field.name), field.name
+
+
+@pytest.mark.parametrize("build", [lambda: odd_sphere(3), even_sphere, projective_plane],
+                         ids=["S3", "S2", "CP2"])
+def test_identity_witness_equals_the_two_route_recompute(build):
+    mm = minimal_model(build())
+    assert mm.already_minimal
+    _assert_certificate_is_the_recompute(mm)
+
+
+def _counting_certificate_work(monkeypatch):
+    """Patch the builders certify's two routes use; return the log they fill."""
+    log = {"to_complex": [], "homology": 0, "cone": 0}
+    to_complex = FreeCDGA.to_complex
+    homology_space = complexes_module.HomologySpace
+    mapping_cone = complexes_module.mapping_cone
+
+    def counting_to_complex(self, window=None):
+        log["to_complex"].append(window)
+        return to_complex(self, window)
+
+    def counting_homology_space(c, k):
+        log["homology"] += 1
+        return homology_space(c, k)
+
+    def counting_mapping_cone(f):
+        log["cone"] += 1
+        return mapping_cone(f)
+
+    monkeypatch.setattr(FreeCDGA, "to_complex", counting_to_complex)
+    monkeypatch.setattr(complexes_module, "HomologySpace", counting_homology_space)
+    monkeypatch.setattr(minimal_module, "HomologySpace", counting_homology_space)
+    monkeypatch.setattr(complexes_module, "mapping_cone", counting_mapping_cone)
+    return log
+
+
+def test_identity_path_builds_only_the_connectivity_probe(monkeypatch):
+    log = _counting_certificate_work(monkeypatch)
+    mm = minimal_model(even_sphere())
+    assert mm.already_minimal and mm.certificate.is_equivalence
+    assert log == {"to_complex": [(0, 3)], "homology": 0, "cone": 0}
+
+
+def test_planted_automorphism_takes_the_recompute_route(monkeypatch):
+    # x -> 2x, y -> 4y commutes with d y = x^2 and is invertible: a
+    # quasi-isomorphism of S^2 that is not the identity
+    mm = minimal_model(even_sphere())
+    a = mm.model
+    auto = CDGAMorphism(a, a, {"x": a.gen("x").scale(2), "y": a.gen("y").scale(4)})
+    planted = dataclasses.replace(mm, morphism=auto, certificate=None)
+    log = _counting_certificate_work(monkeypatch)
+    rep = certify(planted)
+    assert log["cone"] == 1 and log["homology"] > 0
+    assert log["to_complex"] == [(0, mm.truncation + 2)] * 2
+    monkeypatch.undo()
+    assert rep.is_equivalence
+    assert rep == recomputed_certificate(planted)
+    # the zero map is a chain map that is not the identity and not an equivalence
+    zero = dataclasses.replace(mm, morphism=CDGAMorphism(a, a, {}))
+    rep = certify(zero)
+    assert not rep.is_equivalence
+    assert rep == recomputed_certificate(zero)
+
+
+@pytest.mark.parametrize("alg", [even_sphere, s2xs2_contractible], ids=["minimal", "staged"])
+def test_a_failed_certificate_raises_on_both_paths(monkeypatch, alg):
+    failed = WeakEquivalenceReport(False, (0, 0), {0: False}, {}, True)
+    monkeypatch.setattr(minimal_module, "certify", lambda mm: failed)
+    with pytest.raises(InternalCheckError,
+                       match="^constructed model failed its weak-equivalence certificate$"):
+        minimal_model(alg())
+
+
+def dense_quadric_document():
+    """a, b, c, e in degree 2 and w, x, y, z in degree 3; each d(odd) is a dense
+    quadric in a, b, c, e with coefficients p/q, 1 <= p, q <= 9, from
+    random.Random(5).  The quadrics form a regular sequence, so the input is
+    already minimal with cohomology (1 + t^2)^4."""
+    rng = random.Random(5)
+    even = ["a", "b", "c", "e"]
+    monomials = [u + "^2" if u == v else u + " " + v
+                 for i, u in enumerate(even) for v in even[i:]]
+    return {"kind": "cdga",
+            "generators": [[g, 2] for g in even] + [[o, 3] for o in "wxyz"],
+            "differential": {o: " + ".join("%d/%d %s" % (rng.randint(1, 9), rng.randint(1, 9), m)
+                                           for m in monomials) for o in "wxyz"}}
+
+
+def test_dense_quadrics_certify_at_truncation_16_within_ten_seconds(tmp_path):
+    path = tmp_path / "quadrics.json"
+    path.write_text(json.dumps(dense_quadric_document()))
+
+    def run(command):
+        proc = subprocess.run([sys.executable, "-m", "cdga.cli", command, "--input", str(path),
+                               "--truncation", "16", "--format", "json"],
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return json.loads(proc.stdout)
+
+    model = run("minimal-model")
+    assert model["already_minimal"] is True
+    assert [d for _, d in model["generators"]] == [2, 2, 2, 2, 3, 3, 3, 3]
+    assert model["certified_through"] == 15
+    assert run("homotopy") == {"certified_through": 15, "pi": {"2": 4, "3": 4}}
+
+
 @st.composite
 def minimal_with_contractible_pair(draw):
     """A random minimal algebra and its tensor with a twisted contractible pair.
@@ -332,9 +453,13 @@ def test_sharing_changes_no_verdict_on_s2xs2(monkeypatch):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(minimal_with_contractible_pair())
 def test_sharing_changes_no_verdict_on_contractible_pairs(pair):
-    # the minimal part takes the already-minimal path, through the identity
+    # the minimal part takes the already-minimal path, through the identity's
+    # witness; both certificates equal the two-route recompute
     for alg in pair:
-        _assert_sharing_changes_no_verdict(minimal_model(alg))
+        mm = minimal_model(alg)
+        assert mm.already_minimal == (alg is pair[0])
+        _assert_certificate_is_the_recompute(mm)
+        _assert_sharing_changes_no_verdict(mm)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
