@@ -31,8 +31,8 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .graded import GradedError, GradedSpace, lie_violation
-from .linalg import Mat
+from .graded import GradedError, GradedSpace, combine, lie_violation
+from .linalg import Mat, exact
 from .complexes import Complex, ChainMap, InternalCheckError
 from .poly import Generators, Polynomial, basis_keys
 from .algebra import FreeCDGA, Derivation, CDGAMorphism, int_sum, key_matrix
@@ -49,7 +49,7 @@ class LieData:
         self._c = {}  # [x_i, x_j] for every listed pair (i, j) and its reverse
         for (i, j), combo in brackets.items():
             i, j = int(i), int(j)
-            clean = {int(k): Fraction(v) for k, v in combo.items() if Fraction(v)}
+            clean = {k: v for k, v in ((int(k), exact(v)) for k, v in combo.items()) if v}
             if not {i, j, *clean} <= set(range(self.n)):
                 raise GradedError(
                     "bracket [%d,%d] names an index outside 0..%d" % (i, j, self.n - 1)
@@ -69,6 +69,44 @@ class LieData:
 
     def bracket(self, i, j):
         return dict(self._c.get((i, j), {}))
+
+    @cached_property
+    def generating_set(self):
+        """Basis indices whose elements generate g as a Lie algebra, increasing.
+
+        The basis is walked in order, and index i is kept when x_i lies outside
+        the span of the right-normed brackets [x_g1, [x_g2, ..., x_gr]] of the
+        indices g kept so far.  That span is the subalgebra they generate; it
+        is grown by applying ad x_g, for every kept g, to every spanning vector
+        until nothing new appears, a vector being new when it adds a pivot
+        (Mat.pivots).  The walk stops once the span is all of g; the empty
+        basis gives ().
+        """
+        n = self.n
+        kept, span, applied = [], [], []  # applied[t]: kept indices applied to span[t]
+
+        def grow(v):
+            """Append the vector v ({index: Fraction}) to span if it lies outside it."""
+            if len(Mat.from_dicts(len(span) + 1, n, span + [v]).pivots()) > len(span):
+                span.append(v)
+                applied.append(0)
+                return True
+            return False
+
+        for i in range(n):
+            if len(span) == n:
+                break
+            if not grow({i: 1}):
+                continue
+            kept.append(i)
+            t = 0
+            while t < len(span) < n:
+                while applied[t] < len(kept) and len(span) < n:
+                    g = kept[applied[t]]
+                    applied[t] += 1
+                    grow(combine((x, self._c.get((g, j), {})) for j, x in span[t].items()))
+                t += 1
+        return tuple(kept)
 
     # -- builtins -----------------------------------------------------------
 
@@ -353,9 +391,13 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
     iota_a sends a^b to delta_ab and kills every curvature F, so the joint
     kernel of the iota_a is the polynomial algebra S(F); the basic part is
     the joint kernel of the theta_a on S(F), taken degreewise on [lo, hi+1]
-    on the keys of the n curvatures alone.  On S(F), d = sum_i a^i theta_i,
-    so d vanishes exactly on the invariants; that is certified on [lo, hi]
-    by applying d to each invariant key by key.
+    on the keys of the n curvatures alone.  theta is a representation of g,
+    [theta_a, theta_b] = theta_[a,b], so the theta_a of a Lie generating set
+    (LieData.generating_set) already have that joint kernel, and only theirs
+    are stacked.  On S(F), d = sum_i a^i theta_i, so d vanishes exactly on
+    the invariants of every theta_i; that is certified on [lo, hi] by
+    applying d to each invariant key by key, whether or not theta_i was
+    stacked.
     """
     if ops.kind != "weil":
         raise GradedError("the basic subcomplex is computed in the Weil model")
@@ -371,11 +413,12 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
                               for i, _ in key):
                 raise InternalCheckError("theta_%d sends %s out of S(F)" % (a, name))
     curvatures = Generators(zip(names[n:], alg.gens.degrees[n:]))
+    generators = ops.lie.generating_set
     labels, invariants = {}, {}
     for k in range(lo, hi + 2):
         fkeys = [tuple((i + n, e) for i, e in key) for key in basis_keys(curvatures, k)]
         findex = {key: i for i, key in enumerate(fkeys)}
-        blocks = [key_matrix(fkeys, findex, op.apply_key) for op in ops.theta]
+        blocks = [key_matrix(fkeys, findex, ops.theta[a].apply_key) for a in generators]
         basis = Mat.zero(0, len(fkeys)).vstack(*blocks).kernel()
         if not basis.m:
             continue
@@ -502,7 +545,7 @@ def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomoto
             if a not in range(n):
                 raise GradedError("flow direction %r is not in 0..%d" % (a, n - 1))
         coefficients = [coefficients.get(a, 0) for a in range(n)]
-    coefficients = [Fraction(c) for c in coefficients]
+    coefficients = [exact(c) for c in coefficients]
     if len(coefficients) != n:
         raise GradedError("flow needs %d coefficients" % n)
     iota_x = Derivation(alg, -1, {

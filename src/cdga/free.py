@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .graded import GradedError, GradedSpace, combine, lie_violation
-from .linalg import Mat, SparseEliminator
+from .linalg import Mat, SparseEliminator, exact
 from .complexes import Complex
 
 
@@ -196,7 +196,7 @@ def _table(table, left, right, out, what, unit_right):
     clean = {}
     for (i, j), combo in table.items():
         i, j = int(i), int(j)
-        terms = {int(k): Fraction(c) for k, c in combo.items()}
+        terms = {int(k): exact(c) for k, c in combo.items()}
         inside = 0 <= i < len(left) and 0 <= j < len(right)
         if not inside or any(not 0 <= k < len(out) for k in terms):
             raise GradedError("%s %d*%d names an element outside the basis" % (what, i, j))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graded import GradedError, GradedSpace, combine
-from .linalg import Mat
+from .linalg import Mat, exact
 from .complexes import Complex, GradedMap, InternalCheckError, betti_numbers
 from .poly import Q_ONE, Q_ZERO, Generators, Polynomial, key_product
 from .algebra import FreeCDGA, Derivation, key_matrix
@@ -235,7 +235,7 @@ class GradedChainData:
             clean = {}
             for w, coeff in combo.items():
                 self._require(w)
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if coeff:
                     if self.degree_of(w) != self.degree_of(v) + 1:
                         raise GradedError(
@@ -251,7 +251,7 @@ class GradedChainData:
             for a, b, coeff in splits:
                 self._require(a)
                 self._require(b)
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if not coeff:
                     continue
                 if self.degree_of(a) + self.degree_of(b) != self.degree_of(v) + 1:

@@ -4,11 +4,13 @@ A Mat stores each row as (v, D): a {column: int} dict holding no zeros over
 one positive denominator D, with gcd(D, content(v)) = 1.  That form is
 canonical, so == and hash compare the stored pairs, and every operation runs
 on ints over lcms of denominators.  Stored rows are never changed in place,
-so matrices share them.  _int_row converts every entry (floats refused)
-but those of from_int_rows, already ints over one D; Fractions are built
-only on the way out.  All elimination runs through _reduce (pivot = leftmost
-column), behind rank, pivots, det, rref (kernel, nullspace, solve, inv),
-positive_definite_inverse and SparseEliminator:
+so matrices share them.  _int_row converts every entry but those of
+from_int_rows, already ints over one D; a float is refused by exact, the one
+check behind every exact entry point of the library.  Fractions are built
+only on the way out (det builds one from the pivots' integers).  All
+elimination runs through _reduce (pivot = leftmost column), behind rank,
+pivots, det, rref (kernel, nullspace, solve, inv), positive_definite_inverse
+and SparseEliminator:
 v <- a*v - b*e in ints, common content of D and v removed; echelon rows are
 primitive with a positive pivot, and rref returns each row e as (e, e[p]).
 """
@@ -181,7 +183,8 @@ class Mat:
         # same determinant; ordering them by pivot makes them triangular
         pivots = list(echelon)
         inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
-        return prod(values, start=Fraction(-1 if inversions % 2 else 1))
+        return Fraction((-1 if inversions % 2 else 1) * prod(x for x, _ in values),
+                        prod(D for _, D in values))
 
     def positive_definite_inverse(self):
         """The inverse of a symmetric self if it is positive definite, else None, from
@@ -194,7 +197,7 @@ class Mat:
             return None
         A = self.hstack(Mat.eye(n))
         echelon, values = A._echelon()
-        if list(echelon) != list(range(n)) or any(v <= 0 for v in values):
+        if list(echelon) != list(range(n)) or any(x <= 0 for x, _ in values):
             return None
         X = _solution(*A._rref(echelon), n)
         if self * X != Mat.eye(n):
@@ -220,13 +223,13 @@ class Mat:
 
     def _echelon(self):
         """Forward elimination of the rows in order; returns ({pivot: (primitive
-        integer row, None)}, [exact pivot values]), both in the order met."""
+        integer row, None)}, [pivot value x / D as (x, D)]), both in the order met."""
         echelon = {}
         values = []
         for v, D in self._rows:
             v, D, p = _reduce(dict(v), D, echelon)
             if p is not None:
-                values.append(Fraction(v[p], D))
+                values.append((v[p], D))
                 echelon[p] = (_primitive(v, p), None)
         return echelon, values
 
@@ -324,15 +327,24 @@ def _check_dicts(m, n, rows):
         raise ValueError("row data does not match shape (%d, %d)" % (m, n))
 
 
+def exact(x, what="coefficient") -> Fraction:
+    """x as a Fraction: an int, a Fraction or exact input to Fraction() such as
+    "p/q".  A float is refused, since its binary value is not the decimal it
+    was written as (0.1 would be 3602879701896397/36028797018963968).  The
+    hot callers (Polynomial, _int_row) come here only for a value that is not
+    already a Fraction, so their common case pays nothing."""
+    if isinstance(x, float):
+        raise TypeError("%s %r is a float; exact input takes int, Fraction or 'p/q'" % (what, x))
+    return Fraction(x)
+
+
 def _int_row(pairs):
     """The canonical row (v, D) of (column, value) pairs, zeros left out; the
     values are ints, Fractions or exact input to Fraction() such as "p/q"."""
     v, D = {}, 1
     for j, x in pairs:
         if type(x) is not int and type(x) is not Fraction:
-            if isinstance(x, float):
-                raise TypeError("matrix entry %r is a float; exact matrices take int, Fraction or 'p/q'" % (x,))
-            x = Fraction(x)
+            x = exact(x, "matrix entry")
         x, q = x.as_integer_ratio()
         if q == 1:
             if x:

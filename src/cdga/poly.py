@@ -23,6 +23,7 @@ import unicodedata
 from fractions import Fraction
 
 from .graded import GradedError
+from .linalg import exact
 
 Q_ZERO = Fraction(0)
 Q_ONE = Fraction(1)
@@ -134,7 +135,8 @@ def normalize_factors(gens: Generators, factors, coeff=Q_ONE):
     time with key_product.  Returns (coefficient, key); a vanishing product
     (odd generator squared) returns (0, ()).
     """
-    coeff = Fraction(coeff)
+    if type(coeff) is not Fraction:
+        coeff = exact(coeff)
     if coeff == 0:
         return Q_ZERO, ()
     sign, key = 1, ()
@@ -159,7 +161,7 @@ class Polynomial:
         clean = {}
         for key, c in (terms or {}).items():
             if type(c) is not Fraction:
-                c = Fraction(c)
+                c = exact(c)
             if c:
                 clean[key] = c
         self.terms = clean
@@ -228,11 +230,12 @@ class Polynomial:
         return Polynomial(self.gens, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = exact(c)
         return Polynomial(self.gens, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._require_same_gens(other)
         return Polynomial(self.gens, terms_product(self.gens, self.terms, other.terms))

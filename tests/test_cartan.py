@@ -25,6 +25,8 @@ from cdga import (
     weil_contraction_witness,
     weil_to_ce_projection,
 )
+from cdga.algebra import key_matrix
+from cdga.poly import Generators, basis_keys
 from helpers import mat_rows, oracle_rank, reference_commutator, reference_verify
 
 
@@ -275,9 +277,10 @@ def test_basic_subcomplex_rejects_a_theta_that_leaves_the_curvatures():
 
 
 def test_basic_subcomplex_certificate_catches_missing_thetas():
-    # with theta_0 = theta_1 = 0 the curvature F3 looks invariant, but
-    # d F3 = -(a1 F2 - a2 F1) is not zero; theta_1 and theta_2 alone still
-    # generate the algebra, so zeroing theta_0 alone would not show
+    # only theta_0 and theta_1 are stacked (x1 and x2 generate cross3), so with
+    # both zero the curvature F3 looks invariant, but d F3 = -(a1 F2 - a2 F1) is
+    # not zero; zeroing theta_0 alone would show too (F2 then looks invariant),
+    # and theta_2 is not stacked at all
     w = weil_algebra(LieData.cross3())
     zero = Derivation(w.algebra, 0, {})
     with pytest.raises(InternalCheckError, match="not closed under d at degree 2$"):
@@ -514,3 +517,84 @@ def test_verify_matches_the_polynomial_reference_on_random_lie_algebras(seed, mu
         bad = _mutated(ops, rng, mutation)
         if bad is not None:
             assert bad.verify() == reference_verify(bad)
+
+
+# -- the Lie generating set behind the basic subcomplex --------------------------------
+
+
+def test_generating_sets_of_the_builtin_algebras():
+    # by hand (docs/oracles.md): [x1, x2] = x3 in cross3; E12, E13, E21 keep the
+    # third row of sl(3) zero, and E31 then gives every matrix unit; nothing in
+    # solvable2 or abelian(n) brackets onto a later basis element
+    assert LieData.cross3().generating_set == (0, 1)
+    assert LieData.sl(3).generating_set == (0, 1, 2, 4)
+    assert LieData.solvable2().generating_set == (0, 1)
+    assert LieData.abelian(3).generating_set == (0, 1, 2)
+    assert LieData.abelian(0).generating_set == ()
+    assert GL2.generating_set == (0, 1, 3)
+
+
+def _right_normed_span(lie, generators):
+    """Oracle rank of the right-normed brackets [x_g1, [x_g2, ..., x_gr]] of the
+    generators, r <= n.  Each level brackets only the vectors of the level below
+    that were independent of everything found before: a dependent one brackets
+    into the span of brackets already taken."""
+    n = lie.n
+    level = [[F(int(i == g)) for i in range(n)] for g in generators]
+    found = []
+    for _ in range(n):
+        new = []
+        for v in level:
+            if oracle_rank(found + [v]) > len(found):
+                found.append(v)
+                new.append(v)
+        level = [[sum(v[j] * lie.c(g, j, k) for j in range(n)) for k in range(n)]
+                 for g in generators for v in new]
+    return oracle_rank(found)
+
+
+def _all_theta_kernel(ops, k):
+    """(curvature keys, kernel of all n stacked theta matrices on them) in degree k."""
+    n, alg = ops.lie.n, ops.algebra
+    curvatures = Generators(zip(alg.gens.names[n:], alg.gens.degrees[n:]))
+    fkeys = [tuple((i + n, e) for i, e in key) for key in basis_keys(curvatures, k)]
+    findex = {key: i for i, key in enumerate(fkeys)}
+    blocks = [key_matrix(fkeys, findex, op.apply_key) for op in ops.theta]
+    return fkeys, Mat.zero(0, len(fkeys)).vstack(*blocks).kernel()
+
+
+def _random_generated_lie(rng, kind):
+    if kind == "random":
+        return _random_lie(rng)
+    lie = LieData.cross3() if kind == "cross3" else LieData.sl(3)
+    return _signed_permuted(lie, rng.sample(range(lie.n), lie.n),
+                            [rng.choice((-1, 1)) for _ in range(lie.n)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["random", "random", "cross3", "sl3"]))
+def test_generating_set_spans_g_and_gives_the_invariants_of_all_thetas(seed, kind):
+    # 2-step nilpotent algebras, direct sums of cross3, solvable2 and abelian(k),
+    # and signed permutations of cross3 and sl(3): the kept indices generate g,
+    # and stacking their thetas gives the same invariant rows as stacking all n
+    lie = _random_generated_lie(random.Random(seed), kind)
+    assert _right_normed_span(lie, lie.generating_set) == lie.n
+    ops = weil_algebra(lie)
+    data = basic_subcomplex(ops, (0, 8))
+    for k in range(10):
+        fkeys, full = _all_theta_kernel(ops, k)
+        assert data.invariants.get(k) == ((fkeys, full) if full.m else None)
+
+
+@pytest.mark.parametrize("name", ["cross3", "cross3-signed-permuted", "sl3", "gl2"])
+def test_basic_subcomplex_certificate_catches_a_cut_generating_set(monkeypatch, name):
+    # x_0 alone generates a line, whose theta leaves non-invariant curvatures in
+    # its kernel; d = sum a^i theta_i does not kill them
+    lie = {**BASIC_LIES, "sl3": LieData.sl(3), "gl2": GL2}[name]
+    ops = weil_algebra(lie)
+    assert len(lie.generating_set) > 1
+    full = LieData.generating_set.func
+    monkeypatch.setattr(LieData, "generating_set", property(lambda lie: full(lie)[:1]))
+    with pytest.raises(InternalCheckError, match="not closed under d at degree 2$"):
+        basic_subcomplex(ops, (0, 4))

@@ -7,7 +7,20 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdga import Mat, SparseEliminator, block_matrix
+from cdga import (
+    AlgebraPresentation,
+    GradedChainData,
+    Generators,
+    LieData,
+    Mat,
+    ModulePresentation,
+    Polynomial,
+    SparseEliminator,
+    block_matrix,
+    integrate_homotopy,
+    weil_algebra,
+)
+from cdga.poly import normalize_factors
 
 from helpers import oracle_rank, mat_rows, random_unimodular
 import random
@@ -80,6 +93,44 @@ def test_floats_are_refused_wherever_entries_come_in():
             attempt()
     assert m == Mat.eye(1)
     assert Mat(1, 2, [["1/10", F(1, 10)]]).rows == [[F(1, 10), F(1, 10)]]
+
+
+GENS = Generators([("x", 2), ("y", 3)])
+X = Polynomial.generator(GENS, "x")
+EXTERIOR = AlgebraPresentation.exterior()
+FLOAT_ENTRY_POINTS = {
+    "LieData bracket": lambda: LieData(["x", "y"], {(0, 1): {1: 0.1}}),
+    "Polynomial terms": lambda: Polynomial(GENS, {((0, 1),): 0.1}),
+    "Polynomial.scale": lambda: X.scale(0.1),
+    "Polynomial times a float": lambda: X * 0.1,
+    "a float times a Polynomial": lambda: 0.1 * X,
+    "normalize_factors": lambda: normalize_factors(GENS, [(0, 1)], 0.1),
+    "Polynomial.monomial": lambda: Polynomial.monomial(GENS, [(0, 1)], 0.1),
+    "GradedChainData boundary": lambda: GradedChainData([("v", 1), ("w", 2)], {"v": {"w": 0.1}}),
+    "GradedChainData cobracket": lambda: GradedChainData(
+        [("v", 1), ("a", 1), ("b", 1)], cobracket={"v": [("a", "b", 0.1)]}),
+    "integrate_homotopy coefficients": lambda: integrate_homotopy(
+        weil_algebra(LieData.solvable2()), [0, 0.1], (0, 2)),
+    "AlgebraPresentation table": lambda: AlgebraPresentation(
+        [("1", 0), ("x", 2), ("x^2", 4)], {(1, 1): {2: 0.1}}),
+    "ModulePresentation table": lambda: ModulePresentation(
+        EXTERIOR, [("m", 0), ("n", 1)], {(1, 0): {1: 0.1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRY_POINTS))
+def test_floats_are_refused_at_every_exact_entry_point(name):
+    # as for matrix entries: 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=r"0\.1 is a float; exact input takes int, Fraction or 'p/q'"):
+        FLOAT_ENTRY_POINTS[name]()
+
+
+def test_exact_entry_points_still_take_ints_fractions_and_strings():
+    lie = LieData(["x", "y"], {(0, 1): {1: "1/10"}})
+    assert lie.c(0, 1, 1) == F(1, 10)
+    assert X * F(1, 10) == X.scale("1/10") == Polynomial(GENS, {((0, 1),): "1/10"})
+    assert 2 * X == X * 2 == X + X
+    assert normalize_factors(GENS, [(0, 1)], "1/10") == (F(1, 10), ((0, 1),))
 
 
 def test_entries_are_exactly_fractions_whatever_the_input():
