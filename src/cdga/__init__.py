@@ -42,7 +42,9 @@ from .complexes import (
     augmented,
     betti_numbers,
     check,
+    check_homotopy,
     cone,
+    cone_contraction,
     cone_prime,
     contracting_homotopy,
     direct_sum,
@@ -153,9 +155,11 @@ __all__ = [
     "canonical_json",
     "certify",
     "check",
+    "check_homotopy",
     "chevalley_eilenberg",
     "classifying_map",
     "cone",
+    "cone_contraction",
     "cone_prime",
     "contracting_homotopy",
     "direct_sum",

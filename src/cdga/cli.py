@@ -22,7 +22,7 @@ from collections import Counter
 
 from .graded import GradedError
 from .complexes import (
-    ComplexError, InternalCheckError, betti_numbers, cone, is_contractible,
+    ComplexError, InternalCheckError, betti_numbers, cone, cone_contraction,
     is_weak_equivalence, mapping_cone, mapping_cylinder,
 )
 from .cartan import (
@@ -230,24 +230,27 @@ def cmd_cone(args, kind, value, t):
             "mapping cone computed; source map %s a weak equivalence"
             % ("is" if verdict else "is not")
         ]
+    # the cone's explicit contraction is checked, so it is acyclic with no rank taken
     result = cone(c)
-    flag, _ = is_contractible(result)
+    cone_contraction(c, result)
     payload = documents.complex_to_doc(result)
-    payload["acyclic"] = flag
-    return payload, ["cone computed; acyclic: %s" % flag]
+    payload["acyclic"] = True
+    return payload, ["cone computed; acyclic: True"]
 
 
 def cmd_cyl(args, kind, value, t):
     _, f = value
     if f is None:
         raise DocumentError("cyl needs the document to carry a map")
+    # the checked deformation retraction onto the target makes the projection
+    # a weak equivalence with no cohomology taken
     data = mapping_cylinder(f)
-    verdict = is_weak_equivalence(data.project)
+    data.retraction
     payload = documents.complex_to_doc(data.cylinder)
-    payload["projection_weak_equivalence"] = bool(verdict)
+    payload["projection_weak_equivalence"] = True
     return payload, [
         "cylinder computed; inclusions and projection are chain maps",
-        "projection is%s a weak equivalence" % ("" if verdict else " not"),
+        "projection is a weak equivalence",
     ]
 
 

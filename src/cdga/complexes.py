@@ -6,12 +6,16 @@ surgery is provided: shifts, duals, cones, cylinders, tensor products,
 Betti numbers (one rank per differential, betti_numbers), cohomology spaces
 with canonical representatives (HomologySpace, only where classes are
 read), contractibility witnesses and two-route weak-equivalence checks.
+Where the construction fixes the answer it is witnessed, not computed:
+the cylinder's deformation retraction (CylinderData.retraction) and the
+cone's contraction (cone_contraction) are explicit degree -1 maps, and
+check_homotopy certifies d h + h d = 1 - i p by one product per degree.
 
 Direct sums, cones, mapping cones and cylinders are lists of pieces (label
 prefix, complex, degree offset), a piece adding complex_{m+offset} in degree
 m, laid out by one block assembler (_assemble) from the blocks of d_m;
 _assemble_map builds their chain maps (the cylinder's four, free_to_cone_iso)
-the same way.  Every (-1)^m is _sign(m).
+and homotopies the same way.  Every (-1)^m is _sign(m).
 
 Sign conventions (fixed once here, used everywhere):
 
@@ -345,13 +349,16 @@ def _assemble(pieces, blocks) -> Complex:
     return Complex(GradedSpace(labels), diffs, validate=False)
 
 
-def _assemble_map(source, target, src_pieces, tgt_pieces, blocks) -> ChainMap:
-    """The chain map source -> target with f_m = block_matrix(blocks(m)), sized by the pieces."""
+def _assemble_map(source, target, src_pieces, tgt_pieces, blocks, degree=0) -> GradedMap:
+    """The degree-r map source -> target with f_m = block_matrix(blocks(m)), sized by
+    the pieces: a checked ChainMap for r = 0, else a GradedMap (a homotopy)."""
     comps = {}
     for m in source.support():
-        rows = _sizes(tgt_pieces, m)
+        rows = _sizes(tgt_pieces, m + degree)
         if sum(rows):
             comps[m] = block_matrix(blocks(m), rows, _sizes(src_pieces, m))
+    if degree:
+        return GradedMap(source, target, degree, comps)
     return ChainMap(source, target, comps)
 
 
@@ -375,6 +382,22 @@ def cone(c: Complex) -> Complex:
         _cone_pieces(c),
         lambda m: [[c.diff(m), _eye(c, m + 1).scale(_sign(m))], [None, c.diff(m + 1)]],
     )
+
+
+def cone_contraction(c: Complex, cc: Complex = None) -> GradedMap:
+    """The contraction h_m(x, y) = (0, (-1)^(m-1) x) of cc = cone(c), checked.
+
+    d h + h d = 1 holds block by block (docs/conventions.md), so the cone of
+    a complex is acyclic with no rank taken; cc defaults to cone(c), and a
+    cc on which the product check fails raises InternalCheckError.
+    """
+    cc = cone(c) if cc is None else cc
+    pieces = _cone_pieces(c)
+    h = _assemble_map(
+        cc, cc, pieces, pieces,
+        lambda m: [[None, None], [_eye(c, m).scale(_sign(m - 1)), None]], degree=-1,
+    )
+    return check_homotopy(h, what="cone contraction")
 
 
 def cone_prime(c: Complex) -> Complex:
@@ -446,6 +469,27 @@ class CylinderData:
     @cached_property
     def cone(self) -> Complex:
         return mapping_cone(self._f)
+
+    @cached_property
+    def retraction(self) -> GradedMap:
+        """The deformation retraction h_m(x, y, z) = (0, (-1)^m x, 0) onto the target.
+
+        p i = 1 and d h + h d = 1 - i p are checked by products (derived in
+        docs/conventions.md), else InternalCheckError: i and p are inverse
+        homotopy equivalences, so the projection is a weak equivalence.
+        """
+        F, G = self._f.source, self._f.target
+        pi = self.project.compose(self.include_target)
+        if any(pi.comp(k) != _eye(G, k) for k in G.support()):
+            raise InternalCheckError("cylinder projection is not a left inverse of the inclusion")
+        pieces = _cylinder_pieces(self._f)
+        h = _assemble_map(
+            self.cylinder, self.cylinder, pieces, pieces,
+            lambda m: [[None] * 3, [_eye(F, m).scale(_sign(m)), None, None], [None] * 3],
+            degree=-1,
+        )
+        return check_homotopy(h, self.include_target.compose(self.project),
+                              what="cylinder retraction")
 
     @cached_property
     def collapse(self) -> ChainMap:
@@ -573,15 +617,18 @@ def contracting_homotopy(c: Complex):
         # h_k puts the W_{k-1} coordinates of x back on W_{k-1}
         place = {j: row for row, j in enumerate(w_prev)}
         comps[k] = X.select_rows([place.get(j) for j in range(c.dim(k - 1))])
-    gm = GradedMap(c, c, -1, comps)
-    # Exact verification of the witness identity.
-    for k in sup:
-        ident = gm.comp(k + 1) * c.diff(k) + c.diff(k - 1) * gm.comp(k)
-        if ident != Mat.eye(c.dim(k)):
-            raise InternalCheckError(
-                "contraction witness failed verification at degree %d" % k
-            )
-    return gm
+    return check_homotopy(GradedMap(c, c, -1, comps))
+
+
+def check_homotopy(h: GradedMap, ip: GradedMap = None, what="contraction witness") -> GradedMap:
+    """h, once d h + h d = 1 - ip holds in every degree of the support (ip = 0
+    when None), by one product per degree; else InternalCheckError."""
+    c = h.source
+    for k in c.support():
+        want = _eye(c, k) if ip is None else _eye(c, k) - ip.comp(k)
+        if h.comp(k + 1) * c.diff(k) + c.diff(k - 1) * h.comp(k) != want:
+            raise InternalCheckError("%s failed verification at degree %d" % (what, k))
+    return h
 
 
 def augmented(c: Complex, epsilon) -> Complex:

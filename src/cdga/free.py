@@ -3,10 +3,13 @@
 All inputs are generator lists (name, degree) with degree >= 1 so every
 graded piece is finite-dimensional.  Dimensions come from the generator
 counts per degree: _gc_series is the one generating series of the free
-graded-commutative functor.  The free graded Lie algebra is realized
-inside the tensor algebra on integer tensors: in degree k a sparse echelon
-keeps the independent right-normed brackets [g, y], g a generator and y a
-basis element of degree k - |g|.  They span: graded Jacobi gives
+graded-commutative functor, and _gc_ranks reads it backwards.  The free
+graded Lie algebra's dimensions are counted, super-Lyndon words against
+PBW read backwards from the tensor algebra, with no elimination.  Its
+basis, built when first read, lies inside the tensor algebra on integer
+tensors: in degree k a sparse echelon keeps the independent right-normed
+brackets [g, y], g a generator and y a basis element of degree k - |g|.
+They span: graded Jacobi gives
 [[g, u], v] = [g, [u, v]] - (-1)^(|g||u|) [u, [g, v]], u shorter than
 [g, u], so by induction right-normed brackets are closed under brackets.
 The bracket table is correct by construction; verify_axioms re-checks it
@@ -20,11 +23,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .graded import GradedError, GradedSpace, combine, lie_violation
 from .linalg import Mat, SparseEliminator, exact
-from .complexes import Complex
+from .complexes import Complex, InternalCheckError
 
 
 def _counts(gens):
@@ -47,25 +51,80 @@ def _gc_series(counts, n: int):
 
     These are the dimensions of the free graded-commutative algebra on
     counts[d] generators of each degree d (exterior odd, polynomial even).
-    A degree takes c in-place passes, or one product with the binomial
-    series of its factor when c exceeds that series' n // d + 1 terms:
-    min(c, n // d + 1) * (n - d + 1) steps, as cli._budget counts.
     """
     series = [1] + [0] * n if n >= 0 else []
     for d, c in counts.items():
-        if c and c > n // d + 1 > 0:
-            b = [comb(c, j) if d % 2 else comb(c + j - 1, j) for j in range(n // d + 1)]
-            series[d:] = [sum(b[j] * series[k - d * j] for j in range(k // d + 1))
-                          for k in range(d, n + 1)]
-            continue
-        for _ in range(c):
-            if d % 2:
-                for k in range(n, d - 1, -1):
-                    series[k] += series[k - d]
-            else:
-                for k in range(d, n + 1):
-                    series[k] += series[k - d]
+        _times_factor(series, d, c, n)
     return dict(enumerate(series))
+
+
+def _times_factor(series, d: int, c: int, n: int):
+    """Multiply series (t^0..t^n) in place by (1 + t^d)^c (odd d) or (1 - t^d)^-c (even d).
+
+    c in-place passes, or one product with the binomial series of the factor
+    when c exceeds that series' n // d + 1 terms: min(c, n // d + 1) *
+    (n - d + 1) steps, as cli._budget counts.  Coefficients below t^d stay.
+    """
+    if c and c > n // d + 1 > 0:
+        b = [comb(c, j) if d % 2 else comb(c + j - 1, j) for j in range(n // d + 1)]
+        series[d:] = [sum(b[j] * series[k - d * j] for j in range(k // d + 1))
+                      for k in range(d, n + 1)]
+        return
+    for _ in range(c):
+        if d % 2:
+            for k in range(n, d - 1, -1):
+                series[k] += series[k - d]
+        else:
+            for k in range(d, n + 1):
+                series[k] += series[k - d]
+
+
+def _gc_ranks(series, n: int):
+    """The counts {d: c} for 1 <= d <= n with _gc_series(counts, n) = series: PBW read backwards.
+
+    The factors of degrees below k fix the coefficient of t^k but for the c_k
+    that degree k's own factor adds, so c_k is the difference; a negative one
+    counts no generators, and is refused with GradedError.
+    """
+    acc = [1] + [0] * n
+    counts = {}
+    for k in range(1, n + 1):
+        counts[k] = series[k] - acc[k]
+        if counts[k] < 0:
+            raise GradedError("series coefficient %d at t^%d needs %d generators there"
+                              % (series[k], k, counts[k]))
+        _times_factor(acc, k, counts[k], n)
+    return counts
+
+
+def _super_lyndon_counts(degrees, n: int):
+    """{k: number of super-Lyndon basis elements in degree k}, 1 <= k <= n.
+
+    One depth-first walk of the prenecklaces over letters of these degrees,
+    ordered by degree, with weighted length <= n: a prenecklace w of period p
+    grows by w[t - p] (period p) or by a larger letter (period t + 1), and is
+    a Lyndon word when its period is its length.  Each Lyndon word w gives
+    the bracket P_w in degree |w|, and one of odd degree also gives
+    [P_w, P_w] in degree 2|w| (docs/oracles.md).
+    """
+    letters = sorted(degrees)
+    counts = dict.fromkeys(range(1, n + 1), 0)
+    stack = [((), 0, 0)]  # (prenecklace, its period, its degree)
+    while stack:
+        word, p, deg = stack.pop()
+        t = len(word)
+        first = word[t - p] if t else 0
+        for j in range(first, len(letters)):
+            k = deg + letters[j]
+            if k > n:
+                break
+            period = p if t and j == first else t + 1
+            if period == t + 1:
+                counts[k] += 1
+                if k % 2 and 2 * k <= n:
+                    counts[2 * k] += 1
+            stack.append((word + (j,), period, k))
+    return counts
 
 
 def tensor_algebra_dims(gens, n: int):
@@ -110,45 +169,59 @@ class LieBasisElement:
 
 
 class FreeGradedLie:
-    """Free graded Lie algebra on positively graded generators, up to degree n."""
+    """Free graded Lie algebra on positively graded generators, up to degree n.
+
+    The dimensions are counted on construction: super-Lyndon words, checked
+    against PBW read backwards from the tensor algebra.  The basis of
+    right-normed brackets is eliminated only when first read, through basis,
+    bracket or verify_axioms, and must have the counted size in every degree.
+    """
 
     def __init__(self, gens, n: int):
         self.gens = [(str(name), int(d)) for name, d in gens]
         _counts(self.gens)
         self.nmax = int(n)
-        self.basis = []
-        self._by_degree = {}
-        self._elim = {}
+        self._dims = _super_lyndon_counts([d for _, d in self.gens], self.nmax)
+        pbw = _gc_ranks(tensor_algebra_dims(self.gens, self.nmax), self.nmax)
+        if pbw != self._dims:
+            raise InternalCheckError("super-Lyndon counts %s differ from the PBW ranks %s"
+                                     % (self._dims, pbw))
         self._brackets = {}
-        self._build()
 
-    def _add_candidate(self, degree, vector):
-        elim = self._elim.setdefault(degree, SparseEliminator())
-        if elim.add(vector, tag=len(self.basis)) is None:
-            return
-        per = self._by_degree.setdefault(degree, [])
-        per.append(len(self.basis))
-        self.basis.append(LieBasisElement("L%d_%d" % (degree, len(per) - 1), degree, vector))
+    @cached_property
+    def basis(self):
+        """The kept right-normed brackets, with _by_degree (basis indices per
+        degree) and _elim (one SparseEliminator per degree) beside them."""
+        basis, self._by_degree, self._elim = [], {}, {}
 
-    def _build(self):
+        def add(degree, vector):
+            elim = self._elim.setdefault(degree, SparseEliminator())
+            if elim.add(vector, tag=len(basis)) is not None:
+                per = self._by_degree.setdefault(degree, [])
+                per.append(len(basis))
+                basis.append(LieBasisElement("L%d_%d" % (degree, len(per) - 1), degree, vector))
+
         gens = []  # (basis index, degree) of each generator within the bound
         for gi, (_, degree) in enumerate(self.gens):
             if degree <= self.nmax:
-                gens.append((len(self.basis), degree))
-                self._add_candidate(degree, {(gi,): 1})
+                gens.append((len(basis), degree))
+                add(degree, {(gi,): 1})
         gens.sort(key=lambda gd: gd[1])  # the order decides which candidates are kept
         for k in range(2, self.nmax + 1):
             for g, dg in gens:
                 for y in self._by_degree.get(k - dg, []):
                     if y != g or dg % 2:  # [g, g] = 0 for even g
-                        eg, ey = self.basis[g], self.basis[y]
-                        self._add_candidate(k, _tensor_bracket(eg.vector, dg, ey.vector, ey.degree))
+                        eg, ey = basis[g], basis[y]
+                        add(k, _tensor_bracket(eg.vector, dg, ey.vector, ey.degree))
+        built = {k: len(self._by_degree.get(k, [])) for k in self._dims}
+        if built != self._dims:
+            raise InternalCheckError("the bracket basis has dimensions %s, counted %s"
+                                     % (built, self._dims))
+        return basis
 
     def dims(self):
-        return {
-            k: len(self._by_degree.get(k, []))
-            for k in range(1, self.nmax + 1)
-        }
+        """{k: dim L_k} for 1 <= k <= n, as counted; no basis is built."""
+        return dict(self._dims)
 
     def bracket(self, a: int, b: int):
         """[e_a, e_b] as coefficients over basis indices (degree-bounded)."""

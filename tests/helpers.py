@@ -8,6 +8,7 @@ linear algebra is never used to check itself.
 """
 
 from fractions import Fraction
+from math import comb
 import random
 
 from cdga import ChainMap, Complex, Derivation, GradedSpace, Mat, Polynomial, is_weak_equivalence
@@ -106,6 +107,27 @@ def gc_series_per_generator(counts, n):
                 for k in range(d, n + 1):
                     series[k] += series[k - d]
     return dict(enumerate(series))
+
+
+def oracle_free_lie_dims(degrees, n):
+    """{k: dim L_k} for 1 <= k <= n of the free graded Lie algebra on generators
+    of these degrees, by PBW read backwards: U(L) has the words' series, and
+    is S(L_even) (x) Lambda(L_odd).  Its own word count and binomial products,
+    without cdga.free; a negative rank raises ValueError."""
+    words = [1] + [0] * n
+    for k in range(1, n + 1):
+        words[k] = sum(words[k - d] for d in degrees if d <= k)
+    series = [1] + [0] * n  # the series of U on the ranks found so far
+    ranks = {}
+    for k in range(1, n + 1):
+        ranks[k] = c = words[k] - series[k]
+        if c < 0:
+            raise ValueError("rank %d in degree %d" % (c, k))
+        if c:
+            factor = [comb(c, j) if k % 2 else comb(c + j - 1, j) for j in range(n // k + 1)]
+            series = [sum(factor[j] * series[i - k * j] for j in range(i // k + 1))
+                      for i in range(n + 1)]
+    return ranks
 
 
 def reference_commutator(s, o):
@@ -277,6 +299,20 @@ def random_chain_map(rng, a, b):
         if any(rows):
             comps[k] = Mat.from_dicts(b.dim(k), a.dim(k), rows)
     return ChainMap(a, b, comps)
+
+
+def with_identity_block_negated(cx, c):
+    """cx, a cone of c or a cylinder of a map out of c, with the identity block
+    of each d_m negated (rows 0 .. dim c_(m+1) - 1, from column dim c_m on):
+    the construction with that one sign flipped, built unvalidated."""
+    diffs = {}
+    for m, d in cx.d.items():
+        lo, n = c.dim(m), c.dim(m + 1)
+        rows = [{} for _ in range(d.m)]
+        for i, j, x in d.items():
+            rows[i][j] = -x if i < n and lo <= j < lo + n else x
+        diffs[m] = Mat.from_dicts(d.m, d.n, rows)
+    return Complex(cx.space, diffs, validate=False)
 
 
 def random_posdef_gram(rng, n):

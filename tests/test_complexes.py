@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 import random
 
@@ -17,7 +18,9 @@ from cdga import (
     augmented,
     betti_numbers,
     check,
+    check_homotopy,
     cone,
+    cone_contraction,
     cone_prime,
     contracting_homotopy,
     direct_sum,
@@ -35,7 +38,7 @@ from cdga import (
     tensor_complex,
 )
 
-from helpers import oracle_betti, random_complex, random_chain_map
+from helpers import oracle_betti, random_complex, random_chain_map, with_identity_block_negated
 
 
 def two_step(coeff=1):
@@ -337,12 +340,16 @@ def _check_free_to_cone_iso(c, degrees):
     )
 
 
-def _non_identity_map(seed):
+def _random_map(seed):
     rng = random.Random(seed)
     a, _ = random_complex(rng, max_span=4, max_dim=3)
     lo = min(a.support(), default=0)  # overlap the supports, so f is seldom zero
     b, _ = random_complex(rng, max_span=4, max_dim=3, lo_range=(lo - 1, lo))
-    f = random_chain_map(rng, a, b)
+    return a, b, random_chain_map(rng, a, b)
+
+
+def _non_identity_map(seed):
+    a, b, f = _random_map(seed)
     identity = a == b and all(f.comp(k) == Mat.eye(a.dim(k)) for k in a.support())
     assume(not identity and any(k % 2 for k in f.comps))
     return a, b, f
@@ -535,3 +542,65 @@ def test_random_betti_against_oracle(seed):
             assert hs.coords(z) == ref_coords(z)
     # the default window is the span of the support
     assert betti_numbers(c) == {k: got[k] for k in range(lo + 1, hi) if sup}
+
+
+# -- explicit homotopies of the cylinder and the cone ----------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cylinder_and_cone_witnesses_agree_with_the_two_routes(seed):
+    # f is any chain map and the zero map seldom a weak equivalence, yet the
+    # projection of either cylinder always is, and every cone is acyclic
+    a, b, f = _random_map(seed)
+    zero = ChainMap(a, b, {})
+    if any(betti_numbers(a).values()) or any(betti_numbers(b).values()):
+        assert not is_weak_equivalence(zero)
+    for g in (f, zero):
+        data = mapping_cylinder(g)
+        h = data.retraction
+        assert (h.degree, h.source, h.target) == (-1, data.cylinder, data.cylinder)
+        assert is_weak_equivalence(data.project).is_equivalence
+    for c in (a, b):
+        h = cone_contraction(c)
+        assert (h.degree, h.source) == (-1, cone(c))
+        assert is_contractible(cone(c))[0]
+
+
+def _flipped(h, k):
+    """h with its degree-k component negated."""
+    return GradedMap(h.source, h.target, h.degree,
+                     {m: comp.scale(-1) if m == k else comp for m, comp in h.comps.items()})
+
+
+def test_a_flipped_sign_in_either_homotopy_fails_the_check():
+    rng = random.Random(59)
+    for _ in range(10):
+        a, b, f = _random_map(rng.randrange(2**32))
+        data = mapping_cylinder(f)
+        h, ip = data.retraction, data.include_target.compose(data.project)
+        for k in h.comps:
+            with pytest.raises(InternalCheckError, match="failed verification at degree"):
+                check_homotopy(_flipped(h, k), ip)
+        h = cone_contraction(a)
+        for k in h.comps:
+            with pytest.raises(InternalCheckError, match="failed verification at degree"):
+                check_homotopy(_flipped(h, k))
+        # nor does the zero homotopy contract a nonzero cone
+        if a.support():
+            with pytest.raises(InternalCheckError):
+                check_homotopy(GradedMap(h.source, h.source, -1, {}))
+
+
+def test_a_flipped_identity_block_fails_the_witnesses():
+    rng = random.Random(61)
+    for _ in range(10):
+        a, b, f = _random_map(rng.randrange(2**32))
+        if not a.support():
+            continue
+        data = mapping_cylinder(f)
+        bad = replace(data, cylinder=with_identity_block_negated(data.cylinder, a))
+        with pytest.raises(InternalCheckError, match="cylinder retraction failed"):
+            bad.retraction
+        with pytest.raises(InternalCheckError, match="cone contraction failed"):
+            cone_contraction(a, with_identity_block_negated(cone(a), a))

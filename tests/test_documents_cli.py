@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -16,6 +18,7 @@ from cdga import (
     DocumentError,
     FreeCDGA,
     GradedMap,
+    HomologySpace,
     LieData,
     Mat,
     canonical_json,
@@ -31,8 +34,10 @@ from cdga import (
     weil_algebra,
 )
 from cdga.documents import builtin_names, format_rational, parse_rational, load_json
-from cdga import cli, poly
+from cdga import cartan, cli, complexes, poly
+from cdga.algebra import _GeneratorMap
 from cdga.cli import COMMANDS, build_parser, main
+from helpers import with_identity_block_negated
 
 
 def run_cli(*args):
@@ -540,12 +545,28 @@ def test_cli_weil_sl3_reaches_degree_twelve_inside_a_timeout(tmp_path):
 @pytest.mark.parametrize("source", ["lie_cross3", "lie_solvable2", "lie_abelian3"])
 def test_cli_weil_builds_no_weil_complex_and_takes_no_rank(monkeypatch, capsys, source):
     # the Weil column comes from the contraction certificate and the basic column
-    # from the invariant dimensions (d = 0 there), so neither needs a rank
-    called = []
+    # from the invariant dimensions (d = 0 there), so neither needs a rank.  Every
+    # rank, pivot list, rref, kernel and nullspace goes through Mat._echelon: the
+    # only matrices eliminated are on the n-vectors of g (the generating-set
+    # test) or on S(F)_k (the stacked thetas, for k in the window and the degree
+    # above it), and no operator matrix of the Weil algebra is built
+    lie = documents.load_lie(load_json(resolve_input(source)))
+    n, (lo, hi) = lie.n, (0, 8)
+    called, columns, sources = [], [], []
+    echelon, key_matrix = Mat._echelon, cartan.key_matrix
     monkeypatch.setattr(FreeCDGA, "to_complex", lambda *a, **k: called.append("to_complex"))
     monkeypatch.setattr(Mat, "rank", lambda *a, **k: called.append("rank"))
-    assert main(["weil", "--input", source, "--window", "0..8", "--format", "json"]) == 0
+    monkeypatch.setattr(_GeneratorMap, "_matrix", lambda *a, **k: called.append("_matrix"))
+    monkeypatch.setattr(Mat, "_echelon", lambda self: columns.append(self.n) or echelon(self))
+    monkeypatch.setattr(cartan, "key_matrix",
+                        lambda src, *a: sources.append(src) or key_matrix(src, *a))
+    assert main(["weil", "--input", source, "--window", "%d..%d" % (lo, hi),
+                 "--format", "json"]) == 0
     assert called == []
+    assert sources and all(type(src) is list for src in sources)
+    assert all(i >= n for src in sources for key in src for i, _ in key)
+    sym = {comb(n + k // 2 - 1, k // 2) if k % 2 == 0 else 0 for k in range(lo, hi + 2)}
+    assert columns and all(m == n or m in sym for m in columns), columns
     assert json.loads(capsys.readouterr().out)["weil_betti"] == {str(k): int(k == 0)
                                                                  for k in range(9)}
 
@@ -667,6 +688,130 @@ def test_cli_cyl_checks_the_projection_once(tmp_path, capsys, monkeypatch):
         '"differential":{"-1":[["1"],["1"],["-1"]],"0":[["1","-1","0"]]}},"kind":"complex",'
         '"projection_weak_equivalence":true,"schema":"cdga.complex/1"}\n'
     )
+
+
+# the docs-mix benchmark's map document and small complex (seed 911), and edge
+# documents: an empty source, a zero map, negative degrees, an empty complex
+DOCS_MIX_MAP = {"kind": "complex", "map": {
+    "source": {"degrees": {"0": ["s0_0", "s0_1"], "1": ["s1_0", "s1_1", "s1_2"],
+                           "2": ["s2_0", "s2_1"]},
+               "differential": {"0": [["0", "2"], ["0", "0"], ["0", "1"]],
+                                "1": [["0", "1", "0"], ["0", "1", "0"]]}},
+    "target": {"degrees": {"0": ["t0_0", "t0_1", "t0_2"],
+                           "1": ["t1_0", "t1_1", "t1_2", "t1_3", "t1_4"],
+                           "2": ["t2_0", "t2_1", "t2_2"]},
+               "differential": {"0": [["-4", "-10", "-8"], ["-5", "-8", "-1"], ["3", "6", "3"],
+                                      ["-2", "-2", "2"], ["0", "1", "2"]],
+                                "1": [["11", "-19", "-15", "3", "54"],
+                                      ["13", "-21", "-17", "1", "66"],
+                                      ["6", "-10", "-8", "1", "30"]]}},
+    "components": {"0": [["3", "-6"], ["-2", "4"], ["1", "-1"]],
+                   "1": [["17", "35", "-42"], ["1", "-4", "-3"], ["-8", "-12", "19"],
+                         ["-6", "-16", "14"], ["-5", "-11", "12"]],
+                   "2": [["-1", "0"], ["-6", "7"], ["-2", "2"]]}}}
+DOCS_MIX_COMPLEX = {"kind": "complex", "complex": {
+    "degrees": {"0": ["c0_0", "c0_1"], "1": ["c1_0", "c1_1", "c1_2"], "2": ["c2_0", "c2_1"]},
+    "differential": {"0": [["-2", "-6"], ["1", "3"], ["1", "3"]],
+                     "1": [["0", "0", "0"], ["-1", "0", "-2"]]}}}
+EMPTY_SOURCE = {"kind": "complex", "map": {
+    "source": {"degrees": {}},
+    "target": {"degrees": {"0": ["t0"], "1": ["t1"]}, "differential": {"0": [["2"]]}},
+    "components": {}}}
+ZERO_MAP = {"kind": "complex", "map": {
+    "source": {"degrees": {"0": ["s0"], "1": ["s1", "s2"]}, "differential": {"0": [["1"], ["0"]]}},
+    "target": {"degrees": {"0": ["t0"], "1": ["t1"]}},
+    "components": {}}}
+NEGATIVE_MAP = {"kind": "complex", "map": {
+    "source": {"degrees": {"-3": ["s0"], "-2": ["s1", "s2"], "-1": ["s3"]},
+               "differential": {"-3": [["1"], ["-1"]], "-2": [["1", "1"]]}},
+    "target": {"degrees": {"-3": ["t0"], "-2": ["t1"]}},
+    "components": {"-3": [["3"]], "-2": [["1", "1"]]}}}
+NEGATIVE_COMPLEX = {"kind": "complex", "complex": {
+    "degrees": {"-2": ["a", "b"], "-1": ["c"], "0": ["e"]}, "differential": {"-2": [["1", "2"]]}}}
+EMPTY_COMPLEX = {"kind": "complex", "complex": {"degrees": {}}}
+
+WITNESSED = [  # (command, document, the sha256 of its JSON stdout, or the stdout itself)
+    ("cyl", DOCS_MIX_MAP, "d272073e487fddd21774a561e20310de74fdc9adfb141067a62729d283645456"),
+    ("cone", DOCS_MIX_COMPLEX, "679c0d9b7afb323340fd0b640ca629386eb4c1d979ea8c4b814f346589c7ff1e"),
+    ("cone", DOCS_MIX_MAP, "6878b53e7f5cba69d7ed5478e729e7b23d54bb5ea8363188dfb665f19ac4638c"),
+    ("cyl", EMPTY_SOURCE,
+     '{"complex":{"degrees":{"0":["z.t0"],"1":["z.t1"]},"differential":{"0":[["2"]]}},'
+     '"kind":"complex","projection_weak_equivalence":true,"schema":"cdga.complex/1"}\n'),
+    ("cyl", ZERO_MAP,
+     '{"complex":{"degrees":{"-1":["y.s0"],"0":["x.s0","y.s1","y.s2","z.t0"],'
+     '"1":["x.s1","x.s2","z.t1"]},"differential":{"-1":[["1"],["1"],["0"],["0"]],'
+     '"0":[["1","-1","0","0"],["0","0","-1","0"],["0","0","0","0"]]}},"kind":"complex",'
+     '"projection_weak_equivalence":true,"schema":"cdga.complex/1"}\n'),
+    ("cyl", NEGATIVE_MAP,
+     '{"complex":{"degrees":{"-1":["x.s3"],"-2":["x.s1","x.s2","y.s3","z.t1"],'
+     '"-3":["x.s0","y.s1","y.s2","z.t0"],"-4":["y.s0"]},"differential":{'
+     '"-2":[["1","1","-1","0"]],"-3":[["1","1","0","0"],["-1","0","1","0"],["0","1","1","0"],'
+     '["0","-1","-1","0"]],"-4":[["-1"],["1"],["-1"],["3"]]}},"kind":"complex",'
+     '"projection_weak_equivalence":true,"schema":"cdga.complex/1"}\n'),
+    ("cone", NEGATIVE_COMPLEX,
+     '{"acyclic":true,"complex":{"degrees":{"-1":["a.c","b.e"],"-2":["a.a","a.b","b.c"],'
+     '"-3":["b.a","b.b"],"0":["a.e"]},"differential":{"-1":[["0","-1"]],'
+     '"-2":[["1","2","1"],["0","0","0"]],"-3":[["-1","0"],["0","-1"],["1","2"]]}},'
+     '"kind":"complex","schema":"cdga.complex/1"}\n'),
+    ("cone", EMPTY_COMPLEX,
+     '{"acyclic":true,"complex":{"degrees":{}},"kind":"complex","schema":"cdga.complex/1"}\n'),
+]
+
+
+def _run_main(tmp_path, capsys, command, doc, fmt="json"):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, "--input", str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("command, doc, want", WITNESSED)
+def test_cli_cyl_and_cone_stdout_is_pinned(tmp_path, capsys, command, doc, want):
+    # stdout pinned byte for byte; the verdicts come from the cylinder's
+    # retraction and the cone's contraction, and the cohomology routes agree
+    # with them (tests/test_complexes.py)
+    rc, out, err = _run_main(tmp_path, capsys, command, doc)
+    assert (rc, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest() if len(want) == 64 else out) == want
+    text = _run_main(tmp_path, capsys, command, doc, "text")[1]
+    if command == "cyl":
+        assert text == ("cylinder computed; inclusions and projection are chain maps\n"
+                        "projection is a weak equivalence\n")
+    elif "complex" in doc:
+        assert text == "cone computed; acyclic: True\n"
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cyl", DOCS_MIX_MAP), ("cyl", ZERO_MAP), ("cyl", NEGATIVE_MAP),
+    ("cone", DOCS_MIX_COMPLEX), ("cone", NEGATIVE_COMPLEX)])
+def test_cli_cyl_and_cone_of_a_complex_take_no_elimination(tmp_path, capsys, monkeypatch,
+                                                           command, doc):
+    # both answers come from a homotopy checked by products: no rank, pivot,
+    # kernel or inverse, no cohomology space and no Betti number
+    called = []
+    monkeypatch.setattr(Mat, "_echelon", lambda *a: called.append("_echelon"))
+    monkeypatch.setattr(HomologySpace, "__init__", lambda *a: called.append("HomologySpace"))
+    for module in (cli, complexes):
+        monkeypatch.setattr(module, "betti_numbers", lambda *a: called.append("betti_numbers"))
+    rc, out, err = _run_main(tmp_path, capsys, command, doc)
+    assert (rc, err, called) == (0, "", [])
+    assert json.loads(out)["projection_weak_equivalence" if command == "cyl" else "acyclic"]
+
+
+def test_cli_a_corrupted_cylinder_or_cone_exits_3(tmp_path, capsys, monkeypatch):
+    # the identity block of each differential with its sign flipped: the
+    # witness fails its product check, and nothing reaches stdout
+    build = complexes.mapping_cylinder
+    monkeypatch.setattr(cli, "mapping_cylinder", lambda f: replace(
+        build(f), cylinder=with_identity_block_negated(build(f).cylinder, f.source)))
+    rc, out, err = _run_main(tmp_path, capsys, "cyl", DOCS_MIX_MAP)
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal check failed: cylinder retraction failed verification")
+    monkeypatch.setattr(cli, "cone", lambda c: with_identity_block_negated(complexes.cone(c), c))
+    rc, out, err = _run_main(tmp_path, capsys, "cone", DOCS_MIX_COMPLEX)
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal check failed: cone contraction failed verification")
 
 
 def test_cli_hodge(tmp_path):

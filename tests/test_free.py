@@ -1,6 +1,9 @@
 from collections import Counter
 from fractions import Fraction as F
+import inspect
 from math import prod
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -19,10 +22,12 @@ from cdga import (
     is_contractible,
     tensor_algebra_dims,
 )
+from cdga import free
+from cdga.complexes import InternalCheckError
 from cdga.graded import GradedError, lie_violation
 from cdga.linalg import SparseEliminator
 from cdga.poly import Generators, basis_keys
-from helpers import gc_series_per_generator
+from helpers import gc_series_per_generator, oracle_free_lie_dims
 
 
 def test_tensor_algebra_dims_fibonacci():
@@ -171,7 +176,8 @@ def _lie_generators(degrees):
 def test_free_graded_lie_right_normed_brackets_span(degrees):
     # the brackets [g, y] of a generator g with a basis element y span each
     # degree (PBW: U(L) = T(V)), and degree k tries exactly sum_g dim L_(k-|g|)
-    # of them, less the zero [g, g] of each even g, plus its generators
+    # of them, less the zero [g, g] of each even g, plus its generators.  The
+    # basis is eliminated when first read, so it is read under the spy
     gens, n = _lie_generators(degrees)
     add, tried = SparseEliminator.add, Counter()
 
@@ -179,8 +185,9 @@ def test_free_graded_lie_right_normed_brackets_span(degrees):
         tried[id(self)] += 1
         return add(self, vec, tag)
 
+    L = free_graded_lie(gens, n)
     with mock.patch.object(SparseEliminator, "add", spy):
-        L = free_graded_lie(gens, n)
+        L.basis
     dims = L.dims()
     assert enveloping_dims(L, n) == tensor_algebra_dims(gens, n)
     assert L.verify_axioms() is True
@@ -189,6 +196,73 @@ def test_free_graded_lie_right_normed_brackets_span(degrees):
         want = (sum(d == k for d in degrees) + sum(dims.get(k - d, 0) for d in degrees)
                 - sum(2 * d == k and d % 2 == 0 for d in degrees))
         assert (tried[id(L._elim[k])] if k in L._elim else 0) == want, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+def test_free_lie_dims_are_counted_without_elimination(degrees):
+    # the super-Lyndon count equals the PBW oracle and, once the basis is read,
+    # its size per degree; the count itself adds nothing to an eliminator
+    gens, n = _lie_generators(degrees)
+    with mock.patch.object(SparseEliminator, "add", side_effect=AssertionError):
+        L = free_graded_lie(gens, n)
+        dims = L.dims()
+    assert "basis" not in vars(L)
+    assert dims == oracle_free_lie_dims(degrees, n)
+    built = Counter(e.degree for e in L.basis)
+    assert dims == {k: built[k] for k in range(1, n + 1)}
+    # and with more room above, the counts of degrees <= n do not move
+    assert {k: v for k, v in free_graded_lie(gens, n + 3).dims().items() if k <= n} == dims
+
+
+def _mutant_count(old, new):
+    """free._super_lyndon_counts with one line of its source replaced."""
+    source = inspect.getsource(free._super_lyndon_counts)
+    assert old in source
+    namespace = {}
+    exec(source.replace(old, new), vars(free).copy(), namespace)
+    return namespace["_super_lyndon_counts"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("counts[2 * k] += 1", "pass"),  # drop [P_w, P_w] of each odd Lyndon word w
+    ("if period == t + 1:", "if True:"),  # count every prenecklace
+])
+@pytest.mark.parametrize("degrees", [(1,), (1, 1), (1, 2), (3,), (2, 3)])
+def test_free_lie_count_mutants_fail_the_pbw_cross_check(monkeypatch, old, new, degrees):
+    n = 8
+    monkeypatch.setattr(free, "_super_lyndon_counts", _mutant_count(old, new))
+    with pytest.raises(InternalCheckError, match="differ from the PBW ranks"):
+        free_graded_lie([("g%d" % i, d) for i, d in enumerate(degrees)], n)
+
+
+def test_pbw_inversion_refuses_a_negative_rank():
+    # 1 + 2t: two odd generators of degree 1 give (1 + t)^2 = 1 + 2t + t^2,
+    # so the rank at t^2 would be 0 - 1 = -1
+    with pytest.raises(GradedError, match="needs -1 generators"):
+        free._gc_ranks([1, 2, 0], 2)
+    assert free._gc_ranks([1, 2, 1], 2) == {1: 2, 2: 0}
+    assert free._gc_ranks(free._gc_series({1: 2, 2: 5, 3: 1}, 7), 7) == {
+        1: 2, 2: 5, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0}
+
+
+def test_free_lie_dims_hand_examples():
+    # one odd generator: x and [x, x]; one even generator: x alone; (a1, b1):
+    # pi_(k+1) of S^2 v S^2 in degrees 1..5 (docs/oracles.md)
+    assert free_graded_lie([("x", 1)], 5).dims() == {1: 1, 2: 1, 3: 0, 4: 0, 5: 0}
+    assert free_graded_lie([("x", 4)], 9).dims() == {k: int(k == 4) for k in range(1, 10)}
+    ab = free_graded_lie([("a", 1), ("b", 1)], 5).dims()
+    assert ab == {1: 2, 2: 3, 3: 2, 4: 3, 5: 6}
+    assert free_graded_lie([], 4).dims() == {1: 0, 2: 0, 3: 0, 4: 0}
+
+
+def test_free_lie_dims_to_degree_sixteen_inside_a_timeout():
+    script = "from cdga import free_graded_lie; print(list(free_graded_lie([('a', 1), ('b', 1)], 16).dims().values()))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("[2, 3, 2, 3, 6, 11, 18, 30, 56, 105, 186, 335, 630, 1179, "
+                           "2182, 4080]\n")
 
 
 def test_algebra_presentation_exterior():
