@@ -21,6 +21,9 @@ structure-constant sum (quadratic d, d F^k, each theta row) and _cartan_ops
 puts iota_a and theta_a on each row of n generators.  verify takes each
 bracket [s, o](g) from Derivation.bracket_image, on integer images, and
 compares it with sum_k c_k ops_k(g) by cross-multiplying the denominators.
+verify_matrices and integrate_homotopy take every degreewise bracket
+([d, iota_a] = theta_a, [theta_a, d] = 0, theta_X = [d, iota_X] and
+{d, h} = 1 - exp theta_X) from graded.graded_commutator.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .graded import GradedError, GradedSpace, combine, lie_violation
+from .graded import GradedError, GradedSpace, combine, graded_commutator, lie_violation
 from .linalg import Mat, exact
 from .complexes import Complex, ChainMap, InternalCheckError
 from .poly import Generators, Polynomial, basis_keys
@@ -212,20 +215,14 @@ class CartanOps:
     def verify_matrices(self, window):
         """Degreewise matrix form of the same identities on [lo, hi]."""
         lo, hi = window
-        n = self.lie.n
-        alg = self.algebra
+        d = self.algebra.d_matrix
         failures = []
         for k in range(lo, hi + 1):
-            dk = alg.d_matrix(k)
-            dkm1 = alg.d_matrix(k - 1)
-            for a in range(n):
-                ia_k = self.iota[a].matrix(k)
-                ia_k1 = self.iota[a].matrix(k + 1)
-                th = self.theta[a].matrix(k)
-                if dkm1 * ia_k + ia_k1 * dk != th:
+            for a in range(self.lie.n):
+                theta = self.theta[a].matrix
+                if graded_commutator(d, 1, self.iota[a].matrix, -1, k) != theta(k):
                     failures.append("matrix [d, iota_%d] != theta at degree %d" % (a, k))
-                th_next = self.theta[a].matrix(k + 1)
-                if th_next * dk != dk * th:
+                if not graded_commutator(theta, 0, d, 1, k).is_zero():
                     failures.append("matrix [theta_%d, d] != 0 at degree %d" % (a, k))
         return failures
 
@@ -526,13 +523,27 @@ class IntegratedHomotopyReport:
     nilpotency_index: dict
 
 
+def _nilpotent_series(T: Mat, dim: int):
+    """(nilpotency index, exp T, phi(T)) of a nilpotent dim x dim matrix T,
+    phi(T) = sum_{m>=1} T^(m-1) / m!, or None when T is not nilpotent."""
+    power, exp_t, phi, fact = Mat.eye(dim), Mat.eye(dim), Mat.zero(dim, dim), 1
+    for m in range(1, dim + 2):
+        fact *= m
+        phi = phi + power.scale(Fraction(1, fact))
+        power = power * T
+        if power.is_zero():
+            return m, exp_t, phi
+        exp_t = exp_t + power.scale(Fraction(1, fact))
+    return None
+
+
 def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomotopyReport:
-    """Exact integration of the flow of theta_X for X = sum c_a X_a.
+    """Exact integration of the flow of theta_X = [d, iota_X] for X = sum c_a X_a.
 
     Requires theta_X nilpotent degreewise (else the exponential leaves Q and
     the input is rejected).  Returns h with d h + h d = id - exp(theta_X),
-    built from h = -sum_{m>=1} (iota_X d)^{m-1} iota_X / m!, and verifies
-    both that identity and the factorization
+    built as h = -phi(iota_X d) iota_X = -sum_{m>=1} (iota_X d)^{m-1} iota_X / m!,
+    and verifies both that identity and the factorization
     exp(d iota_X) exp(iota_X d) = exp(d iota_X) + exp(iota_X d) - id
     entrywise on the window.  coefficients is a list of n rationals or a
     dict from directions 0..n-1 to rationals; any other direction is refused.
@@ -553,80 +564,30 @@ def integrate_homotopy(ops: CartanOps, coefficients, window) -> IntegratedHomoto
         for g in alg.gens.names
     })
 
-    def matpow_series(T, dim):
-        """(nilpotency index, exp(T)) for a nilpotent matrix, or (None, None)."""
-        if dim == 0:
-            return 1, Mat.eye(0)
-        acc = Mat.eye(dim)
-        total = Mat.eye(dim)
-        fact = 1
-        for m in range(1, dim + 1):
-            acc = acc * T
-            fact *= m
-            if acc.is_zero():
-                return m, total
-            total = total + acc.scale(Fraction(1, fact))
-        return None, None
-
-    homotopy = {}
-    exp_theta = {}
-    nilp = {}
-    mats_di = {}
-    mats_id = {}
+    d, iota = alg.d_matrix, iota_x.matrix
+    homotopy, exp_theta, nilp = {}, {}, {}
     for k in range(lo, hi + 2):
-        dim = alg.dim(k)
-        A = alg.d_matrix(k - 1) * iota_x.matrix(k)   # d iota at degree k
-        B = iota_x.matrix(k + 1) * alg.d_matrix(k)   # iota d at degree k
-        T = A + B
-        idx, E = matpow_series(T, dim)
-        if idx is None:
-            raise GradedError(
-                "theta of the flow is not nilpotent at degree %d; "
-                "cannot integrate over Q" % k
-            )
-        nilp[k] = idx
-        exp_theta[k] = E
-        mats_di[k] = A
-        mats_id[k] = B
+        series = _nilpotent_series(graded_commutator(d, 1, iota, -1, k), alg.dim(k))
+        if series is None:
+            raise GradedError("theta of the flow is not nilpotent at degree %d; "
+                              "cannot integrate over Q" % k)
+        nilp[k], exp_theta[k], _ = series
     for k in range(lo, hi + 2):
-        # h_k = -sum_{m>=1} (iota d)^(m-1) iota / m!, valued in degree k-1;
-        # (iota d) acts on degree k-1, so powers multiply on the left.
-        dim = alg.dim(k)
-        ik = iota_x.matrix(k)
-        iota_d_below = iota_x.matrix(k) * alg.d_matrix(k - 1)
-        h = Mat.zero(alg.dim(k - 1), dim)
-        left = Mat.eye(alg.dim(k - 1))
-        fact = 1
-        for m in range(1, alg.dim(k - 1) + 2):
-            fact *= m
-            h = h + (left * ik).scale(Fraction(-1, fact))
-            left = left * iota_d_below
-            if left.is_zero():
-                break
-        if not left.is_zero():
-            raise GradedError(
-                "flow is not nilpotent below degree %d; cannot integrate" % k
-            )
-        homotopy[k] = h
+        # h_k is valued in degree k-1, where iota d acts
+        series = _nilpotent_series(iota(k) * d(k - 1), alg.dim(k - 1))
+        if series is None:
+            raise GradedError("flow is not nilpotent below degree %d; cannot integrate" % k)
+        homotopy[k] = -(series[2] * iota(k))
     for k in range(lo, hi + 1):
         dim = alg.dim(k)
-        lhs = alg.d_matrix(k - 1) * homotopy[k] + homotopy[k + 1] * alg.d_matrix(k)
-        rhs = Mat.eye(dim) - exp_theta[k]
-        if lhs != rhs:
-            raise InternalCheckError(
-                "integrated homotopy identity fails at degree %d" % k
-            )
-        A, B = mats_di[k], mats_id[k]
+        if graded_commutator(d, 1, homotopy.get, -1, k) != Mat.eye(dim) - exp_theta[k]:
+            raise InternalCheckError("integrated homotopy identity fails at degree %d" % k)
+        A, B = d(k - 1) * iota(k), iota(k + 1) * d(k)
         if not (A * B).is_zero() or not (B * A).is_zero():
-            raise InternalCheckError(
-                "flow components fail to annihilate each other at degree %d" % k
-            )
-        _, eA = matpow_series(A, dim)
-        _, eB = matpow_series(B, dim)
+            raise InternalCheckError("flow components fail to annihilate each other at degree %d" % k)
+        eA, eB = (_nilpotent_series(T, dim)[1] for T in (A, B))
         if eA * eB != eA + eB - Mat.eye(dim):
-            raise InternalCheckError(
-                "exponential factorization fails at degree %d" % k
-            )
+            raise InternalCheckError("exponential factorization fails at degree %d" % k)
     return IntegratedHomotopyReport(
         window=(lo, hi),
         homotopy={k: homotopy[k] for k in range(lo, hi + 1)},

@@ -9,7 +9,7 @@ read), contractibility witnesses and two-route weak-equivalence checks.
 Where the construction fixes the answer it is witnessed, not computed:
 the cylinder's deformation retraction (CylinderData.retraction) and the
 cone's contraction (cone_contraction) are explicit degree -1 maps, and
-check_homotopy certifies d h + h d = 1 - i p by one product per degree.
+check_homotopy certifies d h + h d = 1 - i p by one graded_commutator per degree.
 
 Direct sums, cones, mapping cones and cylinders are lists of pieces (label
 prefix, complex, degree offset), a piece adding complex_{m+offset} in degree
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .graded import GradedError, GradedSpace
+from .graded import GradedError, GradedSpace, graded_commutator
 from .linalg import Mat, block_matrix
 
 
@@ -621,12 +621,12 @@ def contracting_homotopy(c: Complex):
 
 
 def check_homotopy(h: GradedMap, ip: GradedMap = None, what="contraction witness") -> GradedMap:
-    """h, once d h + h d = 1 - ip holds in every degree of the support (ip = 0
-    when None), by one product per degree; else InternalCheckError."""
+    """h, once {h, d} = 1 - ip holds in every degree of the support (ip = 0
+    when None), by one graded_commutator per degree; else InternalCheckError."""
     c = h.source
     for k in c.support():
         want = _eye(c, k) if ip is None else _eye(c, k) - ip.comp(k)
-        if h.comp(k + 1) * c.diff(k) + c.diff(k - 1) * h.comp(k) != want:
+        if graded_commutator(h.comp, -1, c.diff, 1, k) != want:
             raise InternalCheckError("%s failed verification at degree %d" % (what, k))
     return h
 

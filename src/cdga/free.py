@@ -251,7 +251,9 @@ def free_graded_lie(gens, n: int) -> FreeGradedLie:
 
 
 def enveloping_dims(lie: FreeGradedLie, n: int):
-    """dim U(L)_k for k <= n: symmetric on even, exterior on odd (PBW)."""
+    """dim U(L)_k for k <= n <= lie.nmax: symmetric on even, exterior on odd (PBW)."""
+    if n > lie.nmax:
+        raise GradedError("enveloping degree %d lies beyond the bound %d" % (n, lie.nmax))
     return free_gc_dims_from_counts(lie.dims(), n)
 
 

@@ -4,6 +4,8 @@ Degrees are signed integers.  Parity (for all sign purposes) is degree mod 2.
 lie_violation is the one check of graded antisymmetry and graded Jacobi on a
 bracket table; the free graded Lie algebras of cdga.free and the ungraded
 Lie algebras of cdga.cartan (every degree 0) are both checked by it.
+graded_commutator is the one graded commutator of per-degree operator
+families: chain homotopies, Laplacians, the CCR and the Cartan identities.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ def combine(terms):
         for k, v in combo.items():
             out[k] = out.get(k, 0) + c * v
     return {k: v for k, v in out.items() if v}
+
+
+def graded_commutator(a, p, b, q, k):
+    """[a, b]_k = a_(k+q) b_k - (-1)^(pq) b_(k+p) a_k, on degree k.
+
+    a and b are families of maps of degrees p and q, each a function from a
+    degree j to the matrix of its component on degree j (Complex.diff,
+    GradedMap.comp, Derivation.matrix, dict.get); two odd families give
+    their anticommutator.  Two products and one sum.
+    """
+    left, right = a(k + q) * b(k), b(k + p) * a(k)
+    return left + right if p % 2 and q % 2 else left - right
 
 
 def lie_violation(degrees, bracket, bound):

@@ -19,16 +19,18 @@ operator N.  GradedChainData holds the boundary as a Complex and its Grams
 as an InnerProduct, so the small Laplacian is laplacian().  One audit
 builds every operator matrix (d, its linear and split parts, contractions,
 multiplications) and every Gram inverse once; the Fock Grams and the
-commutation check share the contractions, all adjoints go through
-_adjoints and all anticommutators {x*, y} through _anticommutator.
+commutation check share the contractions, and all adjoints go through
+_adjoints.  Every Laplacian {d*, d}, cross term and commutation relation
+[iota_x, mu_y] is one graded_commutator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .graded import GradedError, GradedSpace, combine
+from .graded import GradedError, GradedSpace, combine, graded_commutator
 from .linalg import Mat, exact
 from .complexes import Complex, GradedMap, InternalCheckError, betti_numbers
 from .poly import Q_ONE, Q_ZERO, Generators, Polynomial, key_product
@@ -85,7 +87,8 @@ def _adjoints(grams, *ops, inverses=()):
     """Adjoints G_k^{-1} op_k^T G_{k+1} of dicts {k: op_k} of degree +1 maps.
 
     grams maps degrees to Gram matrices; each inverse not in inverses is made
-    once and shared by all the dicts.  Returns one dict {k: adjoint} per dict.
+    once and shared by all the dicts.  Returns one dict per dict, keying each
+    adjoint by its source degree k+1, as a degree -1 GradedMap does.
     """
     inverses = dict(inverses)
     out = []
@@ -94,18 +97,9 @@ def _adjoints(grams, *ops, inverses=()):
         for k, m in op.items():
             if k not in inverses:
                 inverses[k] = grams[k].inv()
-            adj[k] = inverses[k] * m.transpose() * grams[k + 1]
+            adj[k + 1] = inverses[k] * m.transpose() * grams[k + 1]
         out.append(adj)
     return out
-
-
-def _anticommutator(x_adj, y, k):
-    """{x*, y}_k = x*_k y_k + y_{k-1} x*_{k-1} on degree k.
-
-    x_adj[j] is the adjoint of a degree +1 map x_j : C_j -> C_{j+1}, and y[j]
-    is such a map too; zero-dimensional degrees need no special case.
-    """
-    return x_adj[k] * y[k] + y[k - 1] * x_adj[k - 1]
 
 
 def adjoint(c: Complex, ip: InnerProduct) -> GradedMap:
@@ -115,15 +109,12 @@ def adjoint(c: Complex, ip: InnerProduct) -> GradedMap:
     # a degree with no stored Gram has the identity, its own inverse
     identities = {j: g for j, g in grams.items() if j not in ip.grams}
     (adj,) = _adjoints(grams, ds, inverses={**identities, **ip.inverses})
-    return GradedMap(c, c, -1, {k + 1: m for k, m in adj.items()})
+    return GradedMap(c, c, -1, adj)
 
 
 def laplacian(c: Complex, ip: InnerProduct, k: int, adj: GradedMap = None) -> Mat:
     adj = adj or adjoint(c, ip)
-    degrees = (k - 1, k)
-    return _anticommutator(
-        {j: adj.comp(j + 1) for j in degrees}, {j: c.diff(j) for j in degrees}, k
-    )
+    return graded_commutator(adj.comp, -1, c.diff, 1, k)
 
 
 def harmonic_space(c: Complex, ip: InnerProduct, k: int, adj: GradedMap = None):
@@ -463,7 +454,7 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
                 "linear/split decomposition of d fails at degree %d" % k
             )
     d_adj, lin_adj, split_adj = _adjoints(grams, d, d_lin, d_split)
-    laps = {k: _anticommutator(d_adj, d, k) for k in range(0, t + 1)}
+    laps = {k: graded_commutator(d_adj.get, -1, d.get, 1, k) for k in range(0, t + 1)}
 
     # small Laplacian per underlying degree
     c = data.complex
@@ -491,11 +482,8 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
     # canonical commutation relations: contraction against multiplication
     names, degs = alg.gens.names, alg.gens.degrees
     iota = fock.contraction
-    mult = {
-        (y, k): _multiplication(alg, y, k)
-        for y in range(len(names))
-        for k in range(-max(degs, default=0), t - degs[y] + 1)
-    }
+    mult = [{k: _multiplication(alg, y, k) for k in range(-max(degs), t - degs[y] + 1)}
+            for y in range(len(names))]
     ccr_ok = True
     for x, xname in enumerate(names):
         dx = degs[x]
@@ -504,9 +492,7 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
             for k in range(0, t - dy + 1):
                 if k + dy - dx < 0 or k + dy - dx > t:
                     continue
-                left = iota(x, k + dy) * mult[y, k]
-                right = mult[y, k - dx] * iota(x, k)
-                comm = left + right if dx % 2 and dy % 2 else left - right
+                comm = graded_commutator(partial(iota, x), -dx, mult[y].get, dy, k)
                 want = Mat.eye(comm.n) if x == y else Mat.zero(comm.m, comm.n)
                 if comm != want:
                     ccr_ok = False
@@ -518,9 +504,8 @@ def number_operator_check(data: GradedChainData, truncation: int = 6) -> NumberO
     # cross terms between the linear part and the split part of d
     cross_zero = True
     for k in range(0, t):
-        cross = _anticommutator(lin_adj, d_split, k) + _anticommutator(
-            split_adj, d_lin, k
-        )
+        cross = graded_commutator(lin_adj.get, -1, d_split.get, 1, k) + graded_commutator(
+            split_adj.get, -1, d_lin.get, 1, k)
         if not cross.is_zero():
             cross_zero = False
             failures.append("linear/split cross terms survive at degree %d" % k)

@@ -169,6 +169,86 @@ def reference_verify(ops):
     return failures
 
 
+def oracle_graded_commutator(dims, a, p, b, q, k):
+    """Block (k+p+q, k) of A B - (-1)^(pq) B A, dense Fraction rows.
+
+    a and b are families {j: dense rows of the map from degree j} of degrees
+    p and q; A and B are the square matrices on the direct sum of every
+    degree in dims ({degree: dimension}) with those maps as their blocks, so
+    each degree shift is read off the block layout, not written out."""
+    offset, size = {}, 0
+    for j in sorted(dims):
+        offset[j], size = size, size + dims[j]
+
+    def total(family, r):
+        out = [[Fraction(0)] * size for _ in range(size)]
+        for j, rows in family.items():
+            for i, row in enumerate(rows):
+                for t, x in enumerate(row):
+                    out[offset[j + r] + i][offset[j] + t] = Fraction(x)
+        return out
+
+    A, B = total(a, p), total(b, q)
+    sign = -1 if p % 2 and q % 2 else 1
+    C = [[x - sign * y for x, y in zip(r, s)]
+         for r, s in zip(_dense_mul(A, B, size), _dense_mul(B, A, size))]
+    top, col = offset[k + p + q], offset[k]
+    return [row[col:col + dims[k]] for row in C[top:top + dims[k + p + q]]]
+
+
+def _dense_mul(a, b, p):
+    """a (rows of length len(b)) times b (len(b) rows of length p), as lists."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * p
+        for t, x in enumerate(row):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, b[t])]
+        out.append(acc)
+    return out
+
+
+def oracle_integrated_flow(dim, d, iota, lo, hi):
+    """(homotopy, exp_theta, nilpotency_index) of a flow on [lo, hi] from the series.
+
+    d(k) and iota(k) are the dense rows of d_k and iota_k; theta_k =
+    d_(k-1) iota_k + iota_(k+1) d_k, exp_theta_k = sum theta_k^m / m!, the
+    index is the least m >= 1 with theta_k^m = 0, and h_k = -sum_{m>=1}
+    (iota_k d_(k-1))^(m-1) iota_k / m!.  Plain Fraction lists, no cdga.linalg."""
+    def plus(a, b, c=1):
+        return [[x + c * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    def eye(n):
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    homotopy, exp_theta, index = {}, {}, {}
+    for k in range(lo, hi + 1):
+        n, below = dim(k), dim(k - 1)
+        theta = plus(_dense_mul(d(k - 1), iota(k), n), _dense_mul(iota(k + 1), d(k), n))
+        power, total, m, fact = eye(n), eye(n), 0, 1
+        while True:
+            m += 1
+            fact *= m
+            power = _dense_mul(power, theta, n)
+            if not any(any(row) for row in power):
+                break
+            if m >= n:
+                raise ValueError("theta is not nilpotent at degree %d" % k)
+            total = plus(total, [[x / fact for x in row] for row in power])
+        exp_theta[k], index[k] = total, m
+        iota_d = _dense_mul(iota(k), d(k - 1), below)
+        left, h, m, fact = eye(below), [[Fraction(0)] * n for _ in range(below)], 0, 1
+        while any(any(row) for row in left):
+            if m > below:
+                raise ValueError("iota d is not nilpotent at degree %d" % (k - 1))
+            m += 1
+            fact *= m
+            h = plus(h, [[x / fact for x in row] for row in _dense_mul(left, iota(k), n)], -1)
+            left = _dense_mul(left, iota_d, below)
+        homotopy[k] = h
+    return homotopy, exp_theta, index
+
+
 # -- random complexes with known homology --------------------------------------------
 
 

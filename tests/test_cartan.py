@@ -27,7 +27,13 @@ from cdga import (
 )
 from cdga.algebra import key_matrix
 from cdga.poly import Generators, basis_keys
-from helpers import mat_rows, oracle_rank, reference_commutator, reference_verify
+from helpers import (
+    mat_rows,
+    oracle_integrated_flow,
+    oracle_rank,
+    reference_commutator,
+    reference_verify,
+)
 
 
 def test_lie_data_validation():
@@ -440,6 +446,73 @@ def test_integrate_homotopy_rejects_a_direction_outside_the_algebra(direction):
     ce = chevalley_eilenberg(LieData.solvable2())
     with pytest.raises(GradedError, match="flow direction %r " % direction):
         integrate_homotopy(ce, {direction: F(1)}, (0, 2))
+
+
+def test_verify_matrices_reports_a_transposed_theta_on_cross3():
+    # theta with the bracket's lower indices transposed breaks [d, iota_a] =
+    # theta_a from degree 1 on, while the transposed theta still commutes with d
+    lie = LieData.cross3()
+    ops = _ce_with_theta(lie, lambda a, b, k: -lie.c(a, k, b))
+    assert ops.verify_matrices((0, 3)) == [
+        "matrix [d, iota_%d] != theta at degree %d" % (a, k) for k in (1, 2) for a in range(3)
+    ]
+
+
+def _random_flow(rng):
+    """(ops, coefficients): a nilpotent flow, on abelian(1..3) in either model
+    with random rational coefficients, or on solvable2 in direction 1."""
+    if rng.random() < 0.25:
+        lie, coefficients = LieData.solvable2(), {1: F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))}
+    else:
+        lie = LieData.abelian(rng.randint(1, 3))
+        coefficients = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(lie.n)]
+    model = rng.choice([chevalley_eilenberg, weil_algebra])
+    return model(lie, truncation=6), coefficients
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_integrate_homotopy_matches_the_dense_series(seed):
+    rng = random.Random(seed)
+    ops, coefficients = _random_flow(rng)
+    lo = rng.randint(0, 2)
+    hi = lo + rng.randint(0, 2)
+    rep = integrate_homotopy(ops, coefficients, (lo, hi))
+    alg, n = ops.algebra, ops.lie.n
+    c = coefficients if isinstance(coefficients, list) else [coefficients.get(a, 0) for a in range(n)]
+
+    def iota(k):
+        rows = [[F(0)] * alg.dim(k) for _ in range(alg.dim(k - 1))]
+        for a in range(n):
+            for i, row in enumerate(mat_rows(ops.iota[a].matrix(k))):
+                rows[i] = [x + c[a] * y for x, y in zip(rows[i], row)]
+        return rows
+
+    homotopy, exp_theta, index = oracle_integrated_flow(
+        alg.dim, lambda k: mat_rows(alg.d_matrix(k)), iota, lo, hi)
+    assert {k: mat_rows(m) for k, m in rep.homotopy.items()} == homotopy
+    assert {k: mat_rows(m) for k, m in rep.exp_theta.items()} == exp_theta
+    assert rep.nilpotency_index == index
+
+
+def test_integrate_homotopy_names_the_degree_where_the_flow_is_not_nilpotent(monkeypatch):
+    with pytest.raises(GradedError) as err:
+        integrate_homotopy(chevalley_eilenberg(LieData.solvable2()), {0: 1}, (0, 3))
+    assert str(err.value) == "theta of the flow is not nilpotent at degree 1; cannot integrate over Q"
+    # iota d below the window is nilpotent whenever theta is at the window's
+    # bottom once d^2 = 0 ((iota d)^m = iota theta^(m-1) d) or iota^2 = 0; so
+    # reach the second refusal with a contraction that squares to 1 on F1 and a
+    # d patched to theta = 0 on degrees 2 and 3 but iota d = 1 on degree 1
+    w = weil_algebra(LieData.abelian(1))
+    alg = w.algebra
+    iota = Derivation(alg, -1, {"a1": alg.one(), "F1": alg.gen("a1")})
+    ops = CartanOps(algebra=alg, lie=w.lie, iota=[iota], theta=w.theta)
+    fake = {1: Mat.from_rows([[1]]), 2: Mat.from_rows([[-1]]), 3: Mat.from_rows([[F(1, 2)]])}
+    d_matrix = alg.d_matrix
+    monkeypatch.setattr(alg, "d_matrix", lambda k: fake[k] if k in fake else d_matrix(k))
+    with pytest.raises(GradedError) as err:
+        integrate_homotopy(ops, [1], (2, 2))
+    assert str(err.value) == "flow is not nilpotent below degree 2; cannot integrate"
 
 
 # -- the integer bracket against the Polynomial reference ------------------------------

@@ -161,6 +161,15 @@ def test_enveloping_dims_is_pbw():
         assert enveloping_dims(L, 6) == tensor_algebra_dims(gens, 6)
 
 
+def test_enveloping_dims_refuses_a_degree_above_the_lie_bound():
+    # L built through degree 2 lacks L_3 and L_4, so U(L) there would read 6
+    # and 9 where T(V) on two degree-1 generators has 8 and 16
+    L = free_graded_lie([("a", 1), ("b", 1)], 2)
+    assert enveloping_dims(L, 2) == tensor_algebra_dims([("a", 1), ("b", 1)], 2)
+    with pytest.raises(GradedError, match="^enveloping degree 4 lies beyond the bound 2$"):
+        enveloping_dims(L, 4)
+
+
 def _lie_generators(degrees):
     """Generators g0, g1, ... of these degrees, and a top degree: 8, lowered
     until the tensor algebra has at most 256 words there, so a run stays short."""

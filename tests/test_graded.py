@@ -1,6 +1,12 @@
-import pytest
+from fractions import Fraction as F
+import random
 
-from cdga import GradedError, GradedSpace, koszul_sign
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdga import GradedError, GradedSpace, Mat, koszul_sign
+from cdga.graded import graded_commutator
+from helpers import mat_rows, oracle_graded_commutator
 
 
 def test_koszul_sign_basics():
@@ -43,3 +49,28 @@ def test_graded_space_rejects_unknown_label():
     sp = GradedSpace({0: ["a"]})
     with pytest.raises(ValueError):
         sp.index(0, "zz")
+
+
+def _random_family(rng, dims, r):
+    """{j: dense rows of a sparse rational map from degree j to j + r}."""
+    return {j: [[F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.4 else F(0)
+                 for _ in range(dims[j])] for _ in range(dims[j + r])]
+            for j in dims if j + r in dims}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_graded_commutator_matches_the_block_oracle(seed):
+    # families of degrees -2..2 on degrees -5..5 of random dimensions 0..3
+    # (zero-dimensional edges included), bracketed on degree k in -1..1
+    rng = random.Random(seed)
+    dims = {j: rng.randint(0, 3) for j in range(-5, 6)}
+    p, q, k = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 1)
+    a, b = _random_family(rng, dims, p), _random_family(rng, dims, q)
+
+    def family(rows, r):
+        return {j: Mat(dims[j + r], dims[j], m) for j, m in rows.items()}.get
+
+    got = graded_commutator(family(a, p), p, family(b, q), q, k)
+    assert (got.m, got.n) == (dims[k + p + q], dims[k])
+    assert mat_rows(got) == oracle_graded_commutator(dims, a, p, b, q, k)

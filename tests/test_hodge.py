@@ -211,6 +211,27 @@ def test_number_operator_ccr():
     assert rep.laplacian_commutes
 
 
+def test_number_operator_reports_the_ccr_a_scaled_contraction_breaks(monkeypatch):
+    # contractions doubled: [iota_x, mu_y] = 2 delta_xy fails on every diagonal
+    # pair, while the doubled Fock Grams keep the generator identity, the cross
+    # terms and [H, d] = 0
+    contraction = FockInnerProduct.contraction
+    monkeypatch.setattr(FockInnerProduct, "contraction",
+                        lambda self, y, k: contraction(self, y, k).scale(2))
+    data = GradedChainData(
+        [("p", 1), ("q", 2), ("r", 2), ("s", 3)],
+        boundary={"p": {"q": F(2, 3), "r": F(-2, 3)}, "q": {"s": F(3, 4)}, "r": {"s": F(3, 4)}},
+        grams={1: [[F(3, 2)]], 2: [[F(5, 2), F(1, 3)], [F(1, 3), F(7, 2)]], 3: [[F(9, 2)]]},
+    )
+    rep = number_operator_check(data, truncation=3)
+    assert (rep.ok, rep.ccr_ok, rep.cross_terms_zero, rep.laplacian_commutes) == (False, False, True, True)
+    assert rep.generator_identity == {1: True, 2: True, 3: True}
+    assert rep.failures == ["commutation relation fails for (%s, %s) at degree %d" % (x, x, k)
+                            for x, top in (("p", 2), ("q", 1), ("r", 1), ("s", 0),
+                                           ("p'", 1), ("q'", 0), ("r'", 0))
+                            for k in range(top + 1)]
+
+
 def test_positive_definite_check_agrees_with_leading_minors():
     rng = random.Random(47)
     cases = [Mat.eye(2).scale(-1), Mat.from_rows([[0, 1], [1, 0]]), Mat.eye(0)]
