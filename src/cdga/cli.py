@@ -23,7 +23,7 @@ from collections import Counter
 from .graded import GradedError
 from .complexes import (
     ComplexError, InternalCheckError, betti_numbers, cone, cone_contraction,
-    is_weak_equivalence, mapping_cone, mapping_cylinder,
+    is_weak_equivalence, mapping_cylinder,
 )
 from .cartan import (
     basic_subcomplex, chevalley_eilenberg, weil_algebra, weil_contraction_failures,
@@ -222,7 +222,8 @@ def cmd_weil(args, kind, lie, t):
 def cmd_cone(args, kind, value, t):
     c, f = value
     if f is not None:
-        result = mapping_cone(f)
+        # is_weak_equivalence reads the same cone, built once on f
+        result = f.cone
         verdict = is_weak_equivalence(f)
         payload = documents.complex_to_doc(result)
         payload["weak_equivalence"] = bool(verdict)

@@ -20,6 +20,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .graded import GradedError, GradedSpace
@@ -406,19 +407,17 @@ def resolve_input(name: str) -> str:
             if os.path.exists(candidate):
                 return candidate
     for v in variants:
-        packaged = resources.files("cdga").joinpath("data/%s" % v)
-        try:
-            if packaged.is_file():
-                with resources.as_file(packaged) as p:
-                    return str(p)
-        except (OSError, ValueError):
-            pass
+        packaged = os.path.join(_data_dir(), v)
+        if os.path.isfile(packaged):
+            return packaged
     raise DocumentError("cannot resolve input %r" % name)
 
 
+@lru_cache(maxsize=None)
+def _data_dir() -> str:
+    """The packaged ``data`` directory, found once per process."""
+    return str(resources.files("cdga").joinpath("data"))
+
+
 def builtin_names():
-    out = []
-    for entry in resources.files("cdga").joinpath("data").iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name)
-    return sorted(out)
+    return sorted(name for name in os.listdir(_data_dir()) if name.endswith(".json"))

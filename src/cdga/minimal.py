@@ -5,16 +5,21 @@ hitting a basis of coker(H^k(model) -> H^k(input)), then generators whose
 differentials kill ker(H^(k+1)(model) -> H^(k+1)(input)); the comparison
 map extends at every step.  After stage k the induced map on cohomology is
 an isomorphism through degree k and injective at k+1, so generator counts
-in degrees <= n are final once stages 2..n have run.  The input's complex
-and cohomology are built once per call, and the comparison chain map only
-when a stage has extended the model.  The finished map is certified as a
-weak equivalence on the window where the truncated complexes are
+in degrees <= n are final once stages 2..n have run.  Each half of a stage
+first reads rank H^k(f) from ranks alone (InducedRanks, kept with the
+comparison): the cokernel at k is empty when that rank is b_k(input), the
+kernel at k+1 when it is b_(k+1)(model).  Only a gap builds cohomology
+classes (HomologySpace) and the induced matrix, which fix the new
+generators and their images.  The input's complex is built once per call,
+each of its cohomology spaces at most once, and the comparison chain map
+only when a stage has extended the model.  The finished map is certified
+as a weak equivalence on the window where the truncated complexes are
 trustworthy, and a failed certificate raises on both paths.  An input that
 is already minimal is its own model through the identity, whose mapping
 cone has an explicit contraction, so its certificate needs no complex and
 no elimination; any other map gets the two-route check, which shares only
-the operator matrices and rebuilds every complex, chain map, cohomology
-space and induced map.
+the operator matrices and rebuilds every complex, the chain map, the ranks
+and the cone.
 
 The rank of the degree-k generator space of a minimal model is the rank of
 the k-th rational homotopy group of the geometric realization, which is
@@ -31,6 +36,7 @@ from .complexes import (
     ChainMap,
     Complex,
     HomologySpace,
+    InducedRanks,
     InternalCheckError,
     WeakEquivalenceReport,
     betti_numbers,
@@ -80,12 +86,13 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
 
     Stages run for 2 <= k <= n where n is the truncation; homotopy ranks
     are certified through n - 1 by the final weak-equivalence check.  The
-    input's complex on [0, n + 2] and each of its cohomology spaces are
-    built once per call; the comparison morphism, the model's complex and
-    the chain map between them (with the model's cohomology spaces and the
-    induced maps) are rebuilt only after a stage has adjoined generators,
-    and the result keeps the last comparison's morphism.  `certify` shares
-    only the operator matrices, cached on the algebras and the morphism.
+    input's complex on [0, n + 2] is built once per call, and each of its
+    cohomology spaces at most once, where a rank shows a gap.  The
+    comparison morphism, the model's complex and the chain map between them
+    (with their InducedRanks, the model's cohomology spaces and the induced
+    maps) are rebuilt only after a stage has adjoined generators, and the
+    result keeps the last comparison's morphism.  `certify` shares only the
+    operator matrices, cached on the algebras and the morphism.
     """
     n = a.truncation if truncation is None else int(truncation)
     if n < 2:
@@ -115,17 +122,23 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     rho_images = {}
     stages = []
     target = a.to_complex((0, margin))
-    ha = {}  # degree -> HomologySpace of the input, built once
-    # (rho, chain map, degree -> (model HomologySpace, induced map)); None once the model grows
+    ha = {}  # degree -> HomologySpace of the input, built at a gap only, once
+    # (rho, chain map, its InducedRanks, degree -> (model HomologySpace, induced map));
+    # None once the model grows
     comparison = None
 
-    def compare(k):
-        """f, H^k(model), H^k(input) and the induced map H^k(f)."""
+    def current():
+        """The comparison as it stands, built after each extension of the model."""
         nonlocal comparison
         if comparison is None:
             rho = CDGAMorphism(model, a, dict(rho_images))
-            comparison = (rho, _comparison_chain_map(model, rho, target, margin), {})
-        _, f, hm = comparison
+            f = _comparison_chain_map(model, rho, target, margin)
+            comparison = (rho, f, InducedRanks(f), {})
+        return comparison
+
+    def compare(k):
+        """f, H^k(model), H^k(input) and the induced map H^k(f), where a rank shows a gap."""
+        _, f, _, hm = current()
         if k not in ha:
             ha[k] = HomologySpace(target, k)
         if k not in hm:
@@ -135,25 +148,25 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
         return f, hs, ha[k], induced
 
     for k in range(2, n + 1):
-        _, _, ha_k, induced = compare(k)
-
-        # close the cokernel at degree k
+        # close the cokernel at degree k, empty once rank H^k(f) = b_k(input)
         closed_names = []
-        if ha_k.betti:
+        ranks = current()[2]
+        if ranks.rank(k) < ranks.target_betti(k):
+            _, _, ha_k, induced = compare(k)
             width = induced.n
             probe_mat = induced.hstack(Mat.eye(ha_k.betti))
             missing = [j - width for j in probe_mat.pivots() if j >= width]
             closed_names = ["v%d_%d" % (k, i) for i in range(len(missing))]
-            if missing:
-                model = model.extended([(name, k) for name in closed_names], {})
-                rho_images.update(zip(closed_names, a.from_rows(k, ha_k.reps.select_rows(missing))))
-                comparison = None
+            model = model.extended([(name, k) for name in closed_names], {})
+            rho_images.update(zip(closed_names, a.from_rows(k, ha_k.reps.select_rows(missing))))
+            comparison = None
 
-        # kill the kernel at degree k + 1
-        f, hm_k1, _, induced = compare(k + 1)
-        kernel = induced.kernel()
+        # kill the kernel at degree k + 1, empty once rank H^(k+1)(f) = b_(k+1)(model)
         closing_names = []
-        if kernel.m:
+        ranks = current()[2]
+        if ranks.rank(k + 1) < ranks.source_betti(k + 1):
+            f, hm_k1, _, induced = compare(k + 1)
+            kernel = induced.kernel()
             # row r of z is the cocycle sum_i kernel[r, i] rep_i; each rho(z_r) = d(sol_r)
             z = kernel * hm_k1.reps
             sol = a.d_matrix(k).solve_matrix(f.comp(k + 1) * z.transpose())
@@ -209,10 +222,11 @@ def certify(mm: MinimalModel):
     and mm.morphism's matrices are the identity on [0, n + 1], the cone's
     contraction h_m = [[0, (-1)^(m-1)], [0, 0]] satisfies dh + hd = 1 exactly
     (docs/conventions.md), so the report is returned with nothing built.
-    Every other map takes the two-route check: only the operator matrices
-    (d of both algebras, mm.morphism's) come cached on those immutable
-    objects; the complexes, the chain map (checked against d), every
-    cohomology space, every induced map and the mapping cone are built afresh.
+    Every other map takes the two-route check, rank H^k(f) against both Betti
+    numbers and the acyclic cone: only the operator matrices (d of both
+    algebras, mm.morphism's) come cached on those immutable objects; the
+    complexes, the chain map (checked against d), the kernels and stacked
+    eliminations of the ranks and the mapping cone are built afresh.
     """
     n = mm.truncation
     a, rho = mm.input_algebra, mm.morphism

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 import random
 
@@ -15,6 +15,7 @@ from cdga import (
     HomologySpace,
     InternalCheckError,
     Mat,
+    WeakEquivalenceReport,
     augmented,
     betti_numbers,
     check,
@@ -38,7 +39,10 @@ from cdga import (
     tensor_complex,
 )
 
-from helpers import oracle_betti, random_complex, random_chain_map, with_identity_block_negated
+from helpers import (
+    oracle_betti, oracle_weak_equivalence, random_complex, random_chain_map,
+    with_identity_block_negated,
+)
 
 
 def two_step(coeff=1):
@@ -506,6 +510,36 @@ def test_is_weak_equivalence_windowed():
     rep = is_weak_equivalence(f, window=(0, 2))
     assert rep.is_equivalence
     assert rep.window == (0, 2)
+
+
+def _class_dropping_map(rng, a):
+    """a (+) Q[k] -> a, the identity on a and zero on the extra class: H^k of it
+    drops one class, every other H^j is the identity."""
+    sup = a.support()
+    k = rng.randint(min(sup, default=0) - 1, max(sup, default=0) + 1)
+    src = direct_sum(a, sphere_like(k))
+    comps = {m: Mat.eye(a.dim(m)).hstack(Mat.zero(a.dim(m), src.dim(m) - a.dim(m)))
+             for m in src.support() if a.dim(m)}
+    return ChainMap(src, a, comps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rank_route_equals_the_class_route_on_random_maps(seed):
+    # iso[k] read from ranks is the HomologySpace / induced_on_homology verdict,
+    # degree by degree, on the full support and on a window inside it
+    rng = random.Random(seed)
+    a, b, f = _random_map(seed)
+    maps = [f, ChainMap(a, b, {}), ChainMap.identity(a), random_chain_map(rng, a, a),
+            _class_dropping_map(rng, a)]
+    for g in maps:
+        sup = sorted(set(g.source.support()) | set(g.target.support()))
+        for window in (None, (min(sup, default=0), max(sup, default=0) + 1)):
+            rep, want = is_weak_equivalence(g, window), oracle_weak_equivalence(g, window)
+            for field in fields(WeakEquivalenceReport):
+                assert getattr(rep, field.name) == getattr(want, field.name), field.name
+    assert is_weak_equivalence(maps[2]).is_equivalence
+    assert not is_weak_equivalence(maps[4]).is_equivalence
 
 
 def _reference_classes(c, k):

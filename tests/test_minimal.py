@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
+import hashlib
 import json
 import random
 import subprocess
@@ -243,11 +244,10 @@ def test_staged_model_builds_the_input_complex_once(monkeypatch):
     # one comparison per distinct model (0, 2 and 4 generators), then certify
     assert model_sizes == [0, 2, 4, 4]
     assert len(chain_maps) == 4
-    # each space once: the input per degree, each model from its first stage;
-    # the connectivity probe reads Betti numbers only and builds none
-    assert sorted(homology_degrees.values()) == [
-        [2], list(range(2, 14)), [3, 4], list(range(4, 14))
-    ]
+    # classes only where a rank shows a gap, each space once: the input at 2
+    # (the cokernel) and 4 (the kernel), the empty model at 2, the model on
+    # two generators at 4; the connectivity probe and certify build none
+    assert sorted(homology_degrees.values()) == [[2], [2, 4], [4]]
     assert mm.certificate.is_equivalence
 
 
@@ -319,7 +319,7 @@ def test_planted_automorphism_takes_the_recompute_route(monkeypatch):
     planted = dataclasses.replace(mm, morphism=auto, certificate=None)
     log = _counting_certificate_work(monkeypatch)
     rep = certify(planted)
-    assert log["cone"] == 1 and log["homology"] > 0
+    assert log["cone"] == 1 and log["homology"] == 0  # the rank route builds no class
     assert log["to_complex"] == [(0, mm.truncation + 2)] * 2
     monkeypatch.undo()
     assert rep.is_equivalence
@@ -329,6 +329,48 @@ def test_planted_automorphism_takes_the_recompute_route(monkeypatch):
     rep = certify(zero)
     assert not rep.is_equivalence
     assert rep == recomputed_certificate(zero)
+
+
+LATE_GAP_DOCUMENT = {
+    "kind": "cdga", "generators": [["x", 2], ["y", 5], ["u", 3], ["v", 4]],
+    "differential": {"y": "x^3", "u": "v + 1/2 x^2"}, "truncation": 14,
+}
+
+
+def test_late_gap_closes_at_stage_five_after_two_stages_without_one(tmp_path, monkeypatch):
+    # CP^2 plus a contractible pair: x^3 = d y becomes a kernel class in degree 6
+    # once v2_0 maps to x, so its closing generator comes at stage 5, after
+    # stages 3 and 4 read no gap from their ranks
+    path = tmp_path / "late_gap.json"
+    path.write_text(json.dumps(LATE_GAP_DOCUMENT))
+    proc = subprocess.run([sys.executable, "-m", "cdga.cli", "minimal-model", "--input", str(path),
+                           "--format", "json"], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "64b57057585d3a9e735c3ce8f894a0c9285d47b1338ea01cba5cfde84f9646f1")
+    out = json.loads(proc.stdout)
+    assert (out["generators"], out["certified_through"]) == ([["v2_0", 2], ["v5_0", 5]], 13)
+    assert [(s["degree"], s["closed"], s["closing"]) for s in out["stages"][:4]] == [
+        (2, ["v2_0"], []), (3, [], []), (4, [], []), (5, [], ["v5_0"])]
+
+    built = {}  # complex -> degrees of the HomologySpaces built on it
+    homology_space = minimal_module.HomologySpace
+
+    def counting_homology_space(c, k):
+        built.setdefault(id(c), []).append(k)
+        return homology_space(c, k)
+
+    monkeypatch.setattr(minimal_module, "HomologySpace", counting_homology_space)
+    gens = Generators([(name, deg) for name, deg in LATE_GAP_DOCUMENT["generators"]])
+    x, v = Polynomial.generator(gens, "x"), Polynomial.generator(gens, "v")
+    mm = minimal_model(FreeCDGA(gens, {"y": x * x * x, "u": v + (x * x).scale(F(1, 2))},
+                                truncation=14))
+    # classes at the two gaps only: the input at 2 and 6, the empty model at
+    # 2, the model on v2_0 at 6
+    assert sorted(built.values()) == [[2], [2, 6], [6]]
+    assert mm.homotopy_ranks() == {k: int(k in (2, 5)) for k in range(2, 14)}
+    monkeypatch.undo()
+    _assert_certificate_is_the_recompute(mm)
 
 
 @pytest.mark.parametrize("alg", [even_sphere, s2xs2_contractible], ids=["minimal", "staged"])
