@@ -217,6 +217,11 @@ class ChainMap(GradedMap):
         """mapping_cone(self), built on first read and kept."""
         return mapping_cone(self)
 
+    @cached_property
+    def ranks(self) -> "InducedRanks":
+        """InducedRanks(self), built on first read and kept; it holds no reference back."""
+        return InducedRanks(self)
+
 
 # -- homology -------------------------------------------------------------------
 
@@ -325,23 +330,28 @@ class InducedRanks:
     rank d'_(k-1) and rank H^k(f) need no class basis and no solve.  Each
     degree's kernel and split is computed once and kept: the source's d_k
     is eliminated only for its kernel, the target's d'_(k-1) only inside
-    the stacked matrix at k.
+    the stacked matrix at k.  It keeps f's two complexes and its component
+    dict, not f, so f.ranks (cached on the map, and read by every caller
+    holding f) makes no reference cycle and is freed with f.
     """
 
     def __init__(self, f: ChainMap):
-        self.f = f
+        self.source, self.target, self._comps = f.source, f.target, f.comps
         self._cycles = {}  # k -> ker d_k of the source, as rows
         self._split = {}  # k -> (rank d'_(k-1), rank H^k(f))
 
     def _kernel(self, k: int) -> Mat:
         if k not in self._cycles:
-            self._cycles[k] = self.f.source.diff(k).kernel()
+            self._cycles[k] = self.source.diff(k).kernel()
         return self._cycles[k]
 
     def _pivots(self, k: int):
         if k not in self._split:
-            d_in = self.f.target.diff(k - 1)
-            piv = d_in.hstack(self.f.comp(k) * self._kernel(k).transpose()).pivots()
+            d_in = self.target.diff(k - 1)
+            f_k = self._comps.get(k)
+            if f_k is None:
+                f_k = Mat.zero(self.target.dim(k), self.source.dim(k))
+            piv = d_in.hstack(f_k * self._kernel(k).transpose()).pivots()
             first = bisect_left(piv, d_in.n)
             self._split[k] = first, len(piv) - first
         return self._split[k]
@@ -351,10 +361,10 @@ class InducedRanks:
         return self._pivots(k)[1]
 
     def source_betti(self, k: int) -> int:
-        return self._kernel(k).m - self.f.source.dim(k - 1) + self._kernel(k - 1).m
+        return self._kernel(k).m - self.source.dim(k - 1) + self._kernel(k - 1).m
 
     def target_betti(self, k: int) -> int:
-        return self.f.target.dim(k) - self._pivots(k + 1)[0] - self._pivots(k)[0]
+        return self.target.dim(k) - self._pivots(k + 1)[0] - self._pivots(k)[0]
 
 
 # -- shift / dual ---------------------------------------------------------------
@@ -738,7 +748,10 @@ def is_weak_equivalence(f: ChainMap, window=None) -> WeakEquivalenceReport:
     verdicts must agree exactly, anything else raises InternalCheckError.
     With window=(a, b) the isomorphism route runs on [a, b] and the cone
     route on [a, b-1], which is the sound restriction for data only trusted
-    up to degree b.
+    up to degree b.  The ranks are f.ranks, so degrees a caller has already
+    read from them (the minimal-model stages do) are not eliminated again;
+    the cone (f.cone) shares only f's matrices with them, and its Betti
+    numbers are an independent elimination.
     """
     sup = sorted(set(f.source.support()) | set(f.target.support()))
     if window is None:
@@ -749,7 +762,7 @@ def is_weak_equivalence(f: ChainMap, window=None) -> WeakEquivalenceReport:
     else:
         lo, hi = window
         cone_hi = hi - 1
-    ranks = InducedRanks(f)
+    ranks = f.ranks
     iso = {k: ranks.source_betti(k) == ranks.target_betti(k) == ranks.rank(k)
            for k in range(lo, hi + 1)}
     cone_betti = betti_numbers(f.cone, (lo, cone_hi))

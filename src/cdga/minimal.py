@@ -6,20 +6,25 @@ differentials kill ker(H^(k+1)(model) -> H^(k+1)(input)); the comparison
 map extends at every step.  After stage k the induced map on cohomology is
 an isomorphism through degree k and injective at k+1, so generator counts
 in degrees <= n are final once stages 2..n have run.  Each half of a stage
-first reads rank H^k(f) from ranks alone (InducedRanks, kept with the
-comparison): the cokernel at k is empty when that rank is b_k(input), the
-kernel at k+1 when it is b_(k+1)(model).  Only a gap builds cohomology
-classes (HomologySpace) and the induced matrix, which fix the new
-generators and their images.  The input's complex is built once per call,
-each of its cohomology spaces at most once, and the comparison chain map
-only when a stage has extended the model.  The finished map is certified
-as a weak equivalence on the window where the truncated complexes are
-trustworthy, and a failed certificate raises on both paths.  An input that
-is already minimal is its own model through the identity, whose mapping
-cone has an explicit contraction, so its certificate needs no complex and
-no elimination; any other map gets the two-route check, which shares only
-the operator matrices and rebuilds every complex, the chain map, the ranks
-and the cone.
+first reads rank H^k(f) from ranks alone (InducedRanks, cached on the
+comparison chain map as f.ranks): the cokernel at k is empty when that rank
+is b_k(input), the kernel at k+1 when it is b_(k+1)(model).  Only a gap
+builds cohomology classes (HomologySpace) and the induced matrix, which fix
+the new generators and their images.  The input's complex is built once per
+call, each of its cohomology spaces at most once, and the comparison chain
+map only when a stage has extended the model.  The finished map is
+certified as a weak equivalence on the window where the truncated complexes
+are trustworthy, and a failed certificate raises on both paths.  An input
+that is already minimal is its own model through the identity, whose
+mapping cone has an explicit contraction, so its certificate needs no
+complex and no elimination.  Otherwise, when the last stage adjoins no
+closing generators, the comparison its ranks were read from is the final
+one, and the certificate runs on it: its validated chain map and the ranks
+the stages read are shared, so the rank route computes only the degrees no
+stage read, and the mapping cone's Betti numbers stay the independent
+second route.  A map with no surviving comparison (the last stage closed a
+kernel, or a morphism swapped in by hand) gets its complexes, chain map,
+ranks and cone built afresh.
 
 The rank of the degree-k generator space of a minimal model is the rank of
 the k-th rational homotopy group of the geometric realization, which is
@@ -36,7 +41,6 @@ from .complexes import (
     ChainMap,
     Complex,
     HomologySpace,
-    InducedRanks,
     InternalCheckError,
     WeakEquivalenceReport,
     betti_numbers,
@@ -64,6 +68,9 @@ class MinimalModel:
     stages: list
     already_minimal: bool = False
     certificate: object = field(default=None, repr=False)
+    # (morphism, truncation, its chain map on [0, truncation + 2]) from the
+    # construction's last comparison, for certify; replace() drops it
+    _comparison: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def homotopy_ranks(self):
         """rank of pi_k for 2 <= k <= certified_through (zeros included)."""
@@ -90,9 +97,11 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     cohomology spaces at most once, where a rank shows a gap.  The
     comparison morphism, the model's complex and the chain map between them
     (with their InducedRanks, the model's cohomology spaces and the induced
-    maps) are rebuilt only after a stage has adjoined generators, and the
-    result keeps the last comparison's morphism.  `certify` shares only the
-    operator matrices, cached on the algebras and the morphism.
+    maps) are rebuilt only after a stage has adjoined generators.  When the
+    last stage adjoins no closing generators, the result keeps the last
+    comparison, morphism and chain map, and `certify` runs on that chain map
+    and the ranks the stages read; otherwise certify builds the comparison
+    of the grown model.
     """
     n = a.truncation if truncation is None else int(truncation)
     if n < 2:
@@ -123,8 +132,8 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     stages = []
     target = a.to_complex((0, margin))
     ha = {}  # degree -> HomologySpace of the input, built at a gap only, once
-    # (rho, chain map, its InducedRanks, degree -> (model HomologySpace, induced map));
-    # None once the model grows
+    # (rho, chain map, degree -> (model HomologySpace, induced map)); None
+    # once the model grows
     comparison = None
 
     def current():
@@ -132,13 +141,12 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
         nonlocal comparison
         if comparison is None:
             rho = CDGAMorphism(model, a, dict(rho_images))
-            f = _comparison_chain_map(model, rho, target, margin)
-            comparison = (rho, f, InducedRanks(f), {})
+            comparison = (rho, _comparison_chain_map(model, rho, target, margin), {})
         return comparison
 
     def compare(k):
         """f, H^k(model), H^k(input) and the induced map H^k(f), where a rank shows a gap."""
-        _, f, _, hm = current()
+        _, f, hm = current()
         if k not in ha:
             ha[k] = HomologySpace(target, k)
         if k not in hm:
@@ -150,7 +158,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
     for k in range(2, n + 1):
         # close the cokernel at degree k, empty once rank H^k(f) = b_k(input)
         closed_names = []
-        ranks = current()[2]
+        ranks = current()[1].ranks
         if ranks.rank(k) < ranks.target_betti(k):
             _, _, ha_k, induced = compare(k)
             width = induced.n
@@ -163,7 +171,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
 
         # kill the kernel at degree k + 1, empty once rank H^(k+1)(f) = b_(k+1)(model)
         closing_names = []
-        ranks = current()[2]
+        ranks = current()[1].ranks
         if ranks.rank(k + 1) < ranks.source_betti(k + 1):
             f, hm_k1, _, induced = compare(k + 1)
             kernel = induced.kernel()
@@ -188,7 +196,7 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
             )
         )
 
-    # the last comparison's morphism, unless a stage has extended the model since
+    # the last comparison, unless a stage has extended the model since
     rho = comparison[0] if comparison else CDGAMorphism(model, a, dict(rho_images))
     mm = MinimalModel(
         model=model,
@@ -199,6 +207,8 @@ def minimal_model(a: FreeCDGA, truncation: int = None) -> MinimalModel:
         stages=stages,
         already_minimal=False,
     )
+    if comparison:
+        mm._comparison = (rho, n, comparison[1])
     if not model.is_minimal():
         raise InternalCheckError("constructed model is not minimal")
     return _certified(mm)
@@ -223,10 +233,14 @@ def certify(mm: MinimalModel):
     contraction h_m = [[0, (-1)^(m-1)], [0, 0]] satisfies dh + hd = 1 exactly
     (docs/conventions.md), so the report is returned with nothing built.
     Every other map takes the two-route check, rank H^k(f) against both Betti
-    numbers and the acyclic cone: only the operator matrices (d of both
-    algebras, mm.morphism's) come cached on those immutable objects; the
-    complexes, the chain map (checked against d), the kernels and stacked
-    eliminations of the ranks and the mapping cone are built afresh.
+    numbers and the acyclic cone, on the comparison chain map on [0, n + 2]
+    (checked against d when built).  When mm.morphism is the construction's
+    last comparison morphism at this truncation, that chain map is shared,
+    with the ranks its stages already read; the stages never build the
+    mapping cone, whose Betti numbers share only f's matrices with the ranks.
+    Any other morphism gets its complexes, chain map, ranks and cone built
+    afresh; the operator matrices (d of both algebras, mm.morphism's) come
+    cached on those immutable objects either way.
     """
     n = mm.truncation
     a, rho = mm.input_algebra, mm.morphism
@@ -234,7 +248,11 @@ def certify(mm: MinimalModel):
             and all(rho.matrix(k) == Mat.eye(len(a.basis(k))) for k in range(n + 2))):
         return WeakEquivalenceReport(True, (0, n), {k: True for k in range(n + 1)},
                                      {m: 0 for m in range(n)}, True)
-    f = _comparison_chain_map(mm.model, rho, a.to_complex((0, n + 2)), n + 2)
+    shared = mm._comparison
+    if shared and shared[0] is rho and shared[1] == n:
+        f = shared[2]
+    else:
+        f = _comparison_chain_map(mm.model, rho, a.to_complex((0, n + 2)), n + 2)
     return is_weak_equivalence(f, window=(0, n))
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 from fractions import Fraction as F
+import gc
 import hashlib
 import json
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,11 +241,12 @@ def test_staged_model_builds_the_input_complex_once(monkeypatch):
     monkeypatch.setattr(ChainMap, "__init__", counting_chain_map_init)
     monkeypatch.setattr(minimal_module, "HomologySpace", counting_homology_space)
     mm = minimal_model(alg)
-    # the connectivity probe, the construction's target and the certificate
-    assert input_calls == [(0, 3), (0, 14), (0, 14)]
-    # one comparison per distinct model (0, 2 and 4 generators), then certify
-    assert model_sizes == [0, 2, 4, 4]
-    assert len(chain_maps) == 4
+    # the connectivity probe and the construction's target; certify runs on
+    # the last comparison, since no stage after stage 3 adjoins a generator
+    assert input_calls == [(0, 3), (0, 14)]
+    # one comparison per distinct model (0, 2 and 4 generators), none in certify
+    assert model_sizes == [0, 2, 4]
+    assert len(chain_maps) == 3
     # classes only where a rank shows a gap, each space once: the input at 2
     # (the cokernel) and 4 (the kernel), the empty model at 2, the model on
     # two generators at 4; the connectivity probe and certify build none
@@ -251,13 +254,21 @@ def test_staged_model_builds_the_input_complex_once(monkeypatch):
     assert mm.certificate.is_equivalence
 
 
-def test_certify_recomputes_from_the_stored_morphism():
+def test_certify_recomputes_from_the_stored_morphism(monkeypatch):
     mm = minimal_model(s2xs2_contractible())
     src, tgt = mm.model, mm.input_algebra
     # forget the second sphere: still a chain map, no longer a quasi-isomorphism
-    bad = CDGAMorphism(src, tgt, {"v2_0": tgt.gen("a"), "v3_0": tgt.gen("p")})
+    bad = dataclasses.replace(
+        mm, morphism=CDGAMorphism(src, tgt, {"v2_0": tgt.gen("a"), "v3_0": tgt.gen("p")}))
     assert certify(mm).is_equivalence
-    assert not certify(dataclasses.replace(mm, morphism=bad)).is_equivalence
+    # a swapped-in morphism is not the construction's comparison: both
+    # complexes, its chain map, its ranks and its cone are built afresh
+    log = _counting_certificate_work(monkeypatch)
+    rep = certify(bad)
+    assert log == {"to_complex": [(0, mm.truncation + 2)] * 2, "homology": 0, "cone": 1}
+    monkeypatch.undo()
+    assert not rep.is_equivalence
+    assert rep == recomputed_certificate(bad)
 
 
 def _assert_certificate_is_the_recompute(mm):
@@ -361,16 +372,87 @@ def test_late_gap_closes_at_stage_five_after_two_stages_without_one(tmp_path, mo
         return homology_space(c, k)
 
     monkeypatch.setattr(minimal_module, "HomologySpace", counting_homology_space)
-    gens = Generators([(name, deg) for name, deg in LATE_GAP_DOCUMENT["generators"]])
-    x, v = Polynomial.generator(gens, "x"), Polynomial.generator(gens, "v")
-    mm = minimal_model(FreeCDGA(gens, {"y": x * x * x, "u": v + (x * x).scale(F(1, 2))},
-                                truncation=14))
+    mm = minimal_model(late_gap(14))
     # classes at the two gaps only: the input at 2 and 6, the empty model at
     # 2, the model on v2_0 at 6
     assert sorted(built.values()) == [[2], [2, 6], [6]]
     assert mm.homotopy_ranks() == {k: int(k in (2, 5)) for k in range(2, 14)}
     monkeypatch.undo()
     _assert_certificate_is_the_recompute(mm)
+
+
+def late_gap(truncation):
+    gens = Generators([(name, deg) for name, deg in LATE_GAP_DOCUMENT["generators"]])
+    x, v = Polynomial.generator(gens, "x"), Polynomial.generator(gens, "v")
+    return FreeCDGA(gens, {"y": x * x * x, "u": v + (x * x).scale(F(1, 2))},
+                    truncation=truncation)
+
+
+def _minimal_model_logging_certify(alg):
+    """minimal_model(alg), and what its certify call built (_counting_certificate_work's log)."""
+    logs = []
+    certify_ = minimal_module.certify
+
+    def logging_certify(mm):
+        with pytest.MonkeyPatch.context() as inner:
+            logs.append(_counting_certificate_work(inner))
+            return certify_(mm)
+
+    with pytest.MonkeyPatch.context() as outer:
+        outer.setattr(minimal_module, "certify", logging_certify)
+        mm = minimal_model(alg)
+    return mm, logs
+
+
+def _assert_certified_on_the_last_comparison(alg):
+    """minimal_model(alg) certifies on its last comparison: certify builds
+    no complex and one cone, and the report is the two-route recompute."""
+    mm, logs = _minimal_model_logging_certify(alg)
+    assert mm._comparison[0] is mm.morphism
+    assert logs == [{"to_complex": [], "homology": 0, "cone": 1}]
+    _assert_certificate_is_the_recompute(mm)
+
+
+@pytest.mark.parametrize("build", [s2xs2_contractible, lambda: late_gap(14)],
+                         ids=["s2xs2", "late-gap-14"])
+def test_staged_certificate_runs_on_the_last_comparison(build):
+    # the last generators come at stage 3 and stage 5, so stages 4..n read
+    # their ranks from the comparison the certificate then shares
+    _assert_certified_on_the_last_comparison(build())
+
+
+def test_staged_certificate_builds_its_own_comparison_after_a_last_stage_grows():
+    # at truncation 5 the closing generator of x^3 comes at stage 5, the last:
+    # no comparison survives the loop, so certify builds one for the grown model
+    mm, logs = _minimal_model_logging_certify(late_gap(5))
+    assert list(zip(mm.model.gens.names, mm.model.gens.degrees)) == [("v2_0", 2), ("v5_0", 5)]
+    assert mm.stages[-1].closing_generators == ["v5_0"]
+    assert mm._comparison is None
+    assert logs == [{"to_complex": [(0, 7)] * 2, "homology": 0, "cone": 1}]
+    _assert_certificate_is_the_recompute(mm)
+
+
+def test_no_reference_cycle_keeps_the_last_comparison_alive(monkeypatch):
+    built = []
+    comparison_chain_map = minimal_module._comparison_chain_map
+
+    def recording(*args):
+        f = comparison_chain_map(*args)
+        built.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(minimal_module, "_comparison_chain_map", recording)
+    gc.disable()
+    try:
+        mm = minimal_model(s2xs2_contractible())
+        f = mm._comparison[2]
+        assert built[-1]() is f
+        # the certificate cached the ranks and the cone on the chain map
+        assert {"ranks", "cone"} <= set(vars(f))
+        del mm, f
+        assert [ref() for ref in built] == [None] * len(built)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("alg", [even_sphere, s2xs2_contractible], ids=["minimal", "staged"])
@@ -502,6 +584,19 @@ def test_sharing_changes_no_verdict_on_contractible_pairs(pair):
         assert mm.already_minimal == (alg is pair[0])
         _assert_certificate_is_the_recompute(mm)
         _assert_sharing_changes_no_verdict(mm)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(minimal_with_contractible_pair())
+def test_staged_certificates_of_contractible_pairs_equal_the_recompute(pair):
+    mm, logs = _minimal_model_logging_certify(pair[1])
+    # the stage loop reads its last ranks after the last stage's cokernel
+    # half, so only closing generators there leave no comparison behind
+    grew = bool(mm.stages[-1].closing_generators)
+    assert (mm._comparison is None) == grew
+    n = mm.truncation
+    assert logs == [{"to_complex": [(0, n + 2)] * 2 if grew else [], "homology": 0, "cone": 1}]
+    _assert_certificate_is_the_recompute(mm)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
