@@ -3,14 +3,17 @@
 A FreeCDGA is a free graded-commutative algebra on finitely many generators
 of degree >= 1 together with a degree +1 derivation d whose square vanishes;
 d is given on generators and extended by the graded Leibniz rule.  Bases per
-degree are enumerated monomials, so every operator has an exact matrix and
-the whole algebra restricts to a cochain complex through any window.
-Derivation and CDGAMorphism are the two kinds of generator map: one base
-checks their images, holds them as int numerators over one denominator and
-caches one matrix per degree, and each adds only its own apply_key.  So
-apply_key, key_matrix and the graded commutator on a generator
-(bracket_image) build no Fractions; apply and commutator divide only into
-their Polynomials.
+degree are monomials, each degree's built once from the degrees below it
+(poly.basis_keys on the algebra's cache), so every operator has an exact
+matrix and the whole algebra restricts to a cochain complex through any
+window.  Derivation and CDGAMorphism are the two kinds of generator map:
+one base checks their images, holds them as int numerators over one
+denominator and caches one matrix per degree, and each adds only its own
+apply_key, which reads a key as its first generator g times the rest: a
+derivation merges each term of D(g) into the rest once, and a morphism
+multiplies f(g) into the kept image of the rest.  So apply_key, key_matrix
+and the graded commutator on a generator (bracket_image) build no
+Fractions; apply and commutator divide only into their Polynomials.
 """
 
 from __future__ import annotations
@@ -122,8 +125,10 @@ class Derivation(_GeneratorMap):
 
     Determined by generator images (homogeneous of degree |g| + r, or zero)
     and extended by D(ab) = D(a) b + (-1)^(r |a|) a D(b).  apply_key applies
-    that rule to one monomial key, placing e D(g) between the keys before
-    (times g^(e-1)) and after each run g^e with poly.key_product.
+    that rule to one monomial key: for each run g^e, e D(g) goes in front of
+    the rest (the key with one g taken out) and is merged into it once by
+    poly.key_product, with the sign (-1)^(r |left|) of D passing the factors
+    left of it times the Koszul sign (-1)^(|left| |D(g)|) of the move.
     """
 
     def __init__(self, algebra: "FreeCDGA", degree: int, images):
@@ -142,13 +147,14 @@ class Derivation(_GeneratorMap):
         for j, (i, e) in enumerate(key):
             img = self._terms.get(i)
             if img is not None:
-                c0 = -e if self.degree % 2 and prefix_degree % 2 else e
-                left, right = key[:j] + (((i, e - 1),) if e > 1 else ()), key[j + 1:]
+                # |left| = prefix_degree + (e - 1)|g|, so the two signs
+                # together are (-1)^(|g| prefix_degree)
+                c0 = -e if gens.odd[i] and prefix_degree % 2 else e
+                rest = key[:j] + (((i, e - 1),) if e > 1 else ()) + key[j + 1:]
                 for ikey, c in img.items():
-                    s1, k1 = key_product(gens, left, ikey)
-                    s2, k2 = key_product(gens, k1, right) if s1 else (0, ())
-                    if s2:
-                        out[k2] = out.get(k2, 0) + (c0 * c if s1 == s2 else -c0 * c)
+                    s, k = key_product(gens, ikey, rest)
+                    if s:
+                        out[k] = out.get(k, 0) + (c0 * c if s > 0 else -c0 * c)
             prefix_degree += e * gens.degrees[i]
         return {k: c for k, c in out.items() if c}, self.den
 
@@ -209,8 +215,9 @@ class FreeCDGA:
         return self.differential.apply(poly)
 
     def basis(self, k: int):
+        """The sorted keys of degree k, each degree built once from those below."""
         if k not in self._basis_cache:
-            self._basis_cache[k] = basis_keys(self.gens, k)
+            self._basis_cache[k] = basis_keys(self.gens, k, self._basis_cache)
         return self._basis_cache[k]
 
     def basis_index(self, k: int):
@@ -287,14 +294,16 @@ class FreeCDGA:
 class CDGAMorphism(_GeneratorMap):
     """Algebra map determined by generator images, compatible with d.
 
-    apply_key multiplies out the images of a monomial key's generators with
-    poly.terms_product; apply, matrix, compose and is_chain_map all go
-    through it, so none multiplies Polynomials.
+    apply_key writes a monomial key as g rest, g its first generator, and
+    takes f(g) f(rest) with one poly.terms_product; the image of every rest
+    is kept (the map is immutable).  apply, matrix, compose and
+    is_chain_map all go through it, so none multiplies Polynomials.
     """
 
     def __init__(self, source: FreeCDGA, target: FreeCDGA, images,
                  validate: bool = True):
         super().__init__(source, target, 0, images, "morphism")
+        self._key_images = {(): ({(): 1}, 1)}
         if validate and not self.is_chain_map():
             raise GradedError("generator images do not commute with d")
 
@@ -303,17 +312,23 @@ class CDGAMorphism(_GeneratorMap):
         return cls(a, a, {n: a.gen(n) for n in a.gens.names}, validate=False)
 
     def apply_key(self, key):
-        """f(key) as ({key: int} with no zeros, den**m), m the factors in key."""
-        gens = self.target.gens
-        terms, m = {(): 1}, 0
-        for i, e in key:
-            img = self._terms.get(i)
-            if img is None:
-                return {}, 1
-            for _ in range(e):
-                terms = terms_product(gens, terms, img)
-            m += e
-        return terms, self.den ** m
+        """f(key) as ({key: int} with no zeros, den**m), m the factors in key,
+        or ({}, 1) if a factor maps to zero.  The rests not kept yet are
+        multiplied up from the longest one that is, so no recursion."""
+        kept, rests = self._key_images, []
+        while key not in kept:
+            rests.append(key)
+            i, e = key[0]
+            key = ((i, e - 1),) + key[1:] if e > 1 else key[1:]
+        terms, D = kept[key]
+        for key in reversed(rests):
+            img = self._terms.get(key[0][0])
+            if img is None or D == 1 and not terms:
+                terms, D = {}, 1
+            else:
+                terms, D = terms_product(self.target.gens, img, terms), D * self.den
+            kept[key] = terms, D
+        return terms, D
 
     def is_chain_map(self) -> bool:
         for name in self.source.gens.names:

@@ -388,7 +388,8 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
     iota_a sends a^b to delta_ab and kills every curvature F, so the joint
     kernel of the iota_a is the polynomial algebra S(F); the basic part is
     the joint kernel of the theta_a on S(F), taken degreewise on [lo, hi+1]
-    on the keys of the n curvatures alone.  theta is a representation of g,
+    on the keys of the n curvatures alone, each degree's keys built from
+    those below (one dict of lower degrees for the whole window).  theta is a representation of g,
     [theta_a, theta_b] = theta_[a,b], so the theta_a of a Lie generating set
     (LieData.generating_set) already have that joint kernel, and only theirs
     are stacked.  On S(F), d = sum_i a^i theta_i, so d vanishes exactly on
@@ -411,9 +412,9 @@ def basic_subcomplex(ops: CartanOps, window) -> BasicComplexData:
                 raise InternalCheckError("theta_%d sends %s out of S(F)" % (a, name))
     curvatures = Generators(zip(names[n:], alg.gens.degrees[n:]))
     generators = ops.lie.generating_set
-    labels, invariants = {}, {}
+    labels, invariants, lower = {}, {}, {}
     for k in range(lo, hi + 2):
-        fkeys = [tuple((i + n, e) for i, e in key) for key in basis_keys(curvatures, k)]
+        fkeys = [tuple((i + n, e) for i, e in key) for key in basis_keys(curvatures, k, lower)]
         findex = {key: i for i, key in enumerate(fkeys)}
         blocks = [key_matrix(fkeys, findex, ops.theta[a].apply_key) for a in generators]
         basis = Mat.zero(0, len(fkeys)).vstack(*blocks).kernel()

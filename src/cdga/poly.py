@@ -20,6 +20,7 @@ it, so products have one sign routine.
 from __future__ import annotations
 
 import unicodedata
+from bisect import bisect_left
 from fractions import Fraction
 
 from .graded import GradedError
@@ -292,35 +293,34 @@ def render_key(gens: Generators, key) -> str:
     return "*".join(pieces)
 
 
-def basis_keys(gens: Generators, degree: int):
+def basis_keys(gens: Generators, degree: int, lower=None):
     """All canonical monomial keys of the given total degree, sorted.
 
-    Degree 0 has the single empty key; negative degrees are empty.  The
-    recursion takes generators in order of degree (then index) and stops at
-    the first one too large, so its work is bounded by the keys of degree
-    <= degree, however many generators do not fit; each key's pairs are put
-    back in index order.
+    Degree 0 has the single empty key; negative degrees are empty.  Each
+    degree is built from the ones below it, which are kept in `lower`
+    ({degree: sorted keys}; a fresh dict when None) and filled bottom-up
+    where missing: a key is its first generator g times a key of degree
+    k - |g| whose first index is >= g's (> g's for odd g), an even g's
+    exponent going up by one.  Those keys form a suffix of the lower list,
+    found by bisection, and its part that starts past g comes first (g to
+    the first power), so each list comes out sorted.
     """
     if degree < 0:
         return []
-    out = []
-    order = sorted(range(len(gens.degrees)), key=gens.degrees.__getitem__)
-    degrees = [gens.degrees[i] for i in order]
-
-    def rec(pos, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(sorted(acc)))
-            return
-        for p in range(pos, len(order)):
-            d = degrees[p]
-            if d > remaining:
-                break
-            cap = 1 if d % 2 else remaining // d
-            for e in range(1, cap + 1):
-                acc.append((order[p], e))
-                rec(p + 1, remaining - d * e, acc)
-                acc.pop()
-
-    rec(0, degree, [])
-    out.sort()
-    return out
+    lower = {} if lower is None else lower
+    for k in range(degree + 1):
+        if k in lower:
+            continue
+        keys = [] if k else [()]
+        for g, d in enumerate(gens.degrees):
+            if d <= k:
+                rests = lower[k - d]
+                past = bisect_left(rests, ((g + 1, 0),))
+                if d == k:
+                    keys.append(((g, 1),))
+                keys.extend(((g, 1),) + rest for rest in rests[past:])
+                if not gens.odd[g]:
+                    keys.extend(((g, rest[0][1] + 1),) + rest[1:]
+                                for rest in rests[bisect_left(rests, ((g, 0),)):past])
+        lower[k] = keys
+    return lower[degree]

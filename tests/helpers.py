@@ -8,6 +8,7 @@ linear algebra is never used to check itself.
 """
 
 from fractions import Fraction
+import itertools
 from math import comb
 import random
 
@@ -95,6 +96,22 @@ def oracle_betti(c):
 
 
 # -- reference series and operator brackets -------------------------------------------
+
+
+def oracle_basis(degrees, n):
+    """{k: sorted monomial keys of degree k} for 0 <= k <= n on generators of these
+    degrees, without cdga.poly: every exponent vector with total degree <= n (odd
+    exponents 0 or 1) by itertools.product, one generator at a time, then each
+    vector's nonzero exponents as (index, exponent) pairs."""
+    vectors = [((), 0)]
+    for d in degrees:
+        vectors = [(v + (e,), k + d * e)
+                   for (v, k), e in itertools.product(vectors, range(2 if d % 2 else n // d + 1))
+                   if k + d * e <= n]
+    out = {k: [] for k in range(n + 1)}
+    for v, k in vectors:
+        out[k].append(tuple((i, e) for i, e in enumerate(v) if e))
+    return {k: sorted(keys) for k, keys in out.items()}
 
 
 def gc_series_per_generator(counts, n):

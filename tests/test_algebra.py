@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import cdga.algebra as algebra_module
 from cdga import (
     CDGAMorphism,
     Derivation,
@@ -196,3 +197,30 @@ def test_operator_matrices_are_cached_once_on_their_map():
     for y in range(4):
         for k in range(6):
             assert fock.contraction(y, k) is fock.contraction(y, k)
+
+
+def test_high_degrees_answer_without_deep_recursion():
+    # a first call far above the recursion limit: the bases and the kept rest
+    # images are filled bottom-up
+    a = FreeCDGA(Generators([("x", 2), ("y", 5)]), {}, truncation=8)
+    assert a.basis(6000) == [((0, 3000),)]
+    assert a.basis(6001) == [((0, 2998), (1, 1))]
+    assert CDGAMorphism.identity(a).apply_key(((0, 2500),)) == ({((0, 2500),): 1}, 1)
+
+
+def test_morphism_matrix_multiplies_once_per_key_over_kept_rests(monkeypatch):
+    # every generator has degree 2, so each key of degree k is g times a key of
+    # degree k - 2, whose image matrix(k - 2) already kept: one product per key
+    src = algebra(Generators([("a", 2), ("b", 2), ("c", 2)]))
+    tgt = algebra(Generators([("x", 2), ("y", 2)]))
+    x, y = (Polynomial.generator(tgt.gens, n) for n in ("x", "y"))
+    images = {"a": x, "b": x + y.scale(F(2, 3)), "c": y.scale(F(-1, 2))}
+    f = CDGAMorphism(src, tgt, images)
+    calls = []
+    product = algebra_module.terms_product
+    monkeypatch.setattr(algebra_module, "terms_product", lambda *a: calls.append(1) or product(*a))
+    for k in (4, 6, 8):
+        f.matrix(k - 2)
+        calls.clear()
+        same(f.matrix(k), ref_matrix(src, tgt, k, 0, lambda p: ref_morphism(src, tgt, images, p)))
+        assert len(calls) == src.dim(k)

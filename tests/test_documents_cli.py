@@ -1307,7 +1307,8 @@ def _random_cdga(seed):
 def _budget_and_bases(monkeypatch, argv):
     """Run argv; the (lo, hi, units) of its one budget call and the degrees of every
     basis the handler built after it: each free algebra's, and each one enumerated
-    by poly.basis_keys directly (S(F) in weil).  A failed audit (exit 1) counts."""
+    by poly.basis_keys directly (S(F) in weil), with the lower degrees that
+    basis_keys fills on the way up.  A failed audit (exit 1) counts."""
     calls, built = [], set()
     budget, basis, keys = cli._budget, FreeCDGA.basis, poly.basis_keys
 
@@ -1319,9 +1320,11 @@ def _budget_and_bases(monkeypatch, argv):
         built.add(k)
         return basis(self, k)
 
-    def recorded_keys(gens, k):
-        built.add(k)
-        return keys(gens, k)
+    def recorded_keys(gens, k, lower=None):
+        lower = {} if lower is None else lower
+        out = keys(gens, k, lower)
+        built.update(lower, (k,))
+        return out
 
     monkeypatch.setattr(cli, "_budget", recorded_budget)
     monkeypatch.setattr(FreeCDGA, "basis", recorded_basis)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from cdga import (
 )
 from cdga.graded import GradedError
 from cdga.poly import key_product, normalize_factors
+from helpers import gc_series_per_generator, oracle_basis
 
 
 def gens_xy():
@@ -81,6 +83,23 @@ def test_basis_keys_canonical_order():
     b3 = basis_keys(g, 3)
     # degree 3: x*z, y*z
     assert len(b3) == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=7), st.integers(7, 24))
+def test_bases_match_an_independent_enumeration_in_any_call_order(degrees, high):
+    # each degree is built from the ones below it, so the lists must not depend
+    # on which degrees were asked for first; their sizes are the coefficients
+    # of prod (1 + t^odd) / prod (1 - t^even)
+    want = oracle_basis(degrees, 24)
+    series = gc_series_per_generator(Counter(degrees), 24)
+    assert [len(want[k]) for k in range(25)] == [series[k] for k in range(25)]
+    gens = Generators([("g%d" % i, d) for i, d in enumerate(degrees)])
+    for order in (range(-2, 25), range(24, -3, -1), [high, *range(-2, 25)]):
+        lower, alg = {}, FreeCDGA(gens, {}, truncation=24)
+        for k in order:
+            assert basis_keys(gens, k) == basis_keys(gens, k, lower) == alg.basis(k) \
+                == want.get(k, [])
 
 
 def test_parser_round_trip():
